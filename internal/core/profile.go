@@ -414,8 +414,10 @@ type profileBlob struct {
 }
 
 // Encode serializes the text-processing output of compilation (the
-// expensive, schema-content-determined part). Interned IDs, shapes and
-// vocabulary indices are process-local and derived again on decode.
+// schema-content-determined part). Interned IDs, shapes and vocabulary
+// indices are process-local and derived again on decode. The daemon no
+// longer persists profiles (decoding costs more than CompileSchema); the
+// blob format is kept for the benchmark's traced replay.
 func (p *CompiledProfile) Encode() []byte {
 	blob := profileBlob{V: profileBlobVersion, Fingerprint: p.fp, Elements: make([]profileBlobElem, len(p.tmpl))}
 	for i := range p.tmpl {
@@ -441,7 +443,9 @@ func (p *CompiledProfile) Encode() []byte {
 // DecodeProfile rebuilds a compiled profile for s from a blob produced
 // by Encode. The blob must match the schema (fingerprint and element
 // count) and pass structural validation; any mismatch returns an error
-// and the caller should recompile from source instead.
+// and the caller should recompile from source instead. It runs the same
+// derivation as CompileSchema after a JSON decode, so it is slower than
+// compiling; the daemon no longer calls it.
 func DecodeProfile(s *schema.Schema, data []byte) (*CompiledProfile, error) {
 	var blob profileBlob
 	if err := json.Unmarshal(data, &blob); err != nil {

@@ -23,9 +23,9 @@ const DefaultProfileCacheSize = 128
 // caches drop it in the same sweep, so a PUT /v1/schemas rematch always
 // recompiles against current content.
 //
-// An optional persist hook receives every profile
-// compiled through the cache (not warm-loaded via Put), letting the
-// store keep profiles as artifacts that survive restarts.
+// An optional persist hook receives every profile compiled through the
+// cache (not warm-loaded via Put). The daemon installs none: it warms
+// the cache after a restart by compiling its newest schemata.
 type ProfileCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -138,9 +138,10 @@ func (c *ProfileCache) pairViews(pa, pb *CompiledProfile) (*SchemaView, *SchemaV
 
 // SetPersist installs the artifact hook called (outside the cache lock)
 // with every profile compiled on a cache miss. The hook receives the
-// profile itself, not an encoded blob — encoding costs tens of
-// microseconds per schema, so persisters that write asynchronously can
-// defer it off the compile path.
+// profile itself, not an encoded blob, so a hook that writes
+// asynchronously can defer encoding off the compile path. The daemon no
+// longer installs one; the hook is kept for the benchmark's traced
+// replay.
 func (c *ProfileCache) SetPersist(fn func(fp string, p *CompiledProfile)) {
 	c.mu.Lock()
 	c.persist = fn
@@ -174,8 +175,8 @@ func (c *ProfileCache) Get(fp string) (*CompiledProfile, bool) {
 	return nil, false
 }
 
-// Put warm-loads a profile (typically decoded from a store artifact)
-// without firing the persist hook.
+// Put warm-loads a profile compiled outside the cache, without counting
+// a miss or firing the persist hook.
 func (c *ProfileCache) Put(fp string, p *CompiledProfile) {
 	c.add(fp, p, false)
 }

@@ -264,9 +264,12 @@ func (p *fastParser) unquoteFrom(start int) ([]byte, bool) {
 					return nil, false
 				}
 				if utf16.IsSurrogate(r) {
-					// Expect a low surrogate; anything else becomes
-					// U+FFFD exactly as encoding/json does.
+					// A surrogate pair consumes the next escape. Anything
+					// else turns r into U+FFFD and leaves the next escape
+					// to be decoded on its own, exactly as encoding/json
+					// does.
 					if p.pos+1 < len(p.data) && p.data[p.pos] == '\\' && p.data[p.pos+1] == 'u' {
+						next := p.pos
 						p.pos += 2
 						r2, ok := p.hex4()
 						if !ok {
@@ -276,12 +279,9 @@ func (p *fastParser) unquoteFrom(start int) ([]byte, bool) {
 							buf = utf8.AppendRune(buf, dec)
 							break
 						}
-						buf = utf8.AppendRune(buf, utf8.RuneError)
-						buf = utf8.AppendRune(buf, utf8.RuneError)
-						break
+						p.pos = next
 					}
-					buf = utf8.AppendRune(buf, utf8.RuneError)
-					break
+					r = utf8.RuneError
 				}
 				buf = utf8.AppendRune(buf, r)
 			default:

@@ -117,10 +117,27 @@ func TestParseJSONFastDifferential(t *testing.T) {
 		// Lone surrogate escape: std maps to U+FFFD.
 		`{"name":"a\ud800z"}`,
 		`{"name":"a\ud800\ud800z"}`,
+		// A broken pair's second escape decodes on its own: a control
+		// character, or the start of a valid pair.
+		`{"name":"\ud800\u0000"}`,
+		`{"name":"\ud800\ud800\udc00"}`,
 	}
 	for _, c := range cases {
 		differential(t, c)
 	}
+}
+
+// FuzzParseJSONFast widens the differential check to arbitrary inputs:
+// every snapshot and journal schema a restart decodes goes through the
+// fast scanner, so any input where it and encoding/json disagree is a
+// bug. The seed corpus under testdata/fuzz/FuzzParseJSONFast holds the
+// TestParseJSONFastDifferential cases. Run it with
+//
+//	go test -run '^$' -fuzz FuzzParseJSONFast -fuzztime=10s ./internal/schema
+func FuzzParseJSONFast(f *testing.F) {
+	f.Fuzz(func(t *testing.T, input string) {
+		differential(t, input)
+	})
 }
 
 // TestParseJSONFastUsesFastPath pins that the canonical marshal form —

@@ -196,13 +196,10 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 	}
 	invalidated := s.cache.InvalidateFingerprint(rep.OldFingerprint)
 	// The compiled profile of the retired content must go in the same
-	// sweep — in memory and on disk — or a re-match after the bump would
-	// score against the old version's tokens and TF-IDF statistics.
+	// sweep, or a re-match after the bump would score against the old
+	// version's tokens and TF-IDF statistics.
 	if s.profiles != nil {
 		s.profiles.InvalidateFingerprint(rep.OldFingerprint)
-	}
-	if s.st != nil {
-		s.st.DeleteProfile(rep.OldFingerprint)
 	}
 	removed, added := changedElements(d, oldSchema, sc)
 	s.corpusPipe.EvolveProfile(rep.OldFingerprint, rep.NewFingerprint, removed, added)

@@ -23,9 +23,10 @@ import (
 // a pipeline that keeps every stage off the registry's critical path:
 //
 //	read lines → chunk into batches → parallel prepare (parse, stats,
-//	fingerprint, journal payload, index documents, profile-cache warm)
-//	→ sequential batched admission (one registry lock acquisition and
-//	one WAL record per batch) → ack line after the batch is durable.
+//	fingerprint, journal payload, index documents) → sequential batched
+//	admission (one registry lock acquisition and one WAL record per
+//	batch) → ack line after the batch is durable → post-stream
+//	profile-cache warm of the stream's tail.
 //
 // Acks stream back as NDJSON too, one per batch, each written only after
 // the batch's journal commit returned — under fsync-per-commit an acked
@@ -295,12 +296,14 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 	_ = rc.Flush()
 
 	// Profile warming runs after the stream, not during: warming is
-	// best-effort cache/artifact work, and on small machines an inline
-	// compile per schema would compete with the pipeline for cores. The
-	// warmer's queue sheds load if a bigger stream than its backlog
-	// arrives; dropped schemas compile lazily on first match.
+	// best-effort cache work, and on small machines an inline compile per
+	// schema would compete with the pipeline for cores. Only the stream's
+	// last cache-capacity schemata are warmed: earlier ones would be
+	// evicted by the stream's own tail before anything could hit them.
+	// The warmer's queue sheds load when it is full; dropped schemata
+	// compile lazily on first match.
 	if s.warmer != nil {
-		for _, sc := range warmList {
+		for _, sc := range warmList[max(0, len(warmList)-s.cfg.ProfileCache):] {
 			s.warmer.enqueue(sc)
 		}
 	}
@@ -310,10 +313,7 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 // line and compile its admission form (stats, fingerprint, index
 // documents). The NDJSON line itself becomes the journal payload — it
 // already is the schema's serialized form, so the marshal AddSchema pays
-// is skipped. Each parsed schema is also handed to the background
-// profile warmer, so the first match against a bulk-loaded schema skips
-// compilation without admission ever waiting on it. Runs on a worker;
-// touches no registry state.
+// is skipped. Runs on a worker; touches no registry state.
 func (s *Server) prepareBulkBatch(b *bulkBatch, steward string, tags []string) {
 	t0 := time.Now()
 	b.prepared = make([]*registry.PreparedSchema, len(b.lines))

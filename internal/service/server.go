@@ -38,8 +38,9 @@ type Server struct {
 	engines map[string]*core.Engine
 	// profiles is the compiled-profile cache shared by every preset
 	// engine (nil when cfg.ProfileCache < 0). It is invalidated in the
-	// same sweep as the match cache on schema evolution, and — with a
-	// store — persisted as profile artifacts that warm-load on restart.
+	// same sweep as the match cache on schema evolution and lives in
+	// memory only: a restart recompiles the newest schemata it can hold
+	// (warmProfiles).
 	profiles *core.ProfileCache
 	start    time.Time
 	logf     func(format string, args ...any)
@@ -96,11 +97,8 @@ type Server struct {
 	ingestStageSec     *obs.HistogramVec
 	ingestStreamSec    *obs.Histogram
 
-	// Background profile machinery: warmer compiles streamed schemas'
-	// profiles off the ingest path, persister writes compiled profiles
-	// to store artifacts off the compile path.
-	warmer    *profileWarmer
-	persister *profilePersister
+	// warmer compiles streamed schemas' profiles off the ingest path.
+	warmer *profileWarmer
 
 	saveStop  chan struct{}
 	saveDone  chan struct{}
@@ -169,20 +167,8 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		}
 	}
 	var profiles *core.ProfileCache
-	var persister *profilePersister
 	if cfg.ProfileCache > 0 {
 		profiles = core.NewProfileCache(cfg.ProfileCache)
-		if st != nil {
-			// Persist every freshly compiled profile as a store artifact.
-			// Profiles are derived, non-journaled side files, so this is
-			// safe on followers too: nothing touches the WAL or the LSN
-			// sequence. Failures only cost the next restart a recompile.
-			// Writes run on a background goroutine: encode + temp-file +
-			// rename costs ~¼ms and used to run inline on the compile
-			// path.
-			persister = newProfilePersister(st.SaveProfile, logf)
-			profiles.SetPersist(persister.enqueue)
-		}
 	}
 	engines := make(map[string]*core.Engine, len(core.Presets()))
 	for name, mk := range core.Presets() {
@@ -206,7 +192,6 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		logf:     logf,
 		st:       st,
 	}
-	s.persister = persister
 	if profiles != nil {
 		s.warmer = newProfileWarmer(profiles, cfg.IngestWorkers)
 	}
@@ -217,8 +202,8 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	if n := WarmStart(s.cache, reg); n > 0 {
 		logf("service: warm-started match cache with %d stored results", n)
 	}
-	if n := warmProfiles(profiles, reg, st, logf); n > 0 {
-		logf("service: warm-loaded %d compiled profiles from store artifacts", n)
+	if n := warmProfiles(profiles, reg); n > 0 {
+		logf("service: warmed the profile cache with the %d newest schemata", n)
 	}
 	switch {
 	case s.st != nil:
@@ -236,43 +221,6 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	}
 	s.initObs()
 	return s, nil
-}
-
-// warmProfiles seeds the compiled-profile cache from persisted store
-// artifacts, so the first matches after a restart skip schema
-// compilation entirely. Artifacts for fingerprints no longer registered
-// (the schema evolved or was deleted while the daemon was down) are
-// removed; artifacts that fail validation are dropped and recompiled on
-// demand. Returns the number of profiles loaded.
-func warmProfiles(profiles *core.ProfileCache, reg *registry.Registry, st *store.Store, logf func(string, ...any)) int {
-	if profiles == nil || st == nil {
-		return 0
-	}
-	byFP := make(map[string]*schema.Schema)
-	for _, e := range reg.Schemas() {
-		byFP[e.Fingerprint] = e.Schema
-	}
-	loaded := 0
-	for _, fp := range st.ProfileFingerprints() {
-		sc, registered := byFP[fp]
-		if !registered {
-			st.DeleteProfile(fp)
-			continue
-		}
-		blob, ok := st.LoadProfile(fp)
-		if !ok {
-			continue
-		}
-		p, err := core.DecodeProfile(sc, blob)
-		if err != nil {
-			logf("service: dropping invalid profile artifact %s: %v", fp, err)
-			st.DeleteProfile(fp)
-			continue
-		}
-		profiles.Put(fp, p)
-		loaded++
-	}
-	return loaded
 }
 
 // Registry exposes the backing repository (for tests and embedding).
@@ -350,9 +298,6 @@ func (s *Server) Close() error {
 		s.queue.Close()
 		if s.warmer != nil {
 			s.warmer.close()
-		}
-		if s.persister != nil {
-			s.persister.close()
 		}
 		if s.saveStop != nil {
 			close(s.saveStop)

@@ -59,7 +59,8 @@ type Config struct {
 	// (default core.DefaultProfileCacheSize; negative disables the cache
 	// and every match recompiles its schemas). All preset engines share
 	// one cache, and it is invalidated alongside the match cache on
-	// schema evolution.
+	// schema evolution. Boot fills it with the newest schemata it can
+	// hold (warmProfiles).
 	ProfileCache int
 	// DBPath, when non-empty, is the legacy registry persistence file. It
 	// is loaded at startup when present and saved periodically and on

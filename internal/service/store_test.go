@@ -25,32 +25,6 @@ func crashCopy(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			// Side-artifact directories (e.g. profiles/) are flat; copy
-			// their files one level deep.
-			subSrc := filepath.Join(src, e.Name())
-			subDst := filepath.Join(dst, e.Name())
-			if err := os.MkdirAll(subDst, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			subEntries, err := os.ReadDir(subSrc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, se := range subEntries {
-				if se.IsDir() {
-					continue
-				}
-				data, err := os.ReadFile(filepath.Join(subSrc, se.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(subDst, se.Name()), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			continue
-		}
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
 			t.Fatal(err)

@@ -1,94 +1,67 @@
 package service
 
 import (
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"harmony/internal/core"
+	"harmony/internal/registry"
 	"harmony/internal/schema"
 )
 
-// Background profile work. Two pieces of profile machinery used to run
-// inline on ingest paths and were, profiled, the two largest per-schema
-// costs after lexing:
+// Compiled-profile warming. A profile is derived data: CompileSchema
+// rebuilds it from the registered schema at any time, and the cache's
+// LRU capacity (default 128) bounds how many are worth having compiled.
+// Profiles are not persisted, because decoding a stored profile runs
+// the same derivation as a compile after a JSON unmarshal. Two paths
+// fill the cache ahead of the first match instead:
 //
-//   - persisting a freshly compiled profile wrote a temp file + rename
-//     synchronously inside ProfileCache.add — a quarter of a millisecond
-//     of syscalls on the compile path;
-//   - bulk ingest compiled every streamed schema's profile inline in its
-//     prepare worker, even though the cache's LRU capacity (default 128)
-//     keeps only the tail of a 10k-schema stream.
+//   - warmProfiles, at boot, compiles the capacity-many most recently
+//     registered schemata — the set an LRU fed in registration order
+//     would hold.
+//   - profileWarmer, after a bulk stream, compiles the stream's tail in
+//     the background so admission never waits on compilation.
 //
-// Both are best-effort warm-start work: a lost profile blob or a cold
-// cache entry costs one recompile on first use, never correctness. So
-// both are queued to background workers with bounded channels that shed
-// load instead of blocking the ingest pipeline.
+// Both are best-effort: a cold cache entry costs one compile on first
+// use, never correctness.
 
-// profilePersister serializes freshly compiled profiles to store
-// artifacts off the compile path. One writer goroutine encodes and
-// writes; a full queue drops the blob (the profile stays usable in
-// memory and recompiles from the schema after a restart).
-type profilePersister struct {
-	q       chan persistItem
-	done    chan struct{}
-	written atomic.Uint64
-	dropped atomic.Uint64
-	save    func(fp string, blob []byte) error
-	logf    func(format string, args ...any)
-}
-
-type persistItem struct {
-	fp string
-	p  *core.CompiledProfile
-}
-
-// persistQueueDepth bounds in-flight profile writes. Entries hold a
-// pointer to an already-compiled profile, so depth is cheap; the bound
-// exists to cap encode backlog memory, not queue memory.
-const persistQueueDepth = 4096
-
-func newProfilePersister(save func(fp string, blob []byte) error, logf func(format string, args ...any)) *profilePersister {
-	pp := &profilePersister{
-		q:    make(chan persistItem, persistQueueDepth),
-		done: make(chan struct{}),
-		save: save,
-		logf: logf,
+// warmProfiles fills the profile cache with the newest schemata it can
+// hold: newest Registered first, ties broken by name. The compiles run
+// across GOMAXPROCS workers and bypass the cache's lookup, so warming
+// counts no misses; the profiles are then put oldest-first, leaving the
+// newest schema at the LRU front. Returns the number of profiles warmed.
+func warmProfiles(profiles *core.ProfileCache, reg *registry.Registry) int {
+	if profiles == nil {
+		return 0
 	}
-	go pp.run()
-	return pp
-}
-
-func (pp *profilePersister) run() {
-	defer close(pp.done)
-	for it := range pp.q {
-		if err := pp.save(it.fp, it.p.Encode()); err != nil {
-			pp.logf("service: profile artifact %s: %v", it.fp, err)
-			continue
-		}
-		pp.written.Add(1)
+	entries := reg.Schemas() // sorted by name: the stable sort keeps it as the tie-break
+	sort.SliceStable(entries, func(i, j int) bool {
+		return entries[i].Registered.After(entries[j].Registered)
+	})
+	entries = entries[:min(len(entries), profiles.Stats().Capacity)]
+	compiled := make([]*core.CompiledProfile, len(entries))
+	workers := min(runtime.GOMAXPROCS(0), len(entries))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(entries); i += workers {
+				compiled[i] = core.CompileSchema(entries[i].Schema)
+			}
+		}()
 	}
-}
-
-// enqueue hands one profile to the writer without blocking the caller.
-func (pp *profilePersister) enqueue(fp string, p *core.CompiledProfile) {
-	select {
-	case pp.q <- persistItem{fp: fp, p: p}:
-	default:
-		pp.dropped.Add(1)
+	wg.Wait()
+	for i := len(entries) - 1; i >= 0; i-- {
+		profiles.Put(entries[i].Fingerprint, compiled[i])
 	}
-}
-
-// close drains the queue and stops the writer; pending profiles are
-// still written so a clean shutdown keeps its warm-start artifacts.
-func (pp *profilePersister) close() {
-	close(pp.q)
-	<-pp.done
+	return len(entries)
 }
 
 // profileWarmer compiles streamed schemas' profiles in the background so
-// bulk ingest admission never waits on profile compilation. Compiling
-// through the shared ProfileCache both warms its LRU and fires the
-// persist hook, so every warmed schema also gets a warm-start artifact.
+// bulk ingest admission never waits on profile compilation.
 type profileWarmer struct {
 	q       chan *schema.Schema
 	wg      sync.WaitGroup

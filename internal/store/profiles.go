@@ -7,19 +7,17 @@ import (
 	"strings"
 )
 
-// Compiled-profile artifacts: the service layer persists each schema's
-// compiled linguistic profile (tokenization, stemming, TF-IDF
-// statistics) keyed by fingerprint, so a daemon restart — or the first
-// corpus query after one — warm-loads profiles instead of re-deriving
-// them from every schema's text.
+// Compiled-profile blobs: side files under <dir>/profiles/, one per
+// schema fingerprint, written atomically (tmp + rename), never journaled
+// and never replicated.
 //
-// Profiles are derived data, reproducible from schema content at any
-// time, so they deliberately live OUTSIDE the WAL: they are plain side
-// files under <dir>/profiles/, written atomically (tmp + rename), never
-// journaled and never replicated. A follower compiles or persists its
-// own; a crash between schema commit and profile write merely costs one
-// recompile. Keeping them off the log means the replication LSN stream
-// and snapshot identity are untouched by cache churn.
+// The daemon no longer reads or writes them. A restart compiles the
+// profile cache's warm set straight from the registry, which is cheaper
+// than decoding a blob per schema, and Open deletes a profiles/
+// directory left behind by older versions (removeStaleProfiles). The
+// blob API below survives only for the benchmark's traced replay, which
+// still compiles against it; it goes once that replay mirrors the
+// compile warm-up.
 
 // profilesDirName is the store subdirectory holding profile artifacts.
 const profilesDirName = "profiles"
@@ -89,8 +87,6 @@ func (s *Store) LoadProfile(fp string) ([]byte, bool) {
 }
 
 // DeleteProfile removes a fingerprint's artifact (no-op when absent).
-// Schema evolution calls it alongside the in-memory cache sweep so a
-// retired fingerprint cannot be warm-loaded after restart.
 func (s *Store) DeleteProfile(fp string) {
 	if !validProfileFingerprint(fp) {
 		return
@@ -98,8 +94,7 @@ func (s *Store) DeleteProfile(fp string) {
 	os.Remove(s.profilePath(fp))
 }
 
-// ProfileFingerprints lists the fingerprints with stored artifacts, for
-// warm-start enumeration.
+// ProfileFingerprints lists the fingerprints with stored artifacts.
 func (s *Store) ProfileFingerprints() []string {
 	entries, err := os.ReadDir(filepath.Join(s.opts.Dir, profilesDirName))
 	if err != nil {
@@ -115,4 +110,20 @@ func (s *Store) ProfileFingerprints() []string {
 		out = append(out, fp)
 	}
 	return out
+}
+
+// removeStaleProfiles deletes the profiles/ directory older versions
+// persisted compiled profiles into. Best-effort: the blobs are derived
+// data, never journaled, so losing them loses nothing, and a failure is
+// only logged. On a 10k-schema store they outweigh the snapshot.
+func removeStaleProfiles(dir string, logf func(format string, args ...any)) {
+	path := filepath.Join(dir, profilesDirName)
+	if _, err := os.Lstat(path); err != nil {
+		return
+	}
+	if err := os.RemoveAll(path); err != nil {
+		logf("store: removing stale compiled-profile blobs %s: %v", path, err)
+		return
+	}
+	logf("store: removed stale compiled-profile blobs %s", path)
 }

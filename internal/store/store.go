@@ -192,6 +192,7 @@ func Open(opts Options) (*Store, error) {
 			unlock()
 		}
 	}()
+	removeStaleProfiles(opts.Dir, opts.Logf)
 	snaps, err := listSnapshots(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -421,5 +423,42 @@ func TestStoreConcurrentAppendSnapshotReplay(t *testing.T) {
 	}
 	if n := st2.Registry().MatchCount(); n != writers*(perWriter-1) {
 		t.Fatalf("recovered %d artifacts, want %d", n, writers*(perWriter-1))
+	}
+}
+
+// TestStoreOpenRemovesStaleProfiles: a profiles/ directory of compiled
+// profile blobs left by an older version is derived, never-journaled
+// data. Open deletes it, logs the removal and recovers the same registry.
+func TestStoreOpenRemovesStaleProfiles(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, Options{Dir: dir})
+	if err := st.Registry().AddSchema(testSchema("orders", "id", "total"), "alice"); err != nil {
+		t.Fatal(err)
+	}
+	want := encode(t, st.Registry())
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(dir, "profiles")
+	if err := os.MkdirAll(stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stale, "x.json"), []byte(`{"v":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	st = mustOpen(t, Options{Dir: dir, Logf: func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	defer st.Close()
+	if got := encode(t, st.Registry()); !bytes.Equal(got, want) {
+		t.Fatalf("registry after cleanup diverges:\n%s\nwant\n%s", got, want)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale profiles/ still present (stat err %v)", err)
+	}
+	if !slices.ContainsFunc(logged, func(l string) bool { return strings.Contains(l, "stale compiled-profile") }) {
+		t.Fatalf("removal not logged: %q", logged)
 	}
 }
