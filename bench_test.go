@@ -87,9 +87,9 @@ func BenchmarkE1FullMatchWarm(b *testing.B) {
 	sa, sb, _ := synth.CaseStudy(42)
 	pc := core.NewProfileCache(core.DefaultProfileCacheSize)
 	eng := core.PresetHarmony().WithOptions(core.WithProfileCache(pc))
-	// Two warm-up matches: the first fills the profile and pair-view
-	// caches, the second triggers the lazy pair-table build, so the timed
-	// loop measures the steady serving state.
+	// Two warm-up matches: the first fills the profile cache, the second
+	// runs against a warm name-similarity memo and matrix pool, so the
+	// timed loop measures the steady serving state.
 	eng.Match(sa, sb).Release()
 	eng.Match(sa, sb).Release()
 	b.ReportAllocs()

@@ -180,19 +180,12 @@ func (e *Engine) Profile(s *schema.Schema) *CompiledProfile {
 // MatchProfiles scores every element pair of two compiled profiles.
 // Callers that hold profiles (the corpus top-k loop compiles its query
 // schema exactly once and reuses it per candidate) skip straight to the
-// pair-dependent work.
+// pair-dependent work: PairProfiles, then MatchViews.
 func (e *Engine) MatchProfiles(pa, pb *CompiledProfile) *Result {
 	t0 := time.Now()
-	if e.profiles != nil {
-		// The pair cache keeps the materialized views and the dense shape
-		// tables, so a warm repeat match runs straight into voting.
-		sv, dv, t := e.profiles.pairViews(pa, pb)
-		phasePreprocess.Observe(time.Since(t0).Seconds())
-		return e.matchViews(sv, dv, t)
-	}
 	sv, dv := PairProfiles(pa, pb)
 	phasePreprocess.Observe(time.Since(t0).Seconds())
-	return e.matchViews(sv, dv, nil)
+	return e.MatchViews(sv, dv)
 }
 
 // MatchViews scores element pairs of two preprocessed schemata: every
@@ -201,18 +194,12 @@ func (e *Engine) MatchProfiles(pa, pb *CompiledProfile) *Result {
 // preprocessing across repeated matches (for example the
 // concept-at-a-time workflow, which re-matches sub-trees).
 func (e *Engine) MatchViews(sv, dv *SchemaView) *Result {
-	return e.matchViews(sv, dv, nil)
-}
-
-// matchViews is MatchViews with optional pair-scoped shape tables (from
-// the profile cache's pair entries) threaded into the scoring scratch.
-func (e *Engine) matchViews(sv, dv *SchemaView, t *pairTables) *Result {
 	var m ScoreMatrix
 	t0 := time.Now()
 	if e.sparseActive(sv.Len(), dv.Len()) {
 		cands := sparseCandidates(sv, dv, e.sparseBudget)
 		sm := NewSparseMatrix(sv.Len(), dv.Len(), cands)
-		e.scoreSparseTables(sv, dv, sm, t)
+		e.scoreSparse(sv, dv, sm)
 		m = sm
 		matchesSparse.Inc()
 		var scored int
@@ -224,7 +211,7 @@ func (e *Engine) matchViews(sv, dv *SchemaView, t *pairTables) *Result {
 		// Dense scoring writes every cell, so the (possibly pooled) buffer
 		// needs no zeroing.
 		dm := newMatrixNoZero(sv.Len(), dv.Len())
-		e.scoreRows(sv, dv, dm, nil, t)
+		e.score(sv, dv, dm, nil)
 		m = dm
 		matchesDense.Inc()
 		pairsScoredDense.Add(uint64(sv.Len() * dv.Len()))
@@ -351,19 +338,16 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 	return &Result{Src: sv, Dst: dv, Matrix: sm}
 }
 
-// pairScratch is per-worker scoring scratch. With pair tables attached
-// (profile-cache path) the name and path metrics are direct array
-// reads. Without tables, the hybrid name-similarity memo map keyed by
-// token-sequence shape pairs (see shapeOf) fills the same role across a
-// single engine run: shapes intern exact token sequences process-wide,
-// so the memoized metric is a pure function of the key, and scratches
-// are pooled WITHOUT clearing — a warm pool carries memo hits across
-// matches. Size is bounded at put-back. (Path votes are cheap enough
-// that memoizing them through a hash map costs about as much as
-// recomputing; only the dense table is worth it.)
+// pairScratch is per-worker scoring scratch: the hybrid name-similarity
+// memo keyed by name-shape pairs (see shapeOf). Shapes intern exact name
+// token sequences process-wide, so the memoized metric is a pure
+// function of the key, and scratches are pooled WITHOUT clearing — a
+// warm pool carries memo hits across matches and schemas. Size is
+// bounded at put-back. (Path votes are cheap enough that memoizing them
+// through a hash map costs about as much as recomputing, and paths are
+// nearly unique per element, so they are always computed directly.)
 type pairScratch struct {
 	hybrid map[uint64]float64 // name-shape pair -> hybrid name similarity
-	tables *pairTables        // pair-scoped dense tables; nil without a profile cache
 }
 
 // maxMemoEntries bounds the memo table (~2^19 entries ≈ 8 MB);
@@ -384,7 +368,6 @@ func putScratch(sc *pairScratch) {
 	if len(sc.hybrid) >= maxMemoEntries {
 		sc.hybrid = make(map[uint64]float64, 1024)
 	}
-	sc.tables = nil
 	scratchPool.Put(sc)
 }
 
@@ -403,17 +386,13 @@ func (e *Engine) voteAll(srcView, dstView *ElementView, votes []Vote, sc *pairSc
 // score fills the matrix for the given source rows (all rows when rows is
 // nil), fanning the row loop out over the engine's workers.
 func (e *Engine) score(sv, dv *SchemaView, m *Matrix, rows []int) {
-	e.scoreRows(sv, dv, m, rows, nil)
-}
-
-func (e *Engine) scoreRows(sv, dv *SchemaView, m *Matrix, rows []int, t *pairTables) {
 	if rows == nil {
 		rows = make([]int, sv.Len())
 		for i := range rows {
 			rows[i] = i
 		}
 	}
-	e.forEachRowChunkTables(len(rows), t, func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
+	e.forEachRowChunk(len(rows), func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
 		for _, i := range rows[lo:hi] {
 			srcView := sv.View(i)
 			row := m.Row(i)
@@ -431,10 +410,6 @@ func (e *Engine) scoreRows(sv, dv *SchemaView, m *Matrix, rows []int, t *pairTab
 // sparse scorers fan out through here so the chunking and clamping logic
 // exists once.
 func (e *Engine) forEachRowChunk(n int, fn func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch)) {
-	e.forEachRowChunkTables(n, nil, fn)
-}
-
-func (e *Engine) forEachRowChunkTables(n int, t *pairTables, fn func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch)) {
 	workers := e.workers
 	if workers < 1 {
 		workers = 1
@@ -465,7 +440,6 @@ func (e *Engine) forEachRowChunkTables(n int, t *pairTables, fn func(lo, hi int,
 				weights[i] = wv.Weight
 			}
 			sc := scratchPool.Get().(*pairScratch)
-			sc.tables = t
 			fn(lo, hi, votes, weights, sc)
 			putScratch(sc)
 		}(lo, hi)

@@ -34,8 +34,10 @@ type ElementView struct {
 	DocTokenCount int
 
 	// Compiled flat forms, produced by compileFrom. The ID/mask pairs
-	// are distinct tokens in first-occurrence order; shapes intern the
-	// full token sequences for cross-match memoization.
+	// are distinct tokens in first-occurrence order. nameShape interns
+	// the full name token sequence (see shapeOf); it keys the per-worker
+	// hybrid name-similarity memo across matches. Paths are nearly
+	// unique per element and are not interned.
 	nameIDs   []uint32
 	nameMasks []uint32
 	pathIDs   []uint32
@@ -44,12 +46,6 @@ type ElementView struct {
 	trigrams  []uint64
 	acronym   string // Acronym(NameTokens), for the acronym voter
 	nameShape int32
-	pathShape int32
-	// nameLocal / pathLocal are the profile-local dense indices of the
-	// shapes above — row/column coordinates into per-pair similarity
-	// tables (see pairTables). Only meaningful for compiled views.
-	nameLocal int32
-	pathLocal int32
 	parent    *ElementView   // template view of the parent (nil at roots)
 	children  []*ElementView // template views of the children, in order
 }

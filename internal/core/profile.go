@@ -30,13 +30,6 @@ type CompiledProfile struct {
 	fp   string // Schema.Fingerprint() at compile time
 	tmpl []ElementView
 
-	// nameRep[k] / pathRep[k] is the index of the first element whose
-	// name (path) has profile-local shape index k — a representative
-	// view per distinct shape, used to fill per-pair similarity tables
-	// (the table dimensions are len(nameRep) × len(other.nameRep)).
-	nameRep []int32
-	pathRep []int32
-
 	// Document model: the schema-side TF-IDF sufficient statistics.
 	// vocabTerms is sorted ascending; vocabDF[i] is the number of this
 	// schema's documents containing vocabTerms[i].
@@ -67,7 +60,7 @@ func (p *CompiledProfile) Len() int { return len(p.tmpl) }
 // text-processing stage of compilation and the unit of profile
 // persistence. CompileSchema produces it by tokenizing; DecodeProfile
 // reads it back from a stored blob; compileFrom derives everything
-// else (interning, shapes, runes, trigrams, vocabulary) from it.
+// else (interning, name shapes, runes, trigrams, vocabulary) from it.
 type elemLex struct {
 	name     []string // normalized name tokens
 	raw      string   // delimiter-stripped raw name (acronym detection)
@@ -171,8 +164,6 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 
 	var fullIDs, fullMasks []uint32
 	var pathBuf []string
-	nameLocalOf := make(map[int32]int32, 64)
-	pathLocalOf := make(map[int32]int32, n)
 	p.tmpl = make([]ElementView, n)
 	for i, e := range els {
 		name := lex[i].name
@@ -192,7 +183,6 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 
 		fullIDs, fullMasks = internTokens(name, fullIDs[:0], fullMasks[:0])
 		v.nameShape = shapeOf(fullIDs)
-		v.nameLocal = localShape(nameLocalOf, v.nameShape, &p.nameRep, int32(i))
 		v.nameIDs, v.nameMasks = appendDistinct(&idArena, &maskArena, fullIDs, fullMasks)
 
 		// Path tokens: ancestors' name tokens root-first, then own.
@@ -205,8 +195,6 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 		}
 		pathBuf = append(pathBuf, name...)
 		fullIDs, fullMasks = internTokens(pathBuf, fullIDs[:0], fullMasks[:0])
-		v.pathShape = shapeOf(fullIDs)
-		v.pathLocal = localShape(pathLocalOf, v.pathShape, &p.pathRep, int32(i))
 		v.pathIDs, v.pathMasks = appendDistinct(&idArena, &maskArena, fullIDs, fullMasks)
 	}
 
@@ -226,19 +214,6 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 		}
 	}
 	return p
-}
-
-// localShape maps a process-wide shape ID to a profile-local dense
-// index, recording the first element carrying it as the shape's
-// representative.
-func localShape(m map[int32]int32, shape int32, reps *[]int32, elem int32) int32 {
-	if li, ok := m[shape]; ok {
-		return li
-	}
-	li := int32(len(*reps))
-	m[shape] = li
-	*reps = append(*reps, elem)
-	return li
 }
 
 // internTokens interns every token, appending IDs and masks to the
@@ -277,12 +252,14 @@ func appendDistinct(idArena, maskArena *[]uint32, ids, masks []uint32) ([]uint32
 
 // --- shapes ----------------------------------------------------------------
 
-// The shape table interns full token-ID sequences process-wide. Two
-// element names (or paths) with the same token sequence share a shape,
-// and every flat metric over a pair of views is a pure function of the
-// shape pair — which is what makes the per-worker memo tables in
-// pairScratch valid across matches and schemas. Shape 0 is reserved as
-// "no shape" (views not produced by compilation).
+// The shape table interns full name token-ID sequences process-wide.
+// Two element names with the same token sequence share a shape, and the
+// hybrid name similarity of two views is a pure function of their shape
+// pair — which is what makes the per-worker memo in pairScratch valid
+// across matches and schemas. Only names are interned: they repeat
+// heavily across schemata, so the table grows with the distinct name
+// vocabulary, not with the element count. Shape 0 is reserved as "no
+// shape" (views not produced by compilation).
 var shapes = struct {
 	mu   sync.RWMutex
 	m    map[string]int32

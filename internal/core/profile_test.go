@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,34 +10,49 @@ import (
 )
 
 // TestProfileCacheBitwiseEquality is the central correctness claim of
-// the compiled-profile cache: matching through the cache — including
-// the warm pair-table fast path that replaces per-pair metric compute
-// with dense table reads — must produce bit-identical scores to a
-// cache-less match. Shapes intern exact token-ID sequences, so every
-// table cell is the same float the direct compute would produce.
+// the compiled-profile cache: matching through the cache must produce
+// bit-identical scores to a cache-less match, on the dense path and on
+// the sparse path POST /v1/match runs by default.
 func TestProfileCacheBitwiseEquality(t *testing.T) {
 	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 4, 9, 6, 2)
 	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 4, 9, 6, 5)
+	// Sparse scoring engages only when the target side outnumbers the
+	// per-source budget, so the sparse input needs a wider target.
+	wide, _ := synth.Custom("W", schema.FormatXML, synth.StyleXML, 4, 14, 6, 5)
 
-	plain := PresetHarmony()
-	cached := PresetHarmony().WithOptions(WithProfileCache(NewProfileCache(8)))
+	for _, tc := range []struct {
+		name   string
+		sa, sb *schema.Schema
+		opts   []Option
+	}{
+		{"dense", sa, sb, nil},
+		{"sparse", sa, wide, []Option{WithSparse(DefaultSparseBudget), WithSparseCutoff(1)}},
+	} {
+		sa, sb := tc.sa, tc.sb
+		plain := PresetHarmony().WithOptions(tc.opts...)
+		cached := PresetHarmony().WithOptions(append(tc.opts, WithProfileCache(NewProfileCache(8)))...)
 
-	want := plain.Match(sa, sb)
-	// Three passes: cold (compile), warm views (lazy tables not yet
-	// built), warm tables (flat kernel). All must agree bitwise.
-	for pass := 0; pass < 3; pass++ {
-		got := cached.Match(sa, sb)
-		for i := 0; i < sa.Len(); i++ {
-			for j := 0; j < sb.Len(); j++ {
-				if got.Matrix.At(i, j) != want.Matrix.At(i, j) {
-					t.Fatalf("pass %d: score (%d,%d) = %v through cache, %v without",
-						pass, i, j, got.Matrix.At(i, j), want.Matrix.At(i, j))
+		want := plain.Match(sa, sb)
+		if _, isSparse := want.Matrix.(*SparseMatrix); isSparse != (tc.opts != nil) {
+			t.Fatalf("%s: matrix is %T", tc.name, want.Matrix)
+		}
+		// Three passes: cold (compile on miss), then two profile-cache
+		// hits. The pooled name memo is warm from the first pass on. All
+		// must agree bitwise.
+		for pass := 0; pass < 3; pass++ {
+			got := cached.Match(sa, sb)
+			for i := 0; i < sa.Len(); i++ {
+				for j := 0; j < sb.Len(); j++ {
+					if got.Matrix.At(i, j) != want.Matrix.At(i, j) {
+						t.Fatalf("%s pass %d: score (%d,%d) = %v through cache, %v without",
+							tc.name, pass, i, j, got.Matrix.At(i, j), want.Matrix.At(i, j))
+					}
 				}
 			}
+			got.Release()
 		}
-		got.Release()
+		want.Release()
 	}
-	want.Release()
 }
 
 // TestProfileEncodeDecodeRoundTrip verifies that a profile decoded from
@@ -124,59 +140,80 @@ func TestProfileCacheLRUEvictionAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestProfileCacheInvalidationSweepsPairEntries verifies that retiring
-// a fingerprint also drops cached pair views/tables referencing it on
-// either side — a stale pair entry would otherwise keep serving scores
-// computed from retired schema content.
-func TestProfileCacheInvalidationSweepsPairEntries(t *testing.T) {
-	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 8, 6, 2)
-	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 3, 8, 6, 4)
-	pc := NewProfileCache(8)
-	eng := PresetHarmony().WithOptions(WithProfileCache(pc))
-
-	// Two matches: the second builds the lazy pair tables.
-	eng.Match(sa, sb).Release()
-	eng.Match(sa, sb).Release()
-	if len(pc.pairItems) != 1 {
-		t.Fatalf("pair cache holds %d entries, want 1", len(pc.pairItems))
-	}
-	ent := pc.pairLL.Front().Value.(*pairEntry)
-	if ent.tables == nil {
-		t.Fatal("second match should have built the pair tables")
-	}
-
-	pc.InvalidateFingerprint(sb.Fingerprint())
-	if len(pc.pairItems) != 0 {
-		t.Fatalf("pair entries survived invalidation of one side: %d left", len(pc.pairItems))
-	}
-}
-
-// TestPairTablesMatchDirectCompute checks every cell of both shape
-// tables against the uncached metric functions.
-func TestPairTablesMatchDirectCompute(t *testing.T) {
+// TestHybridSimCachedMatchesDirectCompute checks the per-worker name
+// memo against the direct metric for every element pair of two compiled
+// profiles, bit for bit, once with a cold memo and once with the memo
+// the first sweep filled.
+func TestHybridSimCachedMatchesDirectCompute(t *testing.T) {
 	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 8, 6, 2)
 	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 3, 8, 6, 4)
 	pa, pb := CompileSchema(sa), CompileSchema(sb)
-	tbl := buildPairTables(pa, pb)
 
-	for i, ra := range pa.nameRep {
-		for j, rb := range pb.nameRep {
-			want := hybridNameSimFlat(&pa.tmpl[ra], &pb.tmpl[rb])
-			if got := tbl.nameSim[i*int(tbl.nsB)+j]; got != want {
-				t.Fatalf("nameSim[%d,%d] = %v, direct compute %v", i, j, got, want)
+	sc := &pairScratch{hybrid: make(map[uint64]float64)}
+	for _, memo := range []string{"cold", "warm"} {
+		for i := range pa.tmpl {
+			for j := range pb.tmpl {
+				a, b := &pa.tmpl[i], &pb.tmpl[j]
+				want := hybridNameSimFlat(a, b)
+				if got := hybridSimCached(a, b, sc); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s memo: (%d,%d) = %v, direct compute %v", memo, i, j, got, want)
+				}
 			}
+		}
+		if len(sc.hybrid) == 0 {
+			t.Fatalf("%s sweep left the memo empty", memo)
 		}
 	}
-	for i, ra := range pa.pathRep {
-		for j, rb := range pb.pathRep {
-			a, b := &pa.tmpl[ra], &pb.tmpl[rb]
-			want := Abstain
-			if len(a.pathIDs) > 0 && len(b.pathIDs) > 0 {
-				want = pathVote(a, b)
-			}
-			if got := tbl.pathVote[i*int(tbl.npB)+j]; got != want {
-				t.Fatalf("pathVote[%d,%d] = %+v, direct compute %+v", i, j, got, want)
-			}
+}
+
+// shapeTag returns a lower-case token no earlier call returned, so each
+// run of a test interns names no other test has seen.
+var shapeTagN int
+
+func shapeTag() string {
+	shapeTagN++
+	tag := []byte("shapetag")
+	for n := shapeTagN; n > 0; n /= 26 {
+		tag = append(tag, byte('a'+n%26))
+	}
+	return string(tag)
+}
+
+func shapeCount() int {
+	shapes.mu.RLock()
+	defer shapes.mu.RUnlock()
+	return len(shapes.m)
+}
+
+// TestShapeTableGrowsWithNamesOnly pins what compilation adds to the
+// process-wide shape table: one shape per new distinct name token
+// sequence, and nothing for paths. Element paths are nearly unique, so
+// interning them would grow the table with every schema compiled.
+func TestShapeTableGrowsWithNamesOnly(t *testing.T) {
+	tag := shapeTag()
+	s := schema.New("shapes", schema.FormatXML)
+	for _, root := range []string{"alpha", "beta", "gamma"} {
+		r := s.AddRoot(tag+root, schema.KindComplexType)
+		g := s.AddElement(r, tag+"detail", schema.KindXMLElement, schema.TypeNone)
+		for _, leaf := range []string{"one", "two"} {
+			s.AddElement(g, tag+leaf, schema.KindXMLElement, schema.TypeString)
 		}
+	}
+	// 12 elements with 12 distinct paths, but only 6 distinct names:
+	// three roots, "detail", "one" and "two".
+	const distinctNames = 6
+
+	before := shapeCount()
+	p := CompileSchema(s)
+	if grown := shapeCount() - before; grown != distinctNames {
+		t.Fatalf("compiling %d elements grew the shape table by %d, want %d (one per distinct name)",
+			p.Len(), grown, distinctNames)
+	}
+	names := make(map[int32]bool)
+	for i := range p.tmpl {
+		names[p.tmpl[i].nameShape] = true
+	}
+	if len(names) != distinctNames {
+		t.Fatalf("profile has %d distinct name shapes, want %d", len(names), distinctNames)
 	}
 }

@@ -17,6 +17,9 @@ const DefaultProfileCacheSize = 128
 // profiles, shared by every engine (dense, sparse, corpus, evolve) that
 // serves the same registry. Entries are immutable CompiledProfiles, so
 // a cached profile can be handed to any number of concurrent matches.
+// It holds per-schema state only: each match pairs its two profiles
+// afresh (PairProfiles), which is cheap next to voting, so no pair-level
+// state outlives a match.
 //
 // The cache sits next to the service layer's match-result cache in the
 // invalidation path: when schema evolution retires a fingerprint, both
@@ -35,29 +38,6 @@ type ProfileCache struct {
 	hits, misses, evictions, invalidations uint64
 
 	persist func(fp string, p *CompiledProfile)
-
-	// Pair-level LRU: materialized SchemaViews plus dense shape tables
-	// for recently matched profile pairs. Pair entries are derived
-	// entirely from the two immutable profiles, so they are safe to
-	// share across concurrent matches; they are swept whenever either
-	// side's fingerprint is invalidated. The capacity is small — pair
-	// state is O(rows×cols) — and tuned for a daemon re-serving a
-	// handful of hot schema pairs.
-	pairLL    *list.List
-	pairItems map[string]*list.Element
-	pairCap   int
-}
-
-// defaultPairCacheSize bounds the per-pair view/table cache. Each entry
-// can run to tens of MB for case-study-sized schemas, so the cap stays
-// deliberately small.
-const defaultPairCacheSize = 8
-
-type pairEntry struct {
-	key      string
-	fpA, fpB string
-	sv, dv   *SchemaView
-	tables   *pairTables
 }
 
 type profileCacheEntry struct {
@@ -72,68 +52,10 @@ func NewProfileCache(capacity int) *ProfileCache {
 		capacity = DefaultProfileCacheSize
 	}
 	return &ProfileCache{
-		capacity:  capacity,
-		ll:        list.New(),
-		items:     make(map[string]*list.Element, capacity),
-		pairLL:    list.New(),
-		pairItems: make(map[string]*list.Element, defaultPairCacheSize),
-		pairCap:   defaultPairCacheSize,
+		capacity: capacity,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element, capacity),
 	}
-}
-
-// pairViews returns the materialized views — and, for pairs matched
-// more than once, the dense shape tables — for a profile pair. The
-// first encounter caches the views only and returns nil tables: a
-// one-shot pair (corpus sweeps, ad-hoc matches) must not pay the table
-// build, which is a near-full scoring pass of eager work. A repeat hit
-// builds the tables once and keeps them, so the daemon's re-served hot
-// pairs get the flat kernel from their second match on. Builds run
-// outside the lock; racing builders keep the incumbent (identical —
-// everything derives from the two immutable profiles).
-func (c *ProfileCache) pairViews(pa, pb *CompiledProfile) (*SchemaView, *SchemaView, *pairTables) {
-	key := pa.fp + "|" + pb.fp
-	c.mu.Lock()
-	if el, ok := c.pairItems[key]; ok {
-		c.pairLL.MoveToFront(el)
-		ent := el.Value.(*pairEntry)
-		if t := ent.tables; t != nil {
-			c.mu.Unlock()
-			return ent.sv, ent.dv, t
-		}
-		c.mu.Unlock()
-		t := buildPairTables(pa, pb)
-		c.mu.Lock()
-		if ent.tables == nil {
-			ent.tables = t
-		} else {
-			t = ent.tables // lost a build race; keep the incumbent
-		}
-		c.mu.Unlock()
-		return ent.sv, ent.dv, t
-	}
-	c.mu.Unlock()
-
-	sv, dv := PairProfiles(pa, pb)
-
-	c.mu.Lock()
-	if el, ok := c.pairItems[key]; ok {
-		// Lost a materialize race; keep the incumbent.
-		c.pairLL.MoveToFront(el)
-		ent := el.Value.(*pairEntry)
-		c.mu.Unlock()
-		return ent.sv, ent.dv, ent.tables
-	}
-	c.pairItems[key] = c.pairLL.PushFront(&pairEntry{
-		key: key, fpA: pa.fp, fpB: pb.fp, sv: sv, dv: dv,
-	})
-	for c.pairLL.Len() > c.pairCap {
-		back := c.pairLL.Back()
-		ent := back.Value.(*pairEntry)
-		c.pairLL.Remove(back)
-		delete(c.pairItems, ent.key)
-	}
-	c.mu.Unlock()
-	return sv, dv, nil
 }
 
 // SetPersist installs the artifact hook called (outside the cache lock)
@@ -232,17 +154,6 @@ func (c *ProfileCache) InvalidateFingerprint(fp string) bool {
 		c.ll.Remove(el)
 		delete(c.items, fp)
 		c.invalidations++
-	}
-	// Sweep pair entries derived from the retired content, on either
-	// side — stale pair views must never outlive their profile.
-	var next *list.Element
-	for pe := c.pairLL.Front(); pe != nil; pe = next {
-		next = pe.Next()
-		ent := pe.Value.(*pairEntry)
-		if ent.fpA == fp || ent.fpB == fp {
-			c.pairLL.Remove(pe)
-			delete(c.pairItems, ent.key)
-		}
 	}
 	c.mu.Unlock()
 	if ok {

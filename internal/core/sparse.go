@@ -545,11 +545,7 @@ func alignChildren(av, bv *ElementView, sets []map[int32]struct{}, scope []bool)
 // scoreSparse fills a sparse matrix: the voters run only on the stored
 // candidate cells, fanned out over the engine's workers by row.
 func (e *Engine) scoreSparse(sv, dv *SchemaView, m *SparseMatrix) {
-	e.scoreSparseTables(sv, dv, m, nil)
-}
-
-func (e *Engine) scoreSparseTables(sv, dv *SchemaView, m *SparseMatrix, t *pairTables) {
-	e.forEachRowChunkTables(m.rows, t, func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
+	e.forEachRowChunk(m.rows, func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
 		for i := lo; i < hi; i++ {
 			srcView := sv.View(i)
 			for x := m.rowStart[i]; x < m.rowStart[i+1]; x++ {

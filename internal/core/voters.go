@@ -17,9 +17,9 @@ type Voter interface {
 }
 
 // contextVoter is the engine-internal fast path: voters that can reuse
-// a per-worker pairScratch (memo tables keyed by token-sequence shape)
-// implement it, and the scoring loops dispatch through it. Vote and
-// voteCtx return identical results — voteCtx(src, dst, nil) is the
+// a per-worker pairScratch (the name-similarity memo keyed by name
+// shape) implement it, and the scoring loops dispatch through it. Vote
+// and voteCtx return identical results — voteCtx(src, dst, nil) is the
 // definition of Vote — so Explain and external callers lose nothing.
 type contextVoter interface {
 	voteCtx(src, dst *ElementView, sc *pairScratch) Vote
@@ -102,12 +102,6 @@ func hybridSimCached(a, b *ElementView, sc *pairScratch) float64 {
 	if sc == nil || a.nameShape == 0 || b.nameShape == 0 {
 		return hybridNameSimFlat(a, b)
 	}
-	if t := sc.tables; t != nil {
-		// Pair-scoped dense table: one bounds-checked load instead of a
-		// hash probe. Values are bit-identical to the direct compute —
-		// same shape means the same interned token sequence.
-		return t.nameSim[int(a.nameLocal)*int(t.nsB)+int(b.nameLocal)]
-	}
 	key := pairKey(a.nameShape, b.nameShape)
 	if v, ok := sc.hybrid[key]; ok {
 		return v
@@ -158,17 +152,9 @@ type PathVoter struct{}
 func (PathVoter) Name() string { return "path" }
 
 // Vote implements Voter.
-func (v PathVoter) Vote(src, dst *ElementView) Vote { return v.voteCtx(src, dst, nil) }
-
-func (PathVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
+func (PathVoter) Vote(src, dst *ElementView) Vote {
 	if len(src.pathIDs) == 0 || len(dst.pathIDs) == 0 {
 		return Abstain
-	}
-	if sc != nil && sc.tables != nil {
-		// The empty-pathIDs abstention above ran first, so this read never
-		// hits a cell built from an empty representative pair.
-		t := sc.tables
-		return t.pathVote[int(src.pathLocal)*int(t.npB)+int(dst.pathLocal)]
 	}
 	return pathVote(src, dst)
 }

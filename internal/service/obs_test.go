@@ -333,8 +333,15 @@ func TestClusterLagMetricsAndRedirects(t *testing.T) {
 	})
 
 	// Leader-side gauges: zero lag for the caught-up replica, fresh
-	// contact.
-	_, lsamples := scrape(t, lts.URL+"/metrics")
+	// contact. The leader measures lag from the follower's pull cursor,
+	// which advances only on the poll after the follower applied the
+	// last record, so wait for that poll before asserting.
+	var lsamples map[string]float64
+	waitCluster(t, "leader lag gauge at zero", func() bool {
+		_, lsamples = scrape(t, lts.URL+"/metrics")
+		v, ok := lsamples[`harmony_repl_lag_records{replica="f1"}`]
+		return ok && v == 0
+	})
 	if v, ok := lsamples[`harmony_repl_lag_records{replica="f1"}`]; !ok || v != 0 {
 		t.Fatalf("leader lag_records{f1} = %v (present %v), want 0", v, ok)
 	}
