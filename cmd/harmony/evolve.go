@@ -65,13 +65,12 @@ func runDiff(args []string) {
 }
 
 // runEvolve is the evolve subcommand: version-bump a schema inside a
-// persisted registry, migrating its stored match artifacts and re-matching
+// durable store, migrating its stored match artifacts and re-matching
 // only the dirty elements.
 func runEvolve(args []string) {
 	fs := flag.NewFlagSet("evolve", flag.ExitOnError)
-	db := fs.String("db", "", "legacy registry persistence file (as written by harmonyd -db)")
-	storeDir := fs.String("store-dir", "", "durable store directory (as written by harmonyd -store-dir); "+
-		"an empty store imports -db one-shot")
+	storeDir := fs.String("store-dir", "", "durable store directory (as written by harmonyd -store-dir)")
+	db := fs.String("db", "", "legacy registry JSON file an empty -store-dir imports one-shot")
 	schemaPath := fs.String("schema", "", "next schema version file")
 	name := fs.String("name", "", "registered schema name (default: derived from the file name)")
 	steward := fs.String("steward", "", "steward recorded on the new version")
@@ -83,39 +82,31 @@ func runEvolve(args []string) {
 	dryRun := fs.Bool("dry-run", false, "report the migration without saving the registry")
 	exitOn(fs.Parse(args))
 
-	if (*db == "" && *storeDir == "") || *schemaPath == "" {
+	if *storeDir == "" || *schemaPath == "" {
 		fs.Usage()
 		os.Exit(2)
 	}
-	// With a store directory the upgrade batch is journaled durably (one
-	// atomic WAL record) as it happens; the legacy -db mode mutates in
-	// memory and rewrites the JSON file at the end. A dry run must leave
-	// no trace: an existing store is opened read-style with the journal
-	// detached, and an absent/empty one is never created (the -db
-	// migration snapshot is an on-disk side effect) — the legacy file is
-	// read directly instead.
+	// The upgrade batch is journaled durably (one atomic WAL record) as
+	// it happens. A dry run must leave no trace: an existing store is
+	// opened read-style with the journal detached, and an absent/empty
+	// one is never created (the -db migration snapshot is an on-disk side
+	// effect) — the legacy file is read directly instead.
 	var st *harmony.Store
 	var reg *harmony.Registry
 	var err error
-	switch {
-	case *storeDir != "" && *dryRun && storeDirEmpty(*storeDir):
-		// Empty (or absent) store: previewing must not initialize it, so
-		// read the legacy file the real run would migrate from.
+	if *dryRun && storeDirEmpty(*storeDir) {
 		if *db == "" {
 			exitOn(fmt.Errorf("dry run: store %s is empty and no -db to preview from", *storeDir))
 		}
 		reg, err = harmony.LoadRegistry(*db)
 		exitOn(err)
-	case *storeDir != "":
+	} else {
 		st, err = harmony.OpenStore(harmony.StoreOptions{Dir: *storeDir, MigrateFrom: *db})
 		exitOn(err)
 		reg = st.Registry()
 		if *dryRun {
 			reg.SetJournal(nil)
 		}
-	default:
-		reg, err = harmony.LoadRegistry(*db)
-		exitOn(err)
 	}
 	next, err := loadSchema(*schemaPath)
 	exitOn(err)
@@ -143,14 +134,9 @@ func runEvolve(args []string) {
 		fmt.Println("dry run: registry not saved")
 		return
 	}
-	if st != nil {
-		exitOn(st.Snapshot())
-		exitOn(st.Close())
-		fmt.Printf("committed to %s (schema %s now v%d)\n", *storeDir, rep.Schema, rep.ToVersion)
-		return
-	}
-	exitOn(reg.Save(*db))
-	fmt.Printf("saved %s (schema %s now v%d)\n", *db, rep.Schema, rep.ToVersion)
+	exitOn(st.Snapshot())
+	exitOn(st.Close())
+	fmt.Printf("committed to %s (schema %s now v%d)\n", *storeDir, rep.Schema, rep.ToVersion)
 }
 
 // storeDirEmpty reports whether a store directory holds no durable state

@@ -7,8 +7,7 @@
 //	harmony -a schemaA.ddl -b schemaB.xsd [flags]
 //	harmony corpus -query schemaA.ddl -dir schemas/ [flags]
 //	harmony diff -old v1.ddl -new v2.ddl [flags]
-//	harmony evolve -db registry.json -schema v2.ddl [flags]
-//	harmony evolve -store-dir store/ -schema v2.ddl [flags]
+//	harmony evolve -store-dir store/ -schema v2.ddl [-db registry.json] [flags]
 //	harmony ingest -addr http://localhost:8071 <dir|file.ndjson> [flags]
 //
 // Schema format is inferred from the extension: .ddl/.sql relational,
@@ -45,11 +44,10 @@
 // The diff subcommand prints the typed structural change set between two
 // versions of a schema (added / removed / renamed / moved / retyped), with
 // rename detection by the match engine on the changed residue. The evolve
-// subcommand applies a version bump to a schema inside a persisted
-// registry — either a durable store directory (harmonyd -store-dir, the
-// upgrade commits as one atomic WAL record; an empty store imports a
-// legacy -db file one-shot) or a legacy JSON file (harmonyd -db): the
-// version chain is extended, every stored match artifact is migrated
+// subcommand applies a version bump to a schema inside a durable store
+// directory (harmonyd -store-dir; the upgrade commits as one atomic WAL
+// record, and an empty store imports a legacy -db JSON file one-shot):
+// the version chain is extended, every stored match artifact is migrated
 // through the diff — unchanged elements keep their validated decisions,
 // renamed/moved elements are re-pathed with migrated-from provenance —
 // and only the dirty elements are re-matched against the artifact

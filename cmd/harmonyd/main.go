@@ -12,30 +12,28 @@
 //	-addr ADDR           listen address (default :8071)
 //	-store-dir DIR       durable storage engine directory: every mutation
 //	                     commits to a write-ahead log before the request
-//	                     completes, with periodic snapshot + log truncation.
-//	                     An empty store transparently imports a legacy -db
-//	                     JSON file one-shot. (empty = legacy/-db mode)
+//	                     completes, with periodic snapshot + log truncation
+//	                     (empty = in-memory only)
 //	-fsync POLICY        WAL durability policy with -store-dir: commit
 //	                     (default; a returned mutation is durable), interval
 //	                     (amortized background syncs) or off
 //	-snapshot-interval D background compaction check cadence (default 1m)
 //	-snapshot-every N    WAL records that trigger snapshot + truncation
 //	                     (default 1024)
-//	-db PATH             legacy registry persistence file (loaded if present,
-//	                     saved periodically and on shutdown; with -store-dir
-//	                     it is only the one-shot migration source; empty with
-//	                     no -store-dir = in-memory only)
+//	-db PATH             legacy registry JSON file that an empty -store-dir
+//	                     imports one-shot; it requires -store-dir and is
+//	                     never written
 //	-preset NAME         default matcher preset (default harmony)
 //	-threshold F         default confidence filter (default 0.4)
 //	-workers N           job worker-pool size (default 2)
-//	-backlog N           job submission backlog bound (default 64)
-//	-queue-depth N       job backlog cap: submissions beyond it are load-shed
-//	                     with 429 + a Retry-After drain estimate (0 = use
-//	                     -backlog)
+//	-backlog N           job submission backlog bound: submissions beyond it
+//	                     are load-shed with 429 + a Retry-After drain
+//	                     estimate (default 64)
 //	-ingest-workers N    bulk-ingest prepare parallelism — parse and profile
 //	                     compilation workers per stream (default GOMAXPROCS)
 //	-cache N             match cache capacity in entries (default 256)
-//	-save-interval D     periodic persistence cadence (default 30s)
+//	-profile-cache N     compiled-profile cache capacity in schemas (default
+//	                     0 = 128; negative is a startup error)
 //	-corpus-candidates N default blocking budget of corpus queries (default 32)
 //	-corpus-topk N       default result count of corpus queries (default 5)
 //	-corpus-block-budget N default document-scoring budget of the blocking
@@ -104,16 +102,17 @@
 //	                           corpus)
 //	GET    /v1/traces          recent request/job traces as span trees
 //	GET    /healthz            liveness probe; reports status "degraded" with
-//	                           the error when the last WAL append / snapshot /
-//	                           legacy save failed, or when a follower's
-//	                           replication stream is down or lagging
+//	                           the error when the last WAL append or snapshot
+//	                           failed, or when a follower's replication
+//	                           stream is down or lagging
 //	GET    /repl/v1/snapshot   bootstrap snapshot for followers (store mode)
 //	GET    /repl/v1/wal        LSN-ordered WAL records, long-polling
 //	GET    /repl/v1/status     leader head / durable / snapshot LSNs
 //	POST   /repl/v1/promote    turn this follower into a writable leader
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight HTTP
-// requests drain, jobs are cancelled, and the registry is saved.
+// requests drain, jobs are cancelled, and with -store-dir a final
+// snapshot compacts the WAL before the store closes.
 package main
 
 import (
@@ -156,23 +155,20 @@ func promoteFollower(baseURL string) error {
 
 func main() {
 	addr := flag.String("addr", ":8071", "listen address")
-	storeDir := flag.String("store-dir", "", "durable store directory (WAL + snapshots; empty = legacy -db mode)")
+	storeDir := flag.String("store-dir", "", "durable store directory (WAL + snapshots; empty = in-memory)")
 	fsync := flag.String("fsync", "commit", "WAL durability policy with -store-dir: commit, interval or off")
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "background compaction check cadence")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records that trigger snapshot + log truncation")
-	db := flag.String("db", "", "legacy registry persistence file (migration source with -store-dir; empty = in-memory)")
+	db := flag.String("db", "", "legacy registry JSON file an empty -store-dir imports once (requires -store-dir)")
 	preset := flag.String("preset", "harmony", "default matcher preset")
 	threshold := flag.Float64("threshold", 0.4, "default confidence filter")
 	workers := flag.Int("workers", 2, "job worker-pool size")
-	backlog := flag.Int("backlog", 64, "job submission backlog bound")
-	queueDepth := flag.Int("queue-depth", 0,
-		"job backlog cap: submissions beyond it answer 429 with Retry-After (0 = use -backlog)")
+	backlog := flag.Int("backlog", 64, "job submission backlog bound: submissions beyond it answer 429 with Retry-After")
 	ingestWorkers := flag.Int("ingest-workers", 0,
 		"bulk-ingest prepare parallelism: parse + profile compilation workers per stream (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 256, "match cache capacity (entries)")
 	profileCache := flag.Int("profile-cache", 0,
-		"compiled-profile cache capacity in schemas (0 = default, negative disables)")
-	saveInterval := flag.Duration("save-interval", 30*time.Second, "periodic persistence cadence")
+		"compiled-profile cache capacity in schemas (0 = default)")
 	corpusCandidates := flag.Int("corpus-candidates", 32, "default blocking budget of corpus queries")
 	corpusTopK := flag.Int("corpus-topk", 5, "default result count of corpus queries")
 	corpusBlockBudget := flag.Int("corpus-block-budget", 0,
@@ -240,21 +236,16 @@ func main() {
 	if slowReq <= 0 {
 		slowReq = -1 // service.Config: negative disables, zero means default
 	}
-	jobBacklog := *backlog
-	if *queueDepth > 0 {
-		jobBacklog = *queueDepth
-	}
 	srv, err := service.New(service.Config{
 		Preset:            *preset,
 		Threshold:         *threshold,
 		Workers:           *workers,
-		Backlog:           jobBacklog,
+		Backlog:           *backlog,
 		IngestWorkers:     *ingestWorkers,
 		CacheSize:         *cacheSize,
 		ProfileCache:      *profileCache,
-		DBPath:            *db,
-		SaveInterval:      *saveInterval,
 		StoreDir:          *storeDir,
+		MigrateFrom:       *db,
 		Fsync:             *fsync,
 		SnapshotInterval:  *snapshotInterval,
 		SnapshotEvery:     *snapshotEvery,

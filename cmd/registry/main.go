@@ -1,14 +1,18 @@
-// Command registry manages a JSON-file enterprise metadata repository: add
-// schema files, search it (by text or by schema), and cluster it into
-// candidate communities of interest.
+// Command registry manages an enterprise metadata repository held in a
+// durable store directory (the same format harmonyd -store-dir serves):
+// add schema files, search it (by text or by schema), and cluster it
+// into candidate communities of interest.
 //
 // Usage:
 //
-//	registry -db FILE add schema.ddl [schema2.xsd ...]
-//	registry -db FILE list
-//	registry -db FILE search "blood test"
-//	registry -db FILE search-schema query.xsd
-//	registry -db FILE cluster
+//	registry -store-dir DIR add schema.ddl [schema2.xsd ...]
+//	registry -store-dir DIR list
+//	registry -store-dir DIR search "blood test"
+//	registry -store-dir DIR search-schema query.xsd
+//	registry -store-dir DIR cluster
+//
+// An empty store imports a legacy registry JSON file named by -db
+// one-shot; afterwards the store owns the data.
 package main
 
 import (
@@ -22,50 +26,47 @@ import (
 )
 
 func main() {
-	db := flag.String("db", "registry.json", "repository file")
+	storeDir := flag.String("store-dir", "registry-store", "repository store directory")
+	db := flag.String("db", "", "legacy registry JSON file an empty store imports one-shot")
 	k := flag.Int("k", 10, "search results / example terms")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
 	}
-
-	reg, err := harmony.LoadRegistry(*db)
-	if err != nil {
-		if !os.IsNotExist(underlying(err)) {
-			exitOn(err)
-		}
-		reg = harmony.NewRegistry()
-	}
-
 	switch args[0] {
-	case "add":
+	case "add", "search", "search-schema":
 		if len(args) < 2 {
 			usage()
 		}
+	case "list", "cluster":
+	default:
+		usage()
+	}
+
+	st, err := harmony.OpenStore(harmony.StoreOptions{Dir: *storeDir, MigrateFrom: *db})
+	exitOn(err)
+	defer func() { exitOn(st.Close()) }()
+	reg := st.Registry()
+
+	switch args[0] {
+	case "add":
 		for _, path := range args[1:] {
 			s, err := load(path)
 			exitOn(err)
 			exitOn(reg.AddSchema(s, "cli"))
 			fmt.Printf("added %s (%d elements)\n", s.Name, s.Len())
 		}
-		exitOn(reg.Save(*db))
 	case "list":
 		for _, e := range reg.Schemas() {
 			fmt.Printf("%-24s %-10s %5d elements  %3d roots  steward=%s\n",
 				e.Schema.Name, e.Schema.Format, e.Stats.Elements, e.Stats.Roots, e.Steward)
 		}
 	case "search":
-		if len(args) < 2 {
-			usage()
-		}
 		for _, r := range reg.SearchText(strings.Join(args[1:], " "), *k) {
 			fmt.Printf("%-24s %.3f\n", r.Schema, r.Score)
 		}
 	case "search-schema":
-		if len(args) < 2 {
-			usage()
-		}
 		q, err := load(args[1])
 		exitOn(err)
 		for _, r := range reg.SearchSchema(q, *k) {
@@ -89,8 +90,6 @@ func main() {
 		for l := 0; l < len(groups); l++ {
 			fmt.Printf("COI %d: %s\n", l+1, strings.Join(groups[l], ", "))
 		}
-	default:
-		usage()
 	}
 }
 
@@ -111,18 +110,8 @@ func load(path string) (*harmony.Schema, error) {
 	return nil, fmt.Errorf("unknown schema extension %q", filepath.Ext(path))
 }
 
-func underlying(err error) error {
-	for {
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return err
-		}
-		err = u.Unwrap()
-	}
-}
-
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: registry -db FILE {add FILES... | list | search TEXT | search-schema FILE | cluster}")
+	fmt.Fprintln(os.Stderr, "usage: registry [-store-dir DIR] [-db FILE] {add FILES... | list | search TEXT | search-schema FILE | cluster}")
 	os.Exit(2)
 }
 

@@ -198,9 +198,7 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 	// The compiled profile of the retired content must go in the same
 	// sweep, or a re-match after the bump would score against the old
 	// version's tokens and TF-IDF statistics.
-	if s.profiles != nil {
-		s.profiles.InvalidateFingerprint(rep.OldFingerprint)
-	}
+	s.profiles.InvalidateFingerprint(rep.OldFingerprint)
 	removed, added := changedElements(d, oldSchema, sc)
 	s.corpusPipe.EvolveProfile(rep.OldFingerprint, rep.NewFingerprint, removed, added)
 	s.evolveStats.recordUpgrade(rep, invalidated)

@@ -302,10 +302,8 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 	// evicted by the stream's own tail before anything could hit them.
 	// The warmer's queue sheds load when it is full; dropped schemata
 	// compile lazily on first match.
-	if s.warmer != nil {
-		for _, sc := range warmList[max(0, len(warmList)-s.cfg.ProfileCache):] {
-			s.warmer.enqueue(sc)
-		}
+	for _, sc := range warmList[max(0, len(warmList)-s.cfg.ProfileCache):] {
+		s.warmer.enqueue(sc)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,10 +36,9 @@ type Server struct {
 	queue   *Queue
 	engines map[string]*core.Engine
 	// profiles is the compiled-profile cache shared by every preset
-	// engine (nil when cfg.ProfileCache < 0). It is invalidated in the
-	// same sweep as the match cache on schema evolution and lives in
-	// memory only: a restart recompiles the newest schemata it can hold
-	// (warmProfiles).
+	// engine. It is invalidated in the same sweep as the match cache on
+	// schema evolution and lives in memory only: a restart recompiles the
+	// newest schemata it can hold (warmProfiles).
 	profiles *core.ProfileCache
 	start    time.Time
 	logf     func(format string, args ...any)
@@ -55,9 +53,9 @@ type Server struct {
 	// first-come-first-served instead of a client-visible conflict).
 	upgradeMu sync.Mutex
 
-	// st is the durable storage engine (nil in legacy DBPath mode and for
-	// in-memory servers). With a store, mutations are durable per-op and
-	// saveLoop is replaced by snapshotLoop's background compaction.
+	// st is the durable storage engine (nil for in-memory servers). With
+	// a store, mutations are durable per-op and snapshotLoop compacts the
+	// log in the background.
 	st *store.Store
 
 	// readOnly marks follower mode: mutating endpoints 403 and point at
@@ -71,12 +69,6 @@ type Server struct {
 	source   *repl.Source
 	follower *repl.Follower
 	router   *repl.Router
-
-	// persistMu guards persistErr, the legacy save loop's last failure;
-	// /healthz reports degraded while it is set. Store-mode errors are
-	// tracked by the store itself.
-	persistMu  sync.Mutex
-	persistErr error
 
 	// obs is the server-scoped metrics registry (/metrics also renders
 	// the process-wide obs.Default()); recorder keeps the recent-trace
@@ -100,25 +92,23 @@ type Server struct {
 	// warmer compiles streamed schemas' profiles off the ingest path.
 	warmer *profileWarmer
 
-	saveStop  chan struct{}
-	saveDone  chan struct{}
+	snapStop  chan struct{}
+	snapDone  chan struct{}
 	closeOnce sync.Once
 }
 
 // New builds a server from the config.
 //
 // With cfg.StoreDir set, the durable storage engine owns persistence:
-// the registry is recovered from snapshot + WAL replay (migrating a
-// legacy cfg.DBPath file one-shot if the store is empty), every mutation
-// commits to the WAL per-op under cfg.Fsync, and a background loop
-// snapshots + truncates the log once it outgrows cfg.SnapshotEvery.
+// the registry is recovered from snapshot + WAL replay (importing the
+// legacy cfg.MigrateFrom file one-shot if the store is empty), every
+// mutation commits to the WAL per-op under cfg.Fsync, and a background
+// loop snapshots + truncates the log once it outgrows cfg.SnapshotEvery.
+// Without a store the registry lives in memory only.
 //
-// Without a store but with cfg.DBPath naming an existing file, the
-// legacy mode loads the registry from it and saves it on a timer — a
-// crash discards everything since the last tick.
-//
-// Either way the match cache is warm-started from the service's persisted
-// artifacts. logf receives operational messages (nil for silence).
+// The match cache is warm-started from the recovered artifacts and the
+// profile cache from the newest schemata. logf receives operational
+// messages (nil for silence).
 func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -132,8 +122,7 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		reg.TuneIndex(cfg.IndexTailMerge)
 	}
 	var st *store.Store
-	switch {
-	case cfg.StoreDir != "":
+	if cfg.StoreDir != "" {
 		if cfg.Role == RoleFollower {
 			// A fresh follower seeds its empty store directory with a
 			// leader snapshot before opening, so recovery starts at the
@@ -147,7 +136,7 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 			Dir:           cfg.StoreDir,
 			Fsync:         store.FsyncPolicy(cfg.Fsync),
 			SnapshotEvery: cfg.SnapshotEvery,
-			MigrateFrom:   cfg.DBPath,
+			MigrateFrom:   cfg.MigrateFrom,
 			Logf:          logf,
 		})
 		if err != nil {
@@ -156,30 +145,15 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		reg = st.Registry()
 		logf("service: store %s recovered %d schemata, %d artifacts (fsync=%s)",
 			cfg.StoreDir, reg.Len(), reg.MatchCount(), cfg.Fsync)
-	case cfg.DBPath != "":
-		if _, statErr := os.Stat(cfg.DBPath); statErr == nil {
-			reg, err = registry.Load(cfg.DBPath)
-			if err != nil {
-				return nil, fmt.Errorf("service: loading %s: %w", cfg.DBPath, err)
-			}
-			logf("service: loaded %d schemata, %d artifacts from %s",
-				reg.Len(), reg.MatchCount(), cfg.DBPath)
-		}
 	}
-	var profiles *core.ProfileCache
-	if cfg.ProfileCache > 0 {
-		profiles = core.NewProfileCache(cfg.ProfileCache)
-	}
+	profiles := core.NewProfileCache(cfg.ProfileCache)
 	engines := make(map[string]*core.Engine, len(core.Presets()))
 	for name, mk := range core.Presets() {
 		eng := mk()
 		if cfg.SparseBudget > 0 {
 			eng = eng.WithOptions(core.WithSparse(cfg.SparseBudget))
 		}
-		if profiles != nil {
-			eng = eng.WithOptions(core.WithProfileCache(profiles))
-		}
-		engines[name] = eng
+		engines[name] = eng.WithOptions(core.WithProfileCache(profiles))
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -191,9 +165,7 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		start:    time.Now(),
 		logf:     logf,
 		st:       st,
-	}
-	if profiles != nil {
-		s.warmer = newProfileWarmer(profiles, cfg.IngestWorkers)
+		warmer:   newProfileWarmer(profiles, cfg.IngestWorkers),
 	}
 	// The trace recorder exists before initRepl so the follower's apply
 	// loop can record replication batches from its first poll.
@@ -205,15 +177,10 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	if n := warmProfiles(profiles, reg); n > 0 {
 		logf("service: warmed the profile cache with the %d newest schemata", n)
 	}
-	switch {
-	case s.st != nil:
-		s.saveStop = make(chan struct{})
-		s.saveDone = make(chan struct{})
+	if s.st != nil {
+		s.snapStop = make(chan struct{})
+		s.snapDone = make(chan struct{})
 		go s.snapshotLoop()
-	case cfg.DBPath != "":
-		s.saveStop = make(chan struct{})
-		s.saveDone = make(chan struct{})
-		go s.saveLoop()
 	}
 	if err := s.initRepl(); err != nil {
 		s.Close()
@@ -226,8 +193,8 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 // Registry exposes the backing repository (for tests and embedding).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Profiles exposes the compiled-profile cache (nil when disabled), for
-// tests and embedding.
+// Profiles exposes the compiled-profile cache shared by the preset
+// engines, for tests and embedding.
 func (s *Server) Profiles() *core.ProfileCache { return s.profiles }
 
 // Cache exposes the match cache (for tests and embedding).
@@ -236,35 +203,12 @@ func (s *Server) Cache() *Cache { return s.cache }
 // Queue exposes the job engine (for tests and embedding).
 func (s *Server) Queue() *Queue { return s.queue }
 
-// saveLoop persists the registry every cfg.SaveInterval until Close (the
-// legacy DBPath mode). Failures surface through /healthz as degraded
-// until a save succeeds again.
-func (s *Server) saveLoop() {
-	defer close(s.saveDone)
-	t := time.NewTicker(s.cfg.SaveInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			err := s.reg.Save(s.cfg.DBPath)
-			if err != nil {
-				s.logf("service: periodic save: %v", err)
-			}
-			s.persistMu.Lock()
-			s.persistErr = err
-			s.persistMu.Unlock()
-		case <-s.saveStop:
-			return
-		}
-	}
-}
-
-// snapshotLoop is the store mode's background compaction: durability is
+// snapshotLoop is the store's background compaction: durability is
 // already per-op through the WAL, so all this loop does is snapshot +
 // truncate the log whenever the replay debt passes cfg.SnapshotEvery
 // records — bounding both crash-recovery time and disk growth.
 func (s *Server) snapshotLoop() {
-	defer close(s.saveDone)
+	defer close(s.snapDone)
 	t := time.NewTicker(s.cfg.SnapshotInterval)
 	defer t.Stop()
 	for {
@@ -276,16 +220,15 @@ func (s *Server) snapshotLoop() {
 			if err := s.st.Snapshot(); err != nil {
 				s.logf("service: background snapshot: %v", err)
 			}
-		case <-s.saveStop:
+		case <-s.snapStop:
 			return
 		}
 	}
 }
 
 // Close shuts the server down: the job queue stops (cancelling queued and
-// running jobs) and the persistence machinery winds down — in store mode
-// a final snapshot compacts the log for a fast next start and the WAL is
-// synced shut; in legacy mode the registry is saved one last time.
+// running jobs) and, with a store, a final snapshot compacts the log for
+// a fast next start and the WAL is synced shut.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -296,31 +239,24 @@ func (s *Server) Close() error {
 		}
 		s.replMu.Unlock()
 		s.queue.Close()
-		if s.warmer != nil {
-			s.warmer.close()
+		s.warmer.close()
+		if s.st == nil {
+			return
 		}
-		if s.saveStop != nil {
-			close(s.saveStop)
-			<-s.saveDone
+		close(s.snapStop)
+		<-s.snapDone
+		if err = s.st.Snapshot(); err != nil {
+			s.logf("service: final snapshot: %v", err)
 		}
-		switch {
-		case s.st != nil:
-			if serr := s.st.Snapshot(); serr != nil {
-				s.logf("service: final snapshot: %v", serr)
-				err = serr
-			}
-			if cerr := s.st.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		case s.cfg.DBPath != "":
-			err = s.reg.Save(s.cfg.DBPath)
+		if cerr := s.st.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
 	})
 	return err
 }
 
-// Store exposes the durable storage engine (nil in legacy / in-memory
-// modes), for tests and embedding.
+// Store exposes the durable storage engine (nil for in-memory servers),
+// for tests and embedding.
 func (s *Server) Store() *store.Store { return s.st }
 
 // Handler returns the HTTP API. On follower nodes the mutating schema
@@ -479,21 +415,19 @@ type healthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// persistenceError returns the most recent save/append failure (nil when
-// persistence is healthy).
+// persistenceError returns the store's most recent WAL append or
+// snapshot failure (nil when persistence is healthy or in memory).
 func (s *Server) persistenceError() error {
-	if s.st != nil {
-		return s.st.LastError()
+	if s.st == nil {
+		return nil
 	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	return s.persistErr
+	return s.st.LastError()
 }
 
 // handleHealth reports degraded — with the error — when the last
-// persistence attempt (WAL append, snapshot, or legacy periodic save)
-// failed, or when a follower's replication stream is down or lagging
-// past cfg.LagThreshold. The process still serves from memory, so this
+// persistence attempt (WAL append or snapshot) failed, or when a
+// follower's replication stream is down or lagging past
+// cfg.LagThreshold. The process still serves from memory, so this
 // stays HTTP 200: restarting the pod would not fix a full disk, but an
 // alert on the status can page someone who can.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -529,10 +463,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Evolve:        s.evolveStats.snapshot(),
 		Ingest:        s.ingestStats.snapshot(),
 		Index:         s.reg.IndexStats(),
-	}
-	if s.profiles != nil {
-		ps := s.profiles.Stats()
-		st.Profiles = &ps
+		Profiles:      s.profiles.Stats(),
 	}
 	if s.st != nil {
 		ss := s.st.Stats()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -225,13 +224,13 @@ func TestServerMatchStampede(t *testing.T) {
 	}
 }
 
-// TestServerWarmStart restarts the service on the same DB file and checks
+// TestServerWarmStart restarts the service on the same store and checks
 // that a match computed by the first process is served from cache by the
 // second, without rescoring.
 func TestServerWarmStart(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "registry.json")
+	dir := t.TempDir()
 
-	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestServerWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +303,8 @@ func TestProvenanceNotesRoundTrip(t *testing.T) {
 // TestWarmStartSkipsStaleFingerprints replaces a schema's content after
 // its artifact was stored; the artifact must not seed the cache.
 func TestWarmStartSkipsStaleFingerprints(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "registry.json")
-	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	dir := t.TempDir()
+	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +326,7 @@ func TestWarmStartSkipsStaleFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@
 //   - Server: JSON-over-HTTP endpoints (/v1/schemas, /v1/match, /v1/jobs,
 //     /v1/search, /v1/stats, /healthz) over a registry.Registry whose
 //     mutations are durable per-op through the internal/store WAL (with
-//     background snapshot compaction), or — in the legacy DBPath mode —
-//     saved on a timer; cmd/harmonyd is its daemon wrapper.
+//     background snapshot compaction), or held in memory only when no
+//     store directory is configured; cmd/harmonyd is its daemon wrapper.
 package service
 
 import (
@@ -56,27 +56,22 @@ type Config struct {
 	// CacheSize is the match cache capacity in entries (default 256).
 	CacheSize int
 	// ProfileCache is the compiled-profile cache capacity in schemas
-	// (default core.DefaultProfileCacheSize; negative disables the cache
-	// and every match recompiles its schemas). All preset engines share
-	// one cache, and it is invalidated alongside the match cache on
-	// schema evolution. Boot fills it with the newest schemata it can
-	// hold (warmProfiles).
+	// (default core.DefaultProfileCacheSize; negative is an error). All
+	// preset engines share one cache, and it is invalidated alongside
+	// the match cache on schema evolution. Boot fills it with the newest
+	// schemata it can hold (warmProfiles).
 	ProfileCache int
-	// DBPath, when non-empty, is the legacy registry persistence file. It
-	// is loaded at startup when present and saved periodically and on
-	// Close. With StoreDir also set, DBPath is only the one-shot migration
-	// source: an empty store imports it, after which the store owns the
-	// data and the file is no longer read or written.
-	DBPath string
-	// SaveInterval is the periodic persistence cadence of the legacy
-	// DBPath mode (default 30s). Ignored when StoreDir is set.
-	SaveInterval time.Duration
 	// StoreDir, when non-empty, enables the durable storage engine
 	// (internal/store): every registry mutation commits to a
-	// write-ahead log before the request completes, background snapshots
-	// bound crash-recovery replay, and the timer-based DBPath save loop is
-	// replaced entirely.
+	// write-ahead log before the request completes, and background
+	// snapshots bound crash-recovery replay. Empty keeps the registry in
+	// memory only.
 	StoreDir string
+	// MigrateFrom names a legacy registry JSON file (as written by
+	// Registry.Save) that an empty store imports one-shot; afterwards the
+	// store owns the data and the file is no longer read. It requires
+	// StoreDir.
+	MigrateFrom string
 	// Fsync is the WAL durability policy when StoreDir is set: "commit"
 	// (default; a returned mutation is durable), "interval" (amortized
 	// background syncs) or "off".
@@ -176,11 +171,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 256
 	}
+	if c.ProfileCache < 0 {
+		return c, fmt.Errorf("service: negative profile cache capacity %d", c.ProfileCache)
+	}
 	if c.ProfileCache == 0 {
 		c.ProfileCache = core.DefaultProfileCacheSize
 	}
-	if c.SaveInterval <= 0 {
-		c.SaveInterval = 30 * time.Second
+	if c.MigrateFrom != "" && c.StoreDir == "" {
+		return c, fmt.Errorf("service: migrating %s needs a store directory", c.MigrateFrom)
 	}
 	if _, err := store.ParseFsyncPolicy(c.Fsync); err != nil {
 		return c, fmt.Errorf("service: %w", err)
@@ -248,11 +246,10 @@ type Stats struct {
 	Evolve        EvolveStats  `json:"evolve"`
 	Ingest        IngestStats  `json:"ingest"`
 	Index         search.Stats `json:"index"`
-	// Profiles is the compiled-profile cache snapshot (nil when the
-	// cache is disabled via Config.ProfileCache < 0).
-	Profiles *core.ProfileCacheStats `json:"profiles,omitempty"`
-	// Store is the durable storage engine's snapshot (nil in legacy
-	// DBPath mode and for in-memory servers).
+	// Profiles is the compiled-profile cache snapshot.
+	Profiles core.ProfileCacheStats `json:"profiles"`
+	// Store is the durable storage engine's snapshot (nil for in-memory
+	// servers).
 	Store *store.Stats `json:"store,omitempty"`
 	// Repl is the replication block (nil on unreplicated nodes).
 	Repl *ReplStats `json:"repl,omitempty"`

@@ -201,7 +201,7 @@ func TestKill9UnderConcurrentCorpusTraffic(t *testing.T) {
 	}
 }
 
-// TestServerStoreMigratesLegacyDB: StoreDir + DBPath imports the legacy
+// TestServerStoreMigratesLegacyDB: StoreDir + MigrateFrom imports the legacy
 // JSON once, and the store owns the data afterwards.
 func TestServerStoreMigratesLegacyDB(t *testing.T) {
 	legacyPath := filepath.Join(t.TempDir(), "registry.json")
@@ -217,7 +217,7 @@ func TestServerStoreMigratesLegacyDB(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	cfg := Config{StoreDir: dir, DBPath: legacyPath, Fsync: "commit"}
+	cfg := Config{StoreDir: dir, MigrateFrom: legacyPath, Fsync: "commit"}
 	srv, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestServerStoreMigratesLegacyDB(t *testing.T) {
 }
 
 // TestServerStoreStatsServed: /v1/stats carries the store block when the
-// engine is on, and omits it in legacy mode.
+// engine is on, and omits it for an in-memory server.
 func TestServerStoreStatsServed(t *testing.T) {
 	srv, ts := newTestServer(t, Config{StoreDir: t.TempDir(), Fsync: "commit"})
 	if err := srv.Registry().AddSchema(testSchema("one", "id"), ""); err != nil {
@@ -278,48 +278,41 @@ func TestServerStoreStatsServed(t *testing.T) {
 	}
 }
 
-// TestHealthzDegradedOnSaveFailure: the legacy save loop's failure is
-// visible through /healthz (status degraded + error) instead of only a
-// log line, and health recovers to ok once saving works again.
-func TestHealthzDegradedOnSaveFailure(t *testing.T) {
-	dir := t.TempDir()
-	dbPath := filepath.Join(dir, "missing", "registry.json") // parent does not exist
-	_, ts := newTestServer(t, Config{DBPath: dbPath, SaveInterval: 10 * time.Millisecond})
-
+// TestHealthzDegradedOnSnapshotFailure: a failed snapshot is visible
+// through /healthz (status degraded + error) instead of only a log line,
+// and health recovers to ok once a snapshot succeeds again.
+func TestHealthzDegradedOnSnapshotFailure(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	srv, ts := newTestServer(t, Config{StoreDir: dir, Fsync: "commit"})
+	if err := srv.Registry().AddSchema(testSchema("one", "id"), ""); err != nil {
+		t.Fatal(err)
+	}
 	health := func() healthResponse {
 		var h healthResponse
 		do(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, &h)
 		return h
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if h := health(); h.Status == "degraded" {
-			if h.Error == "" {
-				t.Fatal("degraded health without an error detail")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healthz never degraded on persistent save failure")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Create the missing directory: the next periodic save succeeds and
-	// health returns to ok.
-	if err := os.MkdirAll(filepath.Dir(dbPath), 0o755); err != nil {
+	// With the directory gone the snapshot file cannot be written.
+	moved := dir + ".moved"
+	if err := os.Rename(dir, moved); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if h := health(); h.Status == "ok" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healthz never recovered after save path was fixed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := srv.Store().Snapshot(); err == nil {
+		t.Fatal("snapshot into a missing directory succeeded")
+	}
+	if h := health(); h.Status != "degraded" || h.Error == "" {
+		t.Fatalf("healthz after a failed snapshot = %+v, want degraded with an error", h)
+	}
+
+	if err := os.Rename(moved, dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Store().Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if h := health(); h.Status != "ok" || h.Error != "" {
+		t.Fatalf("healthz after a good snapshot = %+v, want ok", h)
 	}
 }
 

@@ -33,9 +33,6 @@ import (
 // counts no misses; the profiles are then put oldest-first, leaving the
 // newest schema at the LRU front. Returns the number of profiles warmed.
 func warmProfiles(profiles *core.ProfileCache, reg *registry.Registry) int {
-	if profiles == nil {
-		return 0
-	}
 	entries := reg.Schemas() // sorted by name: the stable sort keeps it as the tie-break
 	sort.SliceStable(entries, func(i, j int) bool {
 		return entries[i].Registered.After(entries[j].Registered)

@@ -43,7 +43,7 @@ func benchArtifact(a, b *schema.Schema, i int) registry.MatchArtifact {
 // BenchmarkWALAppend prices one durable mutation (an accepted match
 // artifact committed through the journal) on a 200-schema registry,
 // under each fsync policy. This is the per-op cost that replaced a full
-// registry snapshot per SaveInterval tick.
+// registry snapshot per periodic save of the former JSON-file mode.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, policy := range []FsyncPolicy{FsyncOff, FsyncInterval, FsyncPerCommit} {
 		b.Run(string(policy), func(b *testing.B) {
