@@ -243,7 +243,9 @@ type Cache interface {
 	Lookup(key CacheKey) (pairs []Pair, hub string, ok bool)
 	// Store publishes a freshly computed candidate outcome for the named
 	// query schema (m.Schema names the candidate side). Reused outcomes
-	// carry the hub name for provenance.
+	// carry the hub name for provenance. TopK calls Store after scoring,
+	// once per fresh outcome, all concurrently, and returns only when
+	// every call has returned; Store must not modify m.
 	Store(key CacheKey, queryName string, m *SchemaMatch)
 }
 

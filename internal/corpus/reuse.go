@@ -37,52 +37,67 @@ func pairKeyOf(a, b string) pairKey {
 }
 
 // reuseContext is the query-side half of mapping reuse, built once per
-// corpus query with a single scan of the registry's artifacts and then
+// corpus query from the registry's per-schema artifact index and then
 // shared read-only across the scoring shards. Only human-accepted pairs
 // participate: the paper's story is reuse of previously *validated*
 // mappings, and machine-proposed artifacts (such as the ones the service
 // itself persists, whatever preset produced them) must not recursively
 // feed future compositions.
 type reuseContext struct {
-	qName  string
 	qToHub map[string]half // hub schema -> query→hub accepted mapping
 	byPair map[pairKey][]*registry.MatchArtifact
 }
 
-// newReuseContext indexes the registry's artifacts for one query schema.
-// It returns nil when no accepted mapping touches the query — the common
-// case, which lets the scoring stage skip reuse entirely.
+// newReuseContext indexes the artifacts reuse can reach from one query
+// schema: the query's own, then each accepted hub's. It returns nil when
+// no accepted mapping touches the query — the common case, which lets the
+// scoring stage skip reuse entirely. Its cost depends on the artifacts
+// involving the query and its hubs, not on how many are stored.
 func newReuseContext(reg *registry.Registry, q *schema.Schema) *reuseContext {
+	qToHub := make(map[string]half)
+	for _, ma := range reg.MatchesInvolving(q.Name) {
+		hub := ma.SchemaA
+		if hub == q.Name {
+			hub = ma.SchemaB
+		}
+		if hub == q.Name {
+			continue
+		}
+		m := qToHub[hub]
+		if m == nil {
+			m = make(half)
+			qToHub[hub] = m
+		}
+		mergeDirected(m, ma, q.Name)
+	}
+	for hub, m := range qToHub {
+		if len(m) == 0 {
+			delete(qToHub, hub)
+		}
+	}
+	if len(qToHub) == 0 {
+		return nil
+	}
 	rc := &reuseContext{
-		qName:  q.Name,
-		qToHub: make(map[string]half),
+		qToHub: qToHub,
 		byPair: make(map[pairKey][]*registry.MatchArtifact),
 	}
-	for _, ma := range reg.Matches() {
-		rc.byPair[pairKeyOf(ma.SchemaA, ma.SchemaB)] = append(rc.byPair[pairKeyOf(ma.SchemaA, ma.SchemaB)], ma)
-		if ma.SchemaA == q.Name || ma.SchemaB == q.Name {
-			hub := ma.SchemaA
-			if hub == q.Name {
-				hub = ma.SchemaB
+	// compose reads byPair only for hub↔candidate pairs. An artifact
+	// between two hubs is filed once, from the first hub in name order,
+	// so every pair's list stays in ID order without duplicates.
+	hubs := rc.hubNames("")
+	for i, hub := range hubs {
+		for _, ma := range reg.MatchesInvolving(hub) {
+			other := ma.SchemaA
+			if other == hub {
+				other = ma.SchemaB
 			}
-			if hub == q.Name {
+			if j := sort.SearchStrings(hubs, other); j < i && hubs[j] == other {
 				continue
 			}
-			m := rc.qToHub[hub]
-			if m == nil {
-				m = make(half)
-				rc.qToHub[hub] = m
-			}
-			mergeDirected(m, ma, q.Name)
+			k := pairKeyOf(ma.SchemaA, ma.SchemaB)
+			rc.byPair[k] = append(rc.byPair[k], ma)
 		}
-	}
-	for hub, m := range rc.qToHub {
-		if len(m) == 0 {
-			delete(rc.qToHub, hub)
-		}
-	}
-	if len(rc.qToHub) == 0 {
-		return nil
 	}
 	return rc
 }

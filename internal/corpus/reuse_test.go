@@ -227,3 +227,46 @@ func TestPipelineReusesComposedMapping(t *testing.T) {
 		t.Errorf("NoReuse Stats.Reused = %d", res2.Stats.Reused)
 	}
 }
+
+// TestReuseContextIndependentOfUptime checks that setting up reuse for a
+// query costs the same however many unrelated artifacts the registry has
+// accumulated.
+func TestReuseContextIndependentOfUptime(t *testing.T) {
+	reg := registry.New()
+	for _, s := range []*schema.Schema{personSchema(), hubSchema(), citizenSchema()} {
+		if err := reg.AddSchema(s, "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, _ := reg.Schema("PersonnelSys")
+	// The query's only artifact is machine-proposed, so reuse has no hub.
+	if _, err := reg.AddMatch(registry.MatchArtifact{
+		SchemaA: "PersonnelSys", SchemaB: "HubMDR",
+		Pairs: []registry.AssertedMatch{
+			{PathA: "Person/person_id", PathB: "IndividualType/individualId", Score: 0.9, Status: registry.StatusProposed},
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	allocsWith := func(unrelated int) float64 {
+		for reg.MatchCount() < unrelated+1 {
+			if _, err := reg.AddMatch(registry.MatchArtifact{
+				SchemaA: "CivicSys", SchemaB: "HubMDR",
+				Pairs: []registry.AssertedMatch{
+					{PathA: "Citizen/citizen_id", PathB: "IndividualType/individualId", Score: 0.9, Status: registry.StatusAccepted},
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if newReuseContext(reg, q.Schema) != nil {
+				t.Fatal("reuse context built without an accepted query artifact")
+			}
+		})
+	}
+	few, many := allocsWith(10), allocsWith(2000)
+	if few != many {
+		t.Errorf("reuse setup allocates %v times with 10 unrelated artifacts, %v with 2000", few, many)
+	}
+}

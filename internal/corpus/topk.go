@@ -14,7 +14,10 @@ import (
 // TopK answers one corpus query: block the registry down to a candidate
 // set, score the survivors with the engine across a sharded worker pool,
 // and return the k best-matching schemata with their correspondences.
-// The context cancels between candidate scorings.
+// The context cancels between candidate scorings. Fresh outcomes are
+// published to the external cache after scoring, all at once, so their
+// artifact writes share durable commits; TopK returns only after every
+// Store has returned, cancelled or not.
 func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema, cfg Config) (*Result, error) {
 	if err := validateQuery(q); err != nil {
 		return nil, err
@@ -55,6 +58,11 @@ func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema,
 	if workers > len(cands) {
 		workers = len(cands)
 	}
+	// fresh[i] holds candidate i's outcome when it must be published.
+	var fresh []*SchemaMatch
+	if p.cache != nil && cfg.Preset != "" {
+		fresh = make([]*SchemaMatch, len(cands))
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -73,12 +81,16 @@ func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema,
 					coll.earlyExit((len(cands) - 1 - i) / workers)
 					return
 				}
-				m := p.scoreCandidate(eng, q, qprof, qfp, c, cfg, rctx, coll)
+				m, computed := p.scoreCandidate(eng, q, qprof, qfp, c, cfg, rctx, coll)
+				if computed && fresh != nil {
+					fresh[i] = m
+				}
 				coll.offer(m)
 			}
 		}(w)
 	}
 	wg.Wait()
+	p.publish(q.Name, qfp, cands, fresh, cfg)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -87,26 +99,31 @@ func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema,
 	return res, nil
 }
 
-// scoreCandidate produces the SchemaMatch for one candidate: external
-// cache, composed (reused) mapping with partial-engine fallback, or a
-// full engine run — in that order of preference.
-func (p *Pipeline) scoreCandidate(eng *core.Engine, q *schema.Schema, qprof *core.CompiledProfile, qfp string, c candidate, cfg Config, rctx *reuseContext, coll *collector) *SchemaMatch {
-	m := &SchemaMatch{Schema: c.entry.Schema.Name, BlockScore: c.bm25}
-	key := CacheKey{
+// cacheKey is the external-cache key of one candidate's outcome.
+func cacheKey(qfp string, c candidate, cfg Config) CacheKey {
+	return CacheKey{
 		FingerprintA: qfp,
 		FingerprintB: c.entry.Fingerprint,
 		Preset:       cfg.Preset,
 		Threshold:    cfg.Threshold,
 	}
+}
+
+// scoreCandidate produces the SchemaMatch for one candidate: external
+// cache, composed (reused) mapping with partial-engine fallback, or a
+// full engine run — in that order of preference. computed reports that
+// the outcome did not come from the cache, so it is worth publishing.
+func (p *Pipeline) scoreCandidate(eng *core.Engine, q *schema.Schema, qprof *core.CompiledProfile, qfp string, c candidate, cfg Config, rctx *reuseContext, coll *collector) (m *SchemaMatch, computed bool) {
+	m = &SchemaMatch{Schema: c.entry.Schema.Name, BlockScore: c.bm25}
 	if p.cache != nil && cfg.Preset != "" {
-		if pairs, hub, ok := p.cache.Lookup(key); ok {
+		if pairs, hub, ok := p.cache.Lookup(cacheKey(qfp, c, cfg)); ok {
 			m.Pairs = pairs
 			m.Score = aggregateScore(pairs, q, c.entry.Schema)
 			m.Cached = true
 			m.Hub = hub
 			m.Reused = hub != ""
 			coll.count(func(st *Stats) { st.CacheHits++ })
-			return m
+			return m, false
 		}
 	}
 
@@ -122,8 +139,7 @@ func (p *Pipeline) scoreCandidate(eng *core.Engine, q *schema.Schema, qprof *cor
 			sortPairs(m.Pairs)
 			m.Score = aggregateScore(m.Pairs, q, c.entry.Schema)
 			coll.count(func(st *Stats) { st.Reused++ })
-			p.publish(key, q.Name, m, cfg)
-			return m
+			return m, true
 		}
 	}
 
@@ -132,15 +148,35 @@ func (p *Pipeline) scoreCandidate(eng *core.Engine, q *schema.Schema, qprof *cor
 	res.Release()
 	m.Score = aggregateScore(m.Pairs, q, c.entry.Schema)
 	coll.count(func(st *Stats) { st.EngineRuns++ })
-	p.publish(key, q.Name, m, cfg)
-	return m
+	return m, true
 }
 
-// publish stores a freshly computed outcome in the external cache.
-func (p *Pipeline) publish(key CacheKey, queryName string, m *SchemaMatch, cfg Config) {
-	if p.cache != nil && cfg.Preset != "" {
-		p.cache.Store(key, queryName, m)
+// maxPublishers bounds publish's concurrent Store calls. It exceeds the
+// default candidate budget, so a query at the defaults publishes every
+// outcome at once; only larger candidate sets (exhaustive queries score
+// the whole corpus) queue behind it.
+const maxPublishers = 64
+
+// publish stores a query's freshly computed outcomes (the non-nil slots
+// of fresh, parallel to cands) in the external cache, one goroutine per
+// outcome, and returns when every Store has returned. Concurrent stores
+// are what let a group-committing journal under the cache merge the
+// query's artifact writes into shared fsyncs.
+func (p *Pipeline) publish(queryName, qfp string, cands []candidate, fresh []*SchemaMatch, cfg Config) {
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, maxPublishers)
+	for i, m := range fresh {
+		if m == nil {
+			continue
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(key CacheKey) {
+			defer func() { <-sem; wg.Done() }()
+			p.cache.Store(key, queryName, m)
+		}(cacheKey(qfp, cands[i], cfg))
 	}
+	wg.Wait()
 }
 
 // matchRemainder engine-scores only the query elements a composed mapping

@@ -112,7 +112,8 @@ func (r *Registry) SetJournal(j Journal) {
 // emitLocked hands ops to the journal; callers hold the write lock and
 // call the returned wait (when non-nil) AFTER releasing it. During a
 // batch the ops are buffered instead and committed as part of the batch's
-// single record. An async journal establishes log position under the lock
+// single record, and the wait is nil (see Batch for what that means for
+// a mutator on another goroutine). An async journal establishes log position under the lock
 // and defers the durability wait to outside it; a plain journal commits
 // synchronously here. The wait's error is surfaced by the mutator: the
 // in-memory mutation has already happened, but the caller must not be
@@ -140,8 +141,10 @@ func (r *Registry) emitLocked(ops ...Op) (wait func() error) {
 // migration of all its artifacts either all survive a crash or none do.
 // Batches serialize against each other; ops emitted by other goroutines
 // while a batch is open ride along in its record, which keeps the log in
-// exact memory-mutation order (their durability acknowledgment is
-// deferred to the batch commit — the tradeoff for replay fidelity).
+// exact memory-mutation order. Their acknowledgment is NOT deferred:
+// emitLocked hands such a mutator a nil wait, so it returns success
+// before its op has reached the journal at all, and a crash before the
+// batch commits loses a mutation its caller was told is durable.
 // Whatever fn did in memory is always committed — even when fn errors or
 // panics — so the log never diverges from the in-memory state; fn's
 // error (or the commit's) is returned. With no journal attached Batch is
@@ -255,7 +258,7 @@ func (r *Registry) applyLocked(op *Op) error {
 			return fmt.Errorf("registry replay: artifact %q already stored", op.Artifact.ID)
 		}
 		stored := *op.Artifact
-		r.matches[stored.ID] = &stored
+		r.putMatchLocked(&stored)
 		var n int
 		if _, err := fmt.Sscanf(stored.ID, "match-%d", &n); err == nil && n > r.nextID {
 			r.nextID = n
@@ -270,7 +273,7 @@ func (r *Registry) applyLocked(op *Op) error {
 			return fmt.Errorf("registry replay: no artifact %q to update", op.Artifact.ID)
 		}
 		stored := *op.Artifact
-		r.matches[stored.ID] = &stored
+		r.putMatchLocked(&stored)
 		return nil
 	}
 	return fmt.Errorf("registry replay: unknown op kind %q", op.Kind)

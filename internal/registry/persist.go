@@ -218,10 +218,10 @@ func DecodeSnapshot(data []byte) (*Registry, error) {
 	}
 	for i := range p.Matches {
 		pa := p.Matches[i]
-		r.matches[pa.ID] = &MatchArtifact{
+		r.putMatchLocked(&MatchArtifact{
 			ID: pa.ID, SchemaA: pa.SchemaA, SchemaB: pa.SchemaB,
 			Context: pa.Context, Provenance: pa.Provenance, Pairs: pa.Pairs,
-		}
+		})
 	}
 	r.nextID = p.NextID
 	r.mu.Unlock()
@@ -254,6 +254,7 @@ func (r *Registry) ResetTo(data []byte) error {
 	r.entries = fresh.entries
 	r.history = fresh.history
 	r.matches = fresh.matches
+	r.involving = fresh.involving
 	r.nextID = fresh.nextID
 	return nil
 }

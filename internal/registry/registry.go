@@ -139,9 +139,14 @@ type Registry struct {
 	// current version lives in entries only.
 	history map[string][]*Entry
 	matches map[string]*MatchArtifact
-	index   *search.Index
-	nextID  int
-	now     func() time.Time
+	// involving indexes matches by the schema names on their sides, so
+	// per-schema lookups (dedup, reuse setup, schema removal) touch only
+	// that schema's artifacts, however many are stored. putMatchLocked
+	// and dropMatchLocked keep it in step with matches.
+	involving map[string]map[string]*MatchArtifact
+	index     *search.Index
+	nextID    int
+	now       func() time.Time
 
 	// journal receives every mutation as a typed op (nil = in-memory
 	// only); batchMu serializes Batch calls, whose ops accumulate in
@@ -155,12 +160,57 @@ type Registry struct {
 // New returns an empty registry.
 func New() *Registry {
 	return &Registry{
-		entries: make(map[string]*Entry),
-		history: make(map[string][]*Entry),
-		matches: make(map[string]*MatchArtifact),
-		index:   search.NewIndex(),
-		now:     time.Now,
+		entries:   make(map[string]*Entry),
+		history:   make(map[string][]*Entry),
+		matches:   make(map[string]*MatchArtifact),
+		involving: make(map[string]map[string]*MatchArtifact),
+		index:     search.NewIndex(),
+		now:       time.Now,
 	}
+}
+
+// putMatchLocked stores an artifact, replacing any stored under the same
+// ID, and indexes it under both sides; callers hold the write lock.
+func (r *Registry) putMatchLocked(ma *MatchArtifact) {
+	if old, ok := r.matches[ma.ID]; ok {
+		r.dropMatchLocked(old)
+	}
+	r.matches[ma.ID] = ma
+	for _, name := range [2]string{ma.SchemaA, ma.SchemaB} {
+		set := r.involving[name]
+		if set == nil {
+			set = make(map[string]*MatchArtifact)
+			r.involving[name] = set
+		}
+		set[ma.ID] = ma
+	}
+}
+
+// dropMatchLocked deletes an artifact and its index entries; callers
+// hold the write lock.
+func (r *Registry) dropMatchLocked(ma *MatchArtifact) {
+	delete(r.matches, ma.ID)
+	for _, name := range [2]string{ma.SchemaA, ma.SchemaB} {
+		if set := r.involving[name]; set != nil {
+			delete(set, ma.ID)
+			if len(set) == 0 {
+				delete(r.involving, name)
+			}
+		}
+	}
+}
+
+// sortedByID returns a set's artifacts sorted by ID, keeping only those
+// keep accepts.
+func sortedByID(set map[string]*MatchArtifact, keep func(*MatchArtifact) bool) []*MatchArtifact {
+	var out []*MatchArtifact
+	for _, ma := range set {
+		if keep(ma) {
+			out = append(out, ma)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // preparedContent is the expensive, lock-free part of registering one
@@ -565,12 +615,10 @@ func (r *Registry) removeSchemaLocked(name string) int {
 	delete(r.entries, name)
 	delete(r.history, name)
 	r.index.Remove(name)
-	removed := 0
-	for id, ma := range r.matches {
-		if ma.SchemaA == name || ma.SchemaB == name {
-			delete(r.matches, id)
-			removed++
-		}
+	set := r.involving[name]
+	removed := len(set)
+	for _, ma := range set {
+		r.dropMatchLocked(ma)
 	}
 	return removed
 }
@@ -640,7 +688,7 @@ func (r *Registry) AddMatch(ma MatchArtifact) (string, error) {
 	r.nextID++
 	ma.ID = fmt.Sprintf("match-%06d", r.nextID)
 	stored := ma
-	r.matches[stored.ID] = &stored
+	r.putMatchLocked(&stored)
 	wait := r.emitLocked(Op{Kind: OpMatchAdd, Artifact: &stored})
 	r.mu.Unlock()
 	if wait != nil {
@@ -663,7 +711,7 @@ func (r *Registry) UpdateMatch(id string, ma MatchArtifact) error {
 	}
 	ma.ID = id
 	stored := ma
-	r.matches[id] = &stored
+	r.putMatchLocked(&stored)
 	wait := r.emitLocked(Op{Kind: OpMatchUpdate, Artifact: &stored})
 	r.mu.Unlock()
 	if wait != nil {
@@ -751,14 +799,7 @@ func (r *Registry) MatchesByTool(tool string) []*MatchArtifact {
 func (r *Registry) MatchesInvolving(name string) []*MatchArtifact {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []*MatchArtifact
-	for _, ma := range r.matches {
-		if ma.SchemaA == name || ma.SchemaB == name {
-			out = append(out, ma)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return sortedByID(r.involving[name], func(*MatchArtifact) bool { return true })
 }
 
 // IndexStats returns the search index occupancy (live and dead documents,
@@ -768,18 +809,17 @@ func (r *Registry) IndexStats() search.Stats {
 }
 
 // MatchesBetween returns the artifacts linking two schemata (either
-// orientation), sorted by ID.
+// orientation), sorted by ID. It walks only the smaller side's artifacts.
 func (r *Registry) MatchesBetween(a, b string) []*MatchArtifact {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []*MatchArtifact
-	for _, ma := range r.matches {
-		if (ma.SchemaA == a && ma.SchemaB == b) || (ma.SchemaA == b && ma.SchemaB == a) {
-			out = append(out, ma)
-		}
+	set := r.involving[a]
+	if other := r.involving[b]; len(other) < len(set) {
+		set = other
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return sortedByID(set, func(ma *MatchArtifact) bool {
+		return (ma.SchemaA == a && ma.SchemaB == b) || (ma.SchemaA == b && ma.SchemaB == a)
+	})
 }
 
 // contextRank orders contexts by the precision they demand.
