@@ -37,7 +37,7 @@ func runE11(cfg config) {
 	ctx := context.Background()
 
 	var blockedTime, exhaustTime time.Duration
-	var engineRuns, earlyExits int
+	var engineRuns int
 	agree, total := 0, 0
 	for qi := 0; qi < queries; qi++ {
 		q := schemas[(qi*len(schemas))/queries]
@@ -50,7 +50,6 @@ func runE11(cfg config) {
 			return
 		}
 		engineRuns += blocked.Stats.EngineRuns
-		earlyExits += blocked.Stats.EarlyExits
 
 		start = time.Now()
 		exhaustive, err := p.TopK(ctx, eng, q, corpus.Config{TopK: k, Exhaustive: true})
@@ -75,8 +74,8 @@ func runE11(cfg config) {
 		len(schemas), queries, k)
 	fmt.Printf("%-28s %12s %14s\n", "mode", "wall-clock", "engine runs")
 	fmt.Printf("%-28s %12v %14d\n", "exhaustive", exhaustTime.Round(time.Millisecond), queries*(len(schemas)-1))
-	fmt.Printf("%-28s %12v %14d  (%d early exits)\n", "blocked (budget 20)",
-		blockedTime.Round(time.Millisecond), engineRuns, earlyExits)
+	fmt.Printf("%-28s %12v %14d\n", "blocked (budget 20)",
+		blockedTime.Round(time.Millisecond), engineRuns)
 	fmt.Printf("speedup: %.1fx   top-%d recall vs exhaustive: %.2f\n",
 		float64(exhaustTime)/float64(blockedTime), k, float64(agree)/float64(total))
 	fmt.Println("\nexpected shape: >= 5x speedup at recall >= 0.9 — blocking prunes the")

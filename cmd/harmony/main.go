@@ -216,8 +216,8 @@ func runCorpus(args []string) {
 	exitOn(err)
 
 	st := res.Stats
-	fmt.Printf("%s (%d elements) vs %d schemata: %d candidates, %d engine runs, %d early exits (block %dms, score %dms)\n\n",
-		q.Name, q.Len(), st.CorpusSize, st.Candidates, st.EngineRuns, st.EarlyExits, st.BlockMillis, st.ScoreMillis)
+	fmt.Printf("%s (%d elements) vs %d schemata: %d candidates, %d engine runs (block %dms, score %dms)\n\n",
+		q.Name, q.Len(), st.CorpusSize, st.Candidates, st.EngineRuns, st.BlockMillis, st.ScoreMillis)
 	for rank, match := range res.Matches {
 		tag := ""
 		if match.Reused {

@@ -442,7 +442,7 @@ type (
 	// CorpusPipeline answers top-k corpus queries over one registry.
 	CorpusPipeline = corpus.Pipeline
 	// CorpusConfig tunes one corpus query (candidate budget, k,
-	// threshold, early-exit slack, reuse coverage).
+	// threshold, overlap floor, reuse coverage).
 	CorpusConfig = corpus.Config
 	// CorpusResult is the product of one corpus query: ranked matches
 	// plus pipeline execution stats.
@@ -451,8 +451,8 @@ type (
 	CorpusMatch = corpus.SchemaMatch
 	// CorpusPair is one element-level correspondence of a corpus hit.
 	CorpusPair = corpus.Pair
-	// CorpusQueryStats counts what one corpus query did (engine runs,
-	// early exits, reused mappings, cache hits).
+	// CorpusQueryStats counts what one corpus query did (candidates,
+	// engine runs, reused mappings, cache hits).
 	CorpusQueryStats = corpus.Stats
 )
 

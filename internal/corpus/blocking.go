@@ -13,11 +13,8 @@ type candidate struct {
 	// bm25 is the blocking index's relevance score (0 when the candidate
 	// entered exhaustively rather than through the index).
 	bm25 float64
-	// overlap is the token-overlap coefficient with the query profile.
+	// overlap is the token-overlap coefficient with the query.
 	overlap float64
-	// bound is the cheap upper bound on the candidate's aggregate match
-	// score, used for early exit in the scoring stage.
-	bound float64
 }
 
 // CandidateInfo is the exported view of one blocking-stage survivor: the
@@ -29,8 +26,6 @@ type CandidateInfo struct {
 	BM25 float64 `json:"bm25"`
 	// Overlap is the token-overlap coefficient with the query.
 	Overlap float64 `json:"overlap"`
-	// Bound is the derived upper bound used for early exit.
-	Bound float64 `json:"bound"`
 }
 
 // Candidates runs only the blocking stage and returns the candidate set
@@ -48,7 +43,6 @@ func (p *Pipeline) Candidates(q *schema.Schema, cfg Config) ([]CandidateInfo, St
 			Schema:  c.entry.Schema.Name,
 			BM25:    c.bm25,
 			Overlap: c.overlap,
-			Bound:   c.bound,
 		})
 	}
 	return out, st, nil
@@ -61,14 +55,14 @@ func (p *Pipeline) Candidates(q *schema.Schema, cfg Config) ([]CandidateInfo, St
 const blockOverscan = 4
 
 // block generates the candidate set for a query: BM25 retrieval over the
-// registry index, a token-overlap prefilter, and budget truncation. In
-// exhaustive mode every registered schema (minus the query itself) is a
-// candidate with a vacuous bound.
+// registry index, a token-overlap prefilter on the overlap the index
+// reports per hit, and budget truncation. Candidates come back in BM25
+// order. In exhaustive mode every registered schema (minus the query
+// itself) is a candidate.
 func (p *Pipeline) block(q *schema.Schema, qfp string, cfg Config, st *Stats) []candidate {
 	start := time.Now()
 	defer func() { st.BlockMillis = time.Since(start).Milliseconds() }()
 
-	qprof := p.profile(qfp, q)
 	var cands []candidate
 	if cfg.Exhaustive {
 		for _, e := range p.reg.Schemas() {
@@ -79,7 +73,7 @@ func (p *Pipeline) block(q *schema.Schema, qfp string, cfg Config, st *Stats) []
 				continue
 			}
 			st.CorpusSize++
-			cands = append(cands, candidate{entry: e, bound: 1})
+			cands = append(cands, candidate{entry: e})
 		}
 		st.Candidates = len(cands)
 		return cands
@@ -114,19 +108,14 @@ func (p *Pipeline) block(q *schema.Schema, qfp string, cfg Config, st *Stats) []
 			// Another shard's work, not a pruned candidate.
 			continue
 		}
-		ov := overlapCoefficient(qprof, p.profile(e.Fingerprint, e.Schema))
-		if ov < cfg.MinOverlap {
+		if h.Overlap < cfg.MinOverlap {
 			st.Pruned++
 			continue
 		}
-		bound := ov * cfg.BoundSlack
-		if bound > 1 {
-			bound = 1
-		}
-		cands = append(cands, candidate{entry: e, bm25: h.Score, overlap: ov, bound: bound})
+		cands = append(cands, candidate{entry: e, bm25: h.Score, overlap: h.Overlap})
 	}
 	// The index already returns hits by BM25 rank; enforce the budget on
-	// that order (relevance), not on the overlap order (the bound).
+	// that order (relevance).
 	if len(cands) > cfg.Candidates {
 		st.Pruned += len(cands) - cfg.Candidates
 		cands = cands[:cfg.Candidates]

@@ -9,13 +9,11 @@
 //
 //  1. Blocking: candidate generation over the registry's BM25 index plus
 //     a token-overlap prefilter, pruning the corpus to a bounded candidate
-//     set (Config.Candidates).
+//     set (Config.Candidates). The index reports each hit's overlap from
+//     the token profile it already holds for the schema.
 //  2. Sharded scoring: a worker pool partitions the candidates into
-//     shards, runs the match engine per surviving candidate with bounded
-//     concurrency, and maintains a streaming top-k min-heap. Before each
-//     engine run a cheap upper bound (derived from the token-overlap
-//     coefficient) is compared against the current k-th score; candidates
-//     that cannot make the heap are skipped.
+//     shards, runs the match engine per candidate with bounded
+//     concurrency, and maintains a streaming top-k min-heap.
 //  3. Mapping reuse: when stored match artifacts connect the query to a
 //     candidate through a hub schema (A→H and H→B), the pipeline composes
 //     them transitively (score multiplication, hub provenance) and runs
@@ -23,8 +21,7 @@
 //     not cover — Smith et al.'s "reuse of previously validated mappings"
 //     as an executable fast path.
 //
-// The pipeline is safe for concurrent use; token profiles of registered
-// schemata are memoized by content fingerprint.
+// The pipeline is safe for concurrent use.
 package corpus
 
 import (
@@ -36,7 +33,6 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/registry"
 	"harmony/internal/schema"
-	"harmony/internal/text"
 )
 
 // Config tunes one corpus query. The zero value means "server defaults"
@@ -64,13 +60,6 @@ type Config struct {
 	BlockBudget int
 	// Workers bounds the scoring worker pool (default GOMAXPROCS).
 	Workers int
-	// BoundSlack scales the token-overlap coefficient into the cheap
-	// upper bound used for per-candidate early exit. The engine's voters
-	// see evidence beyond shared name tokens (types, structure,
-	// documentation), so the overlap alone is not admissible; the slack
-	// restores headroom. 0 picks the calibrated default (1.6); values
-	// below 1 make pruning aggressive and may cost recall.
-	BoundSlack float64
 	// MinReuseCoverage is the fraction of the query's hub-mapped
 	// elements (the elements a validated query↔hub artifact covers) that
 	// must survive composition before the composed mapping is used;
@@ -99,9 +88,9 @@ type Config struct {
 	// replica when one fails. Zero means unsharded.
 	Shard  int
 	Shards int
-	// Exhaustive disables blocking, the prefilter and early exit: every
-	// registered schema is engine-scored. This is the ground-truth mode
-	// the blocked pipeline is evaluated against.
+	// Exhaustive disables blocking and the prefilter: every registered
+	// schema is engine-scored. This is the ground-truth mode the blocked
+	// pipeline is evaluated against.
 	Exhaustive bool
 	// NoReuse disables the mapping-reuse stage (stage 3).
 	NoReuse bool
@@ -122,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BoundSlack <= 0 {
-		c.BoundSlack = 1.6
 	}
 	if c.MinReuseCoverage <= 0 {
 		c.MinReuseCoverage = 0.5
@@ -193,8 +179,7 @@ type Stats struct {
 	Pruned int `json:"pruned"`
 	// EngineRuns counts full or partial match-engine executions.
 	EngineRuns int `json:"engineRuns"`
-	// EarlyExits counts candidates skipped because their upper bound
-	// could not beat the current k-th score.
+	// EarlyExits is always 0; removed with the next benchmark refresh.
 	EarlyExits int `json:"earlyExits"`
 	// Reused counts candidates served through composed mappings.
 	Reused int `json:"reused"`
@@ -255,9 +240,6 @@ type Pipeline struct {
 	reg   *registry.Registry
 	cache Cache
 
-	mu       sync.Mutex
-	profiles map[string]*tokenProfile // fingerprint -> counted token profile
-
 	// fallbackProfiles backs engineWithProfiles for engines that arrive
 	// without a compiled-profile cache; built lazily on first use.
 	fallbackOnce     sync.Once
@@ -280,148 +262,9 @@ func (p *Pipeline) engineWithProfiles(eng *core.Engine) *core.Engine {
 	return eng.WithOptions(core.WithProfileCache(p.fallbackProfiles))
 }
 
-// tokenProfile is a schema's counted token profile: occurrence counts per
-// normalized token (so element-level subtraction is exact) plus the sorted
-// unique token list the blocking prefilter consumes.
-type tokenProfile struct {
-	counts map[string]int
-	sorted []string
-}
-
-// resort rebuilds the sorted unique list from the counts.
-func (tp *tokenProfile) resort() {
-	tp.sorted = make([]string, 0, len(tp.counts))
-	for t := range tp.counts {
-		tp.sorted = append(tp.sorted, t)
-	}
-	sort.Strings(tp.sorted)
-}
-
-// maxProfiles bounds the fingerprint-keyed profile memo. Fingerprints of
-// replaced schema versions never come back, so a long-running daemon that
-// churns schemata would otherwise grow the memo without bound; on
-// overflow the memo is simply dropped and rebuilt from live traffic.
-const maxProfiles = 8192
-
 // NewPipeline builds a pipeline over the registry. cache may be nil.
 func NewPipeline(reg *registry.Registry, cache Cache) *Pipeline {
-	return &Pipeline{
-		reg:      reg,
-		cache:    cache,
-		profiles: make(map[string]*tokenProfile),
-	}
-}
-
-// profile returns the sorted unique normalized token profile for a schema,
-// memoized by content fingerprint.
-func (p *Pipeline) profile(fingerprint string, s *schema.Schema) []string {
-	p.mu.Lock()
-	if tp, ok := p.profiles[fingerprint]; ok {
-		p.mu.Unlock()
-		return tp.sorted
-	}
-	p.mu.Unlock()
-	tp := profileTokens(s)
-	p.mu.Lock()
-	if len(p.profiles) >= maxProfiles {
-		p.profiles = make(map[string]*tokenProfile)
-	}
-	p.profiles[fingerprint] = tp
-	p.mu.Unlock()
-	return tp.sorted
-}
-
-// EvolveProfile migrates the memoized token profile across a schema
-// version bump by re-tokenizing only the changed elements: tokens of
-// removed (old-version) elements are subtracted from the counts, tokens of
-// added (new-version) elements are added, and the result is memoized under
-// the new fingerprint — the corpus layer's "re-block only what changed".
-// Renamed elements appear on both lists (old element out, new element in);
-// moved and retyped elements carry the same tokens and need not appear at
-// all. When the old profile was never memoized there is nothing to migrate
-// and the new version's profile is built lazily on first use; EvolveProfile
-// reports whether an incremental migration actually happened.
-func (p *Pipeline) EvolveProfile(oldFp, newFp string, removed, added []*schema.Element) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old, ok := p.profiles[oldFp]
-	delete(p.profiles, oldFp) // the old version no longer takes queries
-	if !ok || oldFp == newFp {
-		return false
-	}
-	counts := make(map[string]int, len(old.counts))
-	for t, n := range old.counts {
-		counts[t] = n
-	}
-	for _, e := range removed {
-		for _, t := range elementTokens(e) {
-			if counts[t] <= 1 {
-				delete(counts, t)
-			} else {
-				counts[t]--
-			}
-		}
-	}
-	for _, e := range added {
-		for _, t := range elementTokens(e) {
-			counts[t]++
-		}
-	}
-	tp := &tokenProfile{counts: counts}
-	tp.resort()
-	if len(p.profiles) >= maxProfiles {
-		p.profiles = make(map[string]*tokenProfile)
-	}
-	p.profiles[newFp] = tp
-	return true
-}
-
-// elementTokens returns one element's normalized name and documentation
-// tokens.
-func elementTokens(e *schema.Element) []string {
-	toks := text.NormalizeName(e.Name)
-	if e.Doc != "" {
-		toks = append(toks, text.NormalizeDoc(e.Doc)...)
-	}
-	return toks
-}
-
-// profileTokens computes the counted token profile of a schema.
-func profileTokens(s *schema.Schema) *tokenProfile {
-	tp := &tokenProfile{counts: make(map[string]int)}
-	for _, e := range s.Elements() {
-		for _, t := range elementTokens(e) {
-			tp.counts[t]++
-		}
-	}
-	tp.resort()
-	return tp
-}
-
-// overlapCoefficient computes |a ∩ b| / min(|a|, |b|) over two sorted
-// unique token slices.
-func overlapCoefficient(a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	return float64(inter) / float64(n)
+	return &Pipeline{reg: reg, cache: cache}
 }
 
 // sortMatches orders matches best-first with deterministic tie-breaking.

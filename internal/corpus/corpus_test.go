@@ -130,8 +130,8 @@ func TestBlockedBeatsExhaustive(t *testing.T) {
 	var blockedRuns, exhaustiveRuns int
 	agree, total := 0, 0
 	for _, q := range queries {
-		// Fresh pipelines per mode so profile memoization cannot subsidize
-		// either side.
+		// Fresh pipelines per mode so compiled-profile caching cannot
+		// subsidize either side.
 		pBlocked := NewPipeline(reg, nil)
 		start := time.Now()
 		blocked, err := pBlocked.TopK(context.Background(), eng, q, Config{
@@ -187,14 +187,15 @@ func TestBlockedBeatsExhaustive(t *testing.T) {
 	}
 }
 
-func TestEarlyExitPreservesTopHit(t *testing.T) {
+// TestBlockedTopHitMatchesExhaustive: with a tight k against a wide
+// candidate set, the blocked pipeline's top hit is the exhaustive one,
+// and every candidate that survived blocking is engine-scored.
+func TestBlockedTopHitMatchesExhaustive(t *testing.T) {
 	schemas, _, _ := synth.Collection(7, 4, 6)
 	reg := buildRegistry(t, schemas)
 	eng := core.PresetCOMA()
 	p := NewPipeline(reg, nil)
 
-	// A tight k against a wide candidate set makes the k-th score climb
-	// quickly, so low-bound candidates get skipped.
 	res, err := p.TopK(context.Background(), eng, schemas[0], Config{
 		Candidates: 20, TopK: 1,
 	})
@@ -213,9 +214,8 @@ func TestEarlyExitPreservesTopHit(t *testing.T) {
 	if res.Matches[0].Schema != ex.Matches[0].Schema {
 		t.Errorf("blocked top hit %q != exhaustive %q", res.Matches[0].Schema, ex.Matches[0].Schema)
 	}
-	if res.Stats.EarlyExits+res.Stats.EngineRuns != res.Stats.Candidates {
-		t.Errorf("accounting broken: exits=%d runs=%d candidates=%d",
-			res.Stats.EarlyExits, res.Stats.EngineRuns, res.Stats.Candidates)
+	if res.Stats.EngineRuns != res.Stats.Candidates {
+		t.Errorf("accounting broken: runs=%d candidates=%d", res.Stats.EngineRuns, res.Stats.Candidates)
 	}
 }
 
@@ -297,9 +297,7 @@ func TestExternalCacheRoundTrip(t *testing.T) {
 	cache := newMemCache()
 	p := NewPipeline(reg, cache)
 	eng := core.PresetCOMA()
-	// One worker makes the scoring order — and so the early-exit
-	// decisions — identical across the two runs.
-	cfg := Config{Candidates: 6, TopK: 3, Preset: "coma", Workers: 1}
+	cfg := Config{Candidates: 6, TopK: 3, Preset: "coma"}
 
 	first, err := p.TopK(context.Background(), eng, schemas[0], cfg)
 	if err != nil {
@@ -340,7 +338,7 @@ func TestExternalCacheRoundTrip(t *testing.T) {
 	}
 	// A different preset is a different key space.
 	if _, err := p.TopK(context.Background(), eng, schemas[0], Config{
-		Candidates: 6, TopK: 3, Preset: "other", Workers: 1,
+		Candidates: 6, TopK: 3, Preset: "other",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -349,71 +347,41 @@ func TestExternalCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOverlapCoefficient pins the overlap blocking reads from the search
+// index: |Q∩D| / min(|Q|,|D|) over unique name and doc tokens, where |Q|
+// counts query tokens no registered schema has ever used.
 func TestOverlapCoefficient(t *testing.T) {
-	cases := []struct {
-		a, b []string
-		want float64
-	}{
-		{[]string{"a", "b", "c"}, []string{"a", "b", "c"}, 1},
-		{[]string{"a", "b", "c", "d"}, []string{"c", "d"}, 1},
-		{[]string{"a", "b"}, []string{"c", "d"}, 0},
-		{[]string{"a", "b", "c", "d"}, []string{"b", "d", "e", "f"}, 0.5},
-		{nil, []string{"a"}, 0},
-	}
-	for _, c := range cases {
-		if got := overlapCoefficient(c.a, c.b); got != c.want {
-			t.Errorf("overlap(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+	build := func(name, root string, cols ...string) *schema.Schema {
+		s := schema.New(name, schema.FormatRelational)
+		tbl := s.AddRoot(root, schema.KindTable)
+		for _, c := range cols {
+			s.AddElement(tbl, c, schema.KindColumn, schema.TypeString)
 		}
+		return s
 	}
-}
-
-func TestEvolveProfileMatchesFromScratch(t *testing.T) {
-	old := schema.New("Evo", schema.FormatRelational)
-	tbl := old.AddRoot("EVENT", schema.KindTable)
-	tbl.Doc = "operational event"
-	old.AddElement(tbl, "EVENT_ID", schema.KindColumn, schema.TypeIdentifier)
-	old.AddElement(tbl, "EVENT_DATE", schema.KindColumn, schema.TypeDate)
-	old.AddElement(tbl, "REMARKS", schema.KindColumn, schema.TypeText).Doc = "free text remarks"
-	old.AddElement(tbl, "STATUS_CODE", schema.KindColumn, schema.TypeString)
-
-	new := schema.New("Evo", schema.FormatRelational)
-	tbl2 := new.AddRoot("EVENT", schema.KindTable)
-	tbl2.Doc = "operational event"
-	new.AddElement(tbl2, "EVENT_ID", schema.KindColumn, schema.TypeIdentifier)
-	new.AddElement(tbl2, "EVENT_DT", schema.KindColumn, schema.TypeDate) // renamed
-	new.AddElement(tbl2, "STATUS_CODE", schema.KindColumn, schema.TypeString)
-	new.AddElement(tbl2, "PRIORITY_LEVEL", schema.KindColumn, schema.TypeInteger) // added
-	// REMARKS removed — but "event" tokens survive through other elements
-
-	p := NewPipeline(registry.New(), nil)
-	oldFp, newFp := old.Fingerprint(), new.Fingerprint()
-	p.profile(oldFp, old) // memoize the old version
-
-	removed := []*schema.Element{old.ByPath("EVENT/EVENT_DATE"), old.ByPath("EVENT/REMARKS")}
-	added := []*schema.Element{new.ByPath("EVENT/EVENT_DT"), new.ByPath("EVENT/PRIORITY_LEVEL")}
-	if !p.EvolveProfile(oldFp, newFp, removed, added) {
-		t.Fatal("EvolveProfile reported no migration despite a memoized profile")
+	// Q = {order, total, ship, date, part, zqxvwj}; zqxvwj is in no
+	// registered schema.
+	q := build("q", "order", "total", "ship_date", "part", "zqxvwj")
+	reg := buildRegistry(t, []*schema.Schema{
+		build("superset", "order", "total", "ship_date", "part", "weight", "name"), // 5 shared of 6 vs 7
+		build("half", "ship", "date", "alpha", "bravo"),                            // 2 shared of 6 vs 4
+		build("disjoint", "alpha", "bravo"),                                        // no shared token: no hit
+	})
+	cands, _, err := NewPipeline(reg, nil).Candidates(q, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := p.profile(newFp, nil) // nil schema: must come from the memo
-	want := profileTokens(new).sorted
+	got := make(map[string]float64, len(cands))
+	for _, c := range cands {
+		got[c.Schema] = c.Overlap
+	}
+	want := map[string]float64{"superset": 5.0 / 6.0, "half": 2.0 / 4.0}
 	if len(got) != len(want) {
-		t.Fatalf("incremental profile = %v, from scratch = %v", got, want)
+		t.Fatalf("candidates %v, want %v", got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("incremental profile diverges at %d: %q vs %q", i, got[i], want[i])
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("overlap(%s) = %v, want %v", name, got[name], w)
 		}
-	}
-	// The old fingerprint must be evicted.
-	p.mu.Lock()
-	_, stale := p.profiles[oldFp]
-	p.mu.Unlock()
-	if stale {
-		t.Fatal("old fingerprint profile not evicted")
-	}
-	// Without a memoized old profile, EvolveProfile is a no-op.
-	p2 := NewPipeline(registry.New(), nil)
-	if p2.EvolveProfile(oldFp, newFp, removed, added) {
-		t.Fatal("EvolveProfile migrated a profile it never had")
 	}
 }

@@ -32,18 +32,6 @@ func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema,
 	qprof := eng.Profile(q)
 
 	cands := p.block(q, qfp, cfg, &res.Stats)
-	// Descending bound order makes early exit effective: once the k-th
-	// score exceeds a candidate's bound it exceeds every later bound in
-	// the same shard, so the whole tail can be skipped.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].bound != cands[j].bound {
-			return cands[i].bound > cands[j].bound
-		}
-		if cands[i].bm25 != cands[j].bm25 {
-			return cands[i].bm25 > cands[j].bm25
-		}
-		return cands[i].entry.Schema.Name < cands[j].entry.Schema.Name
-	})
 
 	start := time.Now()
 	// The reuse context (which hubs have validated mappings from the
@@ -66,22 +54,13 @@ func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema,
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		// Round-robin sharding preserves descending bound order within
-		// each shard.
 		go func(shard int) {
 			defer wg.Done()
 			for i := shard; i < len(cands); i += workers {
 				if ctx.Err() != nil {
 					return
 				}
-				c := cands[i]
-				if !cfg.Exhaustive && !coll.canBeat(c.bound) {
-					// Everything after i in this shard has an equal or
-					// smaller bound.
-					coll.earlyExit((len(cands) - 1 - i) / workers)
-					return
-				}
-				m, computed := p.scoreCandidate(eng, q, qprof, qfp, c, cfg, rctx, coll)
+				m, computed := p.scoreCandidate(eng, q, qprof, qfp, cands[i], cfg, rctx, coll)
 				if computed && fresh != nil {
 					fresh[i] = m
 				}
@@ -285,17 +264,6 @@ type collector struct {
 	stats *Stats
 }
 
-// canBeat reports whether a candidate with the given score upper bound
-// could still enter the top k.
-func (c *collector) canBeat(bound float64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.heap) < c.k {
-		return true
-	}
-	return bound > c.heap[0].Score
-}
-
 // offer inserts a scored match, displacing the current minimum when full.
 func (c *collector) offer(m *SchemaMatch) {
 	c.mu.Lock()
@@ -308,13 +276,6 @@ func (c *collector) offer(m *SchemaMatch) {
 		c.heap[0] = m
 		heap.Fix(&c.heap, 0)
 	}
-}
-
-// earlyExit records n skipped candidates.
-func (c *collector) earlyExit(n int) {
-	c.mu.Lock()
-	c.stats.EarlyExits += n + 1
-	c.mu.Unlock()
 }
 
 // count applies a stats mutation under the collector lock.

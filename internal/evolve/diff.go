@@ -99,8 +99,7 @@ type ChangeSet struct {
 	Retyped []Change
 	// Redocumented lists paired elements whose documentation text changed
 	// in place, by new path. Documentation drift alone does not dirty a
-	// validated pair, but it does change the element's token evidence, so
-	// the corpus layer's incremental profile migration must see it.
+	// validated pair, but it does change the element's token evidence.
 	Redocumented []Change
 	// Unchanged counts paired elements that are neither renamed, moved,
 	// retyped nor re-documented (their path may still differ through an

@@ -127,7 +127,6 @@ func (rt *Router) TopK(ctx context.Context, k int, params url.Values) (*corpus.R
 		merged.Stats.Candidates += res.Stats.Candidates
 		merged.Stats.Pruned += res.Stats.Pruned
 		merged.Stats.EngineRuns += res.Stats.EngineRuns
-		merged.Stats.EarlyExits += res.Stats.EarlyExits
 		merged.Stats.Reused += res.Stats.Reused
 		merged.Stats.CacheHits += res.Stats.CacheHits
 		merged.Stats.BlockDocsScored += res.Stats.BlockDocsScored

@@ -46,6 +46,9 @@ type Result struct {
 	Fragment string
 	// Score is the BM25 relevance score (higher is better).
 	Score float64
+	// Overlap is the overlap coefficient between the query's and the
+	// hit's unique tokens, |Q∩D| / min(|Q|,|D|), in [0,1].
+	Overlap float64
 }
 
 // QueryInfo describes what one search actually did — the observability

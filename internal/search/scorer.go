@@ -46,23 +46,32 @@ type queryTerm struct {
 
 // buildQuery resolves normalized query tokens against one space: interned
 // IDs, live document frequencies, IDF and the flat-segment upper bounds.
-// Terms that appear in no live document are dropped. Caller holds the
-// index read lock.
-func (sp *space) buildQuery(tokens []string) []queryTerm {
+// Terms that appear in no live document are dropped. distinct counts the
+// query's unique tokens, dropped ones included: the |Q| of each hit's
+// overlap coefficient. Caller holds the index read lock.
+func (sp *space) buildQuery(tokens []string) (qts []queryTerm, distinct int) {
 	if sp.alive == 0 || len(tokens) == 0 {
-		return nil
+		return nil, 0
 	}
 	counts := make(map[uint32]int, len(tokens))
+	var unseen map[string]bool
 	for _, tok := range tokens {
 		if id, ok := text.LookupInterned(tok); ok {
 			counts[id]++
+			continue
 		}
-		// Tokens never interned were never indexed anywhere: drop.
+		// Tokens never interned were never indexed anywhere: they score
+		// nothing, but they are still part of the query.
+		if unseen == nil {
+			unseen = make(map[string]bool)
+		}
+		unseen[tok] = true
 	}
+	distinct = len(counts) + len(unseen)
 	if len(counts) == 0 {
-		return nil
+		return nil, distinct
 	}
-	qts := make([]queryTerm, 0, len(counts))
+	qts = make([]queryTerm, 0, len(counts))
 	for id, qtf := range counts {
 		qts = append(qts, queryTerm{id: id, qw: 1 + 0.2*float64(qtf-1)})
 	}
@@ -86,7 +95,7 @@ func (sp *space) buildQuery(tokens []string) []queryTerm {
 		}
 		out = append(out, qt)
 	}
-	return out
+	return out, distinct
 }
 
 // flatTermUB computes a term's score upper bound over the flat segment
@@ -214,21 +223,47 @@ func (t *topK) offer(score float64, h *docHandle) {
 	}
 }
 
-// results drains the heap into best-first Results. Returns nil when empty
-// (the historical API contract).
-func (t *topK) results(frag bool) []Result {
+// results drains the heap into best-first Results, each with its overlap
+// against the query (qts, distinct as buildQuery returned them). Returns
+// nil when empty (the historical API contract).
+func (t *topK) results(frag bool, qts []queryTerm, distinct int) []Result {
 	if len(t.hits) == 0 {
 		return nil
 	}
 	sort.Slice(t.hits, func(i, j int) bool { return betterHit(t.hits[i], t.hits[j]) })
 	out := make([]Result, len(t.hits))
 	for i, h := range t.hits {
-		out[i] = Result{Schema: h.h.name, Score: h.score}
+		out[i] = Result{Schema: h.h.name, Score: h.score, Overlap: overlap(qts, distinct, h.h.terms)}
 		if frag {
 			out[i].Fragment = h.h.fragment
 		}
 	}
 	return out
+}
+
+// overlap is the overlap coefficient |Q∩D| / min(|Q|,|D|) over unique
+// tokens, between a query of distinct tokens and a document's forward
+// profile. Every term of a live document has a live document frequency,
+// so the resolved query terms qts are the whole of Q that D can share.
+func overlap(qts []queryTerm, distinct int, terms []uint32) float64 {
+	n := min(distinct, len(terms))
+	if n == 0 {
+		return 0
+	}
+	inter, i, j := 0, 0, 0
+	for i < len(qts) && j < len(terms) {
+		switch {
+		case qts[i].id == terms[j]:
+			inter++
+			i++
+			j++
+		case qts[i].id < terms[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return float64(inter) / float64(n)
 }
 
 // --- tail scoring ----------------------------------------------------------
@@ -767,7 +802,7 @@ func (sp *space) scoreFlatExhaustive(qts []queryTerm, heap *topK, info *QueryInf
 // (warming the pruning threshold), then the flat segment. exhaustive
 // selects the reference scorer; k <= 0 returns every scoring document.
 func (sp *space) search(tokens []string, k int, docBudget int, exhaustive bool, info *QueryInfo) []Result {
-	qts := sp.buildQuery(tokens)
+	qts, distinct := sp.buildQuery(tokens)
 	if len(qts) == 0 {
 		return nil
 	}
@@ -785,5 +820,5 @@ func (sp *space) search(tokens []string, k int, docBudget int, exhaustive bool, 
 			sp.scoreFlat(qts, heap, docBudget, info)
 		}
 	}
-	return heap.results(sp.frag)
+	return heap.results(sp.frag, qts, distinct)
 }

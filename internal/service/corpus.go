@@ -20,12 +20,10 @@ import (
 type CorpusStats struct {
 	// Queries counts corpus top-k queries (sync endpoint + jobs).
 	Queries uint64 `json:"queries"`
-	// EngineRuns, EarlyExits, Reused and CacheHits sum the per-query
-	// pipeline stats: how many candidate scorings hit the engine, were
-	// skipped by the upper bound, were served through composed mappings,
-	// or came out of the match cache.
+	// EngineRuns, Reused and CacheHits sum the per-query pipeline stats:
+	// how many candidate scorings hit the engine, were served through
+	// composed mappings, or came out of the match cache.
 	EngineRuns uint64 `json:"engineRuns"`
-	EarlyExits uint64 `json:"earlyExits"`
 	Reused     uint64 `json:"reused"`
 	CacheHits  uint64 `json:"cacheHits"`
 }
@@ -41,7 +39,6 @@ func (c *corpusCounters) add(st corpus.Stats) {
 	defer c.mu.Unlock()
 	c.st.Queries++
 	c.st.EngineRuns += uint64(st.EngineRuns)
-	c.st.EarlyExits += uint64(st.EarlyExits)
 	c.st.Reused += uint64(st.Reused)
 	c.st.CacheHits += uint64(st.CacheHits)
 }

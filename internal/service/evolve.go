@@ -144,8 +144,9 @@ type evolveResponse struct {
 // an existing schema with mapping maintenance. The body is the schema in
 // the JSON interchange format; its name must match the path. The server
 // diffs the versions, bumps the registry chain, migrates every stored
-// artifact through the diff, evicts cached outcomes computed against the
-// old fingerprint, and migrates the corpus blocking profile incrementally.
+// artifact through the diff, and evicts cached outcomes and the compiled
+// profile computed against the old fingerprint. The registry re-indexes
+// the new version, so corpus blocking sees its tokens at once.
 //
 // The scoped re-match of dirty elements is controlled by the rematch query
 // parameter: "sync" (default) runs it on the request, "async" submits a
@@ -188,7 +189,6 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, evolveResponse{Schema: name, Changed: false, Version: cur.Version})
 		return
 	}
-	oldSchema := cur.Schema
 	rep, d, err := evolve.Upgrade(s.reg, sc, r.URL.Query().Get("steward"), s.evolveOptions(), parseTags(r)...)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -199,8 +199,6 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 	// sweep, or a re-match after the bump would score against the old
 	// version's tokens and TF-IDF statistics.
 	s.profiles.InvalidateFingerprint(rep.OldFingerprint)
-	removed, added := changedElements(d, oldSchema, sc)
-	s.corpusPipe.EvolveProfile(rep.OldFingerprint, rep.NewFingerprint, removed, added)
 	s.evolveStats.recordUpgrade(rep, invalidated)
 	// An unclaimed earlier migration (a prior PUT with its re-match
 	// deferred) folds into this diff so its dirty elements are re-matched
@@ -213,8 +211,8 @@ func (s *Server) handlePutSchema(w http.ResponseWriter, r *http.Request) {
 		Schema: name, Changed: true, Version: rep.ToVersion,
 		Report: rep, CacheInvalidated: invalidated,
 	}
-	// From here on the upgrade is committed (registry, cache, corpus
-	// profile); a re-match problem must degrade to a parked migration the
+	// From here on the upgrade is committed (registry and its search
+	// index, caches); a re-match problem must degrade to a parked migration the
 	// client can retry with a migrate job — never to an error status that
 	// makes a successful version bump look failed.
 	switch mode {
@@ -286,37 +284,6 @@ func (s *Server) runMigrateJob(ctx context.Context, name string) (any, error) {
 		return nil, err
 	}
 	return &MigrateJobResult{Schema: name, Proposals: n}, nil
-}
-
-// changedElements maps a change set onto the element lists the corpus
-// profile migration consumes: old-version elements whose tokens left, and
-// new-version elements whose tokens arrived. Renames, moves and
-// documentation edits contribute both sides (a moved element's name may
-// have changed along the way, and doc text is token evidence too —
-// subtracting and re-adding identical tokens is a cheap no-op, dropping a
-// changed element is a silently stale profile). Retypes carry no tokens.
-func changedElements(d *evolve.ChangeSet, old, new *schema.Schema) (removed, added []*schema.Element) {
-	for _, ch := range d.Removed {
-		if el := old.ByPath(ch.OldPath); el != nil {
-			removed = append(removed, el)
-		}
-	}
-	for _, chs := range [][]evolve.Change{d.Renamed, d.Moved, d.Redocumented} {
-		for _, ch := range chs {
-			if el := old.ByPath(ch.OldPath); el != nil {
-				removed = append(removed, el)
-			}
-			if el := new.ByPath(ch.NewPath); el != nil {
-				added = append(added, el)
-			}
-		}
-	}
-	for _, ch := range d.Added {
-		if el := new.ByPath(ch.NewPath); el != nil {
-			added = append(added, el)
-		}
-	}
-	return removed, added
 }
 
 // parseTags reads the tags query parameter (comma-separated).

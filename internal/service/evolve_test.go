@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"harmony/internal/evolve"
+	"harmony/internal/corpus"
 	"harmony/internal/registry"
 	"harmony/internal/schema"
 )
@@ -203,34 +203,49 @@ func TestPutSchemaAsyncMigrateJob(t *testing.T) {
 	}
 }
 
-func TestChangedElementsNoDoubleCount(t *testing.T) {
-	// An element that is renamed AND re-documented in one bump must appear
-	// exactly once per side, or the incremental corpus profile subtracts
-	// and adds its tokens twice and diverges from a from-scratch build.
-	v1 := testSchema("s", "part_number", "quantity")
+// TestUpgradeBlocksOnNewTokens: after a version-bumping PUT that renames
+// and re-documents an element, corpus blocking sees the new version's
+// tokens — the overlap it reports for the upgraded schema equals the
+// overlap over a fresh registry holding only the new version.
+func TestUpgradeBlocksOnNewTokens(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	v1 := testSchema("inv", "part_number", "quantity", "bin_location")
 	v1.ByPath("record/quantity").Doc = "count on hand"
-	v2 := testSchema("s", "part_number", "quantity_cnt")
-	v2.ByPath("record/quantity_cnt").Doc = "count currently on hand"
+	postSchema(t, ts.URL, v1)
+	postSchema(t, ts.URL, testSchema("other", "part_number", "supplier_code"))
+	q := testSchema("query", "part_number", "quantity_cnt", "shelf_count", "reorder_flag")
 
-	d := evolve.Diff(v1, v2, evolve.Options{})
-	if len(d.Renamed) != 1 {
-		t.Fatalf("expected 1 rename, got %s", d.Summary())
-	}
-	removed, added := changedElements(d, v1, v2)
-	seen := map[string]int{}
-	for _, el := range removed {
-		seen["-"+el.Path()]++
-	}
-	for _, el := range added {
-		seen["+"+el.Path()]++
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("element %s appears %d times in changed lists", k, n)
+	overlapOf := func(p *corpus.Pipeline) float64 {
+		t.Helper()
+		cands, _, err := p.Candidates(q, corpus.Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, c := range cands {
+			if c.Schema == "inv" {
+				return c.Overlap
+			}
+		}
+		t.Fatalf("inv is not a candidate: %+v", cands)
+		return 0
 	}
-	if seen["-record/quantity"] != 1 || seen["+record/quantity_cnt"] != 1 {
-		t.Fatalf("renamed+redoc element missing from lists: %v", seen)
+	before := overlapOf(srv.corpusPipe)
+
+	v2 := testSchema("inv", "part_number", "quantity_cnt", "bin_location")
+	v2.ByPath("record/quantity_cnt").Doc = "shelf count currently on hand"
+	putSchema(t, ts.URL, v2, "?rematch=none", http.StatusOK)
+	got := overlapOf(srv.corpusPipe)
+
+	fresh := registry.New()
+	if err := fresh.AddSchema(v2, ""); err != nil {
+		t.Fatal(err)
+	}
+	want := overlapOf(corpus.NewPipeline(fresh, nil))
+	if got != want {
+		t.Fatalf("upgraded schema blocked at overlap %v, a fresh registry of v2 gives %v", got, want)
+	}
+	if got == before {
+		t.Fatalf("overlap %v did not move across the upgrade", got)
 	}
 }
 

@@ -25,14 +25,14 @@ import (
 //	read lines → chunk into batches → parallel prepare (parse, stats,
 //	fingerprint, journal payload, index documents) → sequential batched
 //	admission (one registry lock acquisition and one WAL record per
-//	batch) → ack line after the batch is durable → post-stream
-//	profile-cache warm of the stream's tail.
+//	batch) → ack line after the batch is durable.
 //
 // Acks stream back as NDJSON too, one per batch, each written only after
 // the batch's journal commit returned — under fsync-per-commit an acked
 // batch has been fsynced. The index's segment-merge checks are deferred
 // to the end of the stream (registry.FlushIndex), so a 10k-schema load
-// pays one merge decision, not ten thousand.
+// pays one merge decision, not ten thousand. Compiled match profiles are
+// not built here: a streamed schema compiles on its first match.
 
 // defaultBulkBatch is the lines-per-batch chunk size when the request
 // does not set ?batch=N. One batch is one WAL record and one ack.
@@ -90,9 +90,6 @@ type bulkBatch struct {
 	lines    []bulkLine
 	prepared []*registry.PreparedSchema
 	errs     []bulkLineError
-	// admitted collects the schemas AddPrepared accepted, for post-stream
-	// profile warming.
-	admitted []*schema.Schema
 	done     chan struct{}
 }
 
@@ -231,7 +228,6 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 	var (
 		batches, lines, added, failed int
 		streamErr                     error
-		warmList                      []*schema.Schema
 	)
 	for b := range ordered {
 		<-b.done
@@ -258,7 +254,6 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		_ = rc.Flush()
-		warmList = append(warmList, b.admitted...)
 	}
 	wg.Wait()
 	if err := <-readErr; err != nil && streamErr == nil {
@@ -294,17 +289,6 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = enc.Encode(summary)
 	_ = rc.Flush()
-
-	// Profile warming runs after the stream, not during: warming is
-	// best-effort cache work, and on small machines an inline compile per
-	// schema would compete with the pipeline for cores. Only the stream's
-	// last cache-capacity schemata are warmed: earlier ones would be
-	// evicted by the stream's own tail before anything could hit them.
-	// The warmer's queue sheds load when it is full; dropped schemata
-	// compile lazily on first match.
-	for _, sc := range warmList[max(0, len(warmList)-s.cfg.ProfileCache):] {
-		s.warmer.enqueue(sc)
-	}
 }
 
 // prepareBulkBatch runs the lock-free stage on one batch: parse each
@@ -352,8 +336,6 @@ func (s *Server) admitBulkBatch(b *bulkBatch) bulkAck {
 	for i, err := range errs {
 		if err != nil {
 			ack.Errors = append(ack.Errors, bulkLineError{Line: lineOf[i], Error: err.Error()})
-		} else {
-			b.admitted = append(b.admitted, batch[i].Schema)
 		}
 	}
 	if s.st != nil {

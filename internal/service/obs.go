@@ -99,8 +99,6 @@ func (s *Server) initObs() {
 		corp(func(c CorpusStats) float64 { return float64(c.Queries) }))
 	r.CounterFunc("harmony_corpus_engine_runs_total", "Candidate scorings that hit the engine.",
 		corp(func(c CorpusStats) float64 { return float64(c.EngineRuns) }))
-	r.CounterFunc("harmony_corpus_early_exits_total", "Candidate scorings skipped by the upper bound.",
-		corp(func(c CorpusStats) float64 { return float64(c.EarlyExits) }))
 	r.CounterFunc("harmony_corpus_reused_total", "Candidates served through composed mappings.",
 		corp(func(c CorpusStats) float64 { return float64(c.Reused) }))
 	r.CounterFunc("harmony_corpus_cache_hits_total", "Candidates served from the match cache.",

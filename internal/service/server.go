@@ -89,9 +89,6 @@ type Server struct {
 	ingestStageSec     *obs.HistogramVec
 	ingestStreamSec    *obs.Histogram
 
-	// warmer compiles streamed schemas' profiles off the ingest path.
-	warmer *profileWarmer
-
 	snapStop  chan struct{}
 	snapDone  chan struct{}
 	closeOnce sync.Once
@@ -165,7 +162,6 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		start:    time.Now(),
 		logf:     logf,
 		st:       st,
-		warmer:   newProfileWarmer(profiles, cfg.IngestWorkers),
 	}
 	// The trace recorder exists before initRepl so the follower's apply
 	// loop can record replication batches from its first poll.
@@ -239,7 +235,6 @@ func (s *Server) Close() error {
 		}
 		s.replMu.Unlock()
 		s.queue.Close()
-		s.warmer.close()
 		if s.st == nil {
 			return
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"harmony/internal/schema"
@@ -71,32 +72,42 @@ func TestRestartWarmsNewestProfiles(t *testing.T) {
 	}
 }
 
-// TestBulkStreamWarmsOnlyItsTail: after a stream, the warmer compiles
-// only the last cache-capacity schemata admitted — earlier ones would be
-// evicted by the stream's own tail before anything could hit them.
-func TestBulkStreamWarmsOnlyItsTail(t *testing.T) {
-	dir := t.TempDir()
-	srv, ts := newTestServer(t, Config{StoreDir: dir, Fsync: "commit", ProfileCache: 4})
+// TestBulkStreamLeavesProfilesCold: a bulk stream compiles no match
+// profiles. The first match of two streamed schemata compiles both (two
+// misses) and returns the same correspondences, bit for bit, as the same
+// match on a server where the schemata were POSTed one at a time.
+func TestBulkStreamLeavesProfilesCold(t *testing.T) {
 	schemas := warmTestSchemas(10)
+	req := matchRequest{A: "warm9", B: "warm10"}
+
+	srv, ts := newTestServer(t, Config{StoreDir: t.TempDir(), Fsync: "commit", ProfileCache: 4})
 	if _, summary := bulkIngest(t, ts.URL, ndjsonBody(t, schemas), "batch=3"); summary.Added != 10 {
 		t.Fatalf("summary %+v", summary)
 	}
-	ts.Close()
-	// Close drains the warmer's backlog.
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w, d := srv.warmer.warmed.Load(), srv.warmer.dropped.Load(); w != 4 || d != 0 {
-		t.Fatalf("warmer warmed %d, dropped %d; want 4 and 0", w, d)
-	}
 	pc := srv.Profiles()
-	for i, s := range schemas {
-		_, resident := pc.Get(s.Fingerprint())
-		if want := i >= len(schemas)-4; resident != want {
-			t.Errorf("%s resident=%v, want %v", s.Name, resident, want)
+	for _, s := range schemas {
+		if _, resident := pc.Get(s.Fingerprint()); resident {
+			t.Errorf("%s compiled by the stream", s.Name)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "profiles")); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("bulk-ingested store has a profiles/ entry (stat err %v)", err)
+	st0 := pc.Stats()
+	var streamed matchResponse
+	do(t, "POST", ts.URL+"/v1/match", req, http.StatusOK, &streamed)
+	st1 := pc.Stats()
+	if hits, misses := st1.Hits-st0.Hits, st1.Misses-st0.Misses; hits != 0 || misses != 2 {
+		t.Fatalf("first match after the stream: %d hits, %d misses, want 0 and 2", hits, misses)
+	}
+
+	_, tsSingle := newTestServer(t, Config{ProfileCache: 4})
+	for _, s := range schemas[8:] {
+		postSchema(t, tsSingle.URL, s)
+	}
+	var single matchResponse
+	do(t, "POST", tsSingle.URL+"/v1/match", req, http.StatusOK, &single)
+	if len(streamed.Pairs) == 0 {
+		t.Fatal("match of two streamed schemata found no correspondences")
+	}
+	if !reflect.DeepEqual(streamed.Pairs, single.Pairs) || streamed.SuggestedThreshold != single.SuggestedThreshold {
+		t.Fatalf("streamed match differs from single-POST match:\n%+v\n%+v", streamed.MatchOutcome, single.MatchOutcome)
 	}
 }
