@@ -40,9 +40,6 @@
 //	                     index retrieval: the block-max search stops after
 //	                     exactly scoring N documents and reports the
 //	                     truncation in stats (default 0 = exact)
-//	-index-tail-merge N  search index tail size that triggers the background
-//	                     merge into the flat compressed segment (default 0 =
-//	                     built-in heuristic: max(512, flatDocs/8))
 //	-sparse-budget N     per-source candidate budget of sparse candidate-pair
 //	                     scoring for large matches (default 64; 0 disables
 //	                     sparse mode, every pair is scored densely)
@@ -173,8 +170,6 @@ func main() {
 	corpusTopK := flag.Int("corpus-topk", 5, "default result count of corpus queries")
 	corpusBlockBudget := flag.Int("corpus-block-budget", 0,
 		"default document-scoring budget of the blocking index retrieval (0 = exact)")
-	indexTailMerge := flag.Int("index-tail-merge", 0,
-		"search index tail size that triggers a background segment merge (0 = built-in default)")
 	sparseBudget := flag.Int("sparse-budget", service.DefaultSparseBudget,
 		"per-source candidate budget for sparse scoring of large matches (0 disables)")
 	role := flag.String("role", "", "replication role: leader, follower or empty (unreplicated)")
@@ -252,7 +247,6 @@ func main() {
 		CorpusCandidates:  *corpusCandidates,
 		CorpusTopK:        *corpusTopK,
 		CorpusBlockBudget: *corpusBlockBudget,
-		IndexTailMerge:    *indexTailMerge,
 		SparseBudget:      budget,
 		Role:              *role,
 		PeerURL:           *peer,

@@ -60,12 +60,21 @@ func (r *UpgradeReport) Summary() string {
 }
 
 // Upgrade performs a version bump with mapping maintenance: it diffs the
-// registered current version against next, registers next as the new
-// current version (registry.AddVersion — search index and fingerprint
-// update incrementally), and migrates every stored match artifact
-// referencing the schema through the diff. The scoped re-match of dirty
-// elements is separate (Rematch) because it needs an engine and a
-// threshold, and callers may want it asynchronous.
+// registered current version against next, migrates every stored match
+// artifact referencing the schema through the diff in memory, and commits
+// the bump together with the migrated artifacts through one
+// registry.AddVersionIf call (search index and fingerprint update
+// incrementally). The scoped re-match of dirty elements is separate
+// (Rematch) because it needs an engine and a threshold, and callers may
+// want it asynchronous.
+//
+// The upgrade is all-or-nothing. AddVersionIf applies only if the schema
+// still has the fingerprint the diff was computed against, and only if
+// every migrated artifact validates against next — a pre-existing
+// dangling path on an artifact's counterpart side fails it. A failed
+// upgrade leaves the registry exactly as it was; a successful one is a
+// single journal record, so after a crash either the new version with all
+// its migrated artifacts recovers, or the old state does.
 //
 // The schema must already be registered; registering a first version is
 // AddSchema's job, not an upgrade.
@@ -79,19 +88,8 @@ func Upgrade(reg *registry.Registry, next *schema.Schema, steward string, opts O
 	}
 	d := Diff(cur.Schema, next, opts)
 	artifacts := reg.MatchesInvolving(next.Name)
-
-	// Pre-flight: migrate every artifact in memory and check the result
-	// would still validate — the evolved side's paths land in next by
-	// construction, but a pre-existing dangling path on the *counterpart*
-	// side would make UpdateMatch fail mid-loop. Surfacing that before
-	// the version bump commits keeps Upgrade all-or-nothing: a failed
-	// upgrade leaves the registry exactly as it was.
-	type pendingMigration struct {
-		id       string
-		migrated *registry.MatchArtifact
-		rep      *MigrationReport
-	}
-	pending := make([]pendingMigration, 0, len(artifacts))
+	updates := make([]registry.MatchArtifact, 0, len(artifacts))
+	reports := make([]*MigrationReport, 0, len(artifacts))
 	for _, ma := range artifacts {
 		var migrated *registry.MatchArtifact
 		var mrep *MigrationReport
@@ -100,67 +98,27 @@ func Upgrade(reg *registry.Registry, next *schema.Schema, steward string, opts O
 		} else {
 			side, _ := ArtifactSide(ma, next.Name)
 			migrated, mrep = Migrate(ma, d, side)
-			counterName := ma.SchemaB
-			counterSide := func(p registry.AssertedMatch) string { return p.PathB }
-			if side == SideB {
-				counterName = ma.SchemaA
-				counterSide = func(p registry.AssertedMatch) string { return p.PathA }
-			}
-			counter, ok := reg.Schema(counterName)
-			if !ok {
-				return nil, nil, fmt.Errorf("evolve: artifact %s references unregistered schema %q", ma.ID, counterName)
-			}
-			for _, p := range migrated.Pairs {
-				if counter.Schema.ByPath(counterSide(p)) == nil {
-					return nil, nil, fmt.Errorf("evolve: artifact %s has dangling path %q in %q; repair it before upgrading %q",
-						ma.ID, counterSide(p), counterName, next.Name)
-				}
-			}
 		}
-		pending = append(pending, pendingMigration{id: ma.ID, migrated: migrated, rep: mrep})
+		updates = append(updates, *migrated)
+		reports = append(reports, mrep)
 	}
-
-	// Optimistic concurrency: the bump only lands if the schema still has
-	// the fingerprint the diff was computed against; a concurrent remove
-	// or competing upgrade turns into an error instead of migrating
-	// artifacts through a stale diff.
-	//
-	// The bump and every artifact migration commit as one registry batch:
-	// when a durable store journals the registry, the upgrade is a single
-	// atomic WAL record — after a crash, either the new version with all
-	// its migrated artifacts recovers, or the old state does. Never half.
-	var bump *registry.VersionBump
-	var rep *UpgradeReport
-	err := reg.Batch(func() error {
-		var err error
-		bump, err = reg.AddVersionIf(next, d.OldFingerprint, steward, tags...)
-		if err != nil {
-			return err
-		}
-		rep = &UpgradeReport{
-			Schema:         next.Name,
-			FromVersion:    bump.Prev.Version,
-			ToVersion:      bump.Curr.Version,
-			OldFingerprint: d.OldFingerprint,
-			NewFingerprint: d.NewFingerprint,
-			Added:          len(d.Added), Removed: len(d.Removed),
-			Renamed: len(d.Renamed), Moved: len(d.Moved),
-			Retyped: len(d.Retyped), Unchanged: d.Unchanged,
-			DirtyPaths: d.DirtyNewPaths(),
-		}
-		for _, pm := range pending {
-			if err := reg.UpdateMatch(pm.id, *pm.migrated); err != nil {
-				// Unreachable unless the registry is mutated concurrently
-				// with the upgrade (callers serialize); report rather than
-				// panic.
-				return fmt.Errorf("evolve: migrating %s: %w", pm.id, err)
-			}
-			rep.addArtifact(pm.rep)
-		}
-		return nil
-	})
+	bump, err := reg.AddVersionIf(next, d.OldFingerprint, steward, updates, tags...)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("evolve: upgrading %q: %w", next.Name, err)
+	}
+	rep := &UpgradeReport{
+		Schema:         next.Name,
+		FromVersion:    bump.Prev.Version,
+		ToVersion:      bump.Curr.Version,
+		OldFingerprint: d.OldFingerprint,
+		NewFingerprint: d.NewFingerprint,
+		Added:          len(d.Added), Removed: len(d.Removed),
+		Renamed: len(d.Renamed), Moved: len(d.Moved),
+		Retyped: len(d.Retyped), Unchanged: d.Unchanged,
+		DirtyPaths: d.DirtyNewPaths(),
+	}
+	for _, mrep := range reports {
+		rep.addArtifact(mrep)
 	}
 	return rep, d, nil
 }

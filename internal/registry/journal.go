@@ -32,9 +32,9 @@ var ErrNotJournaled = errors.New("not journaled")
 type OpKind string
 
 // Operation kinds. Schema replace is journaled as OpSchemaVersion
-// (ReplaceSchema is AddVersion without the report), and a migration apply
-// (evolve.Upgrade) is a Batch of one OpSchemaVersion plus its
-// OpMatchUpdate ops committed as a single atomic record.
+// (ReplaceSchema is AddVersion without the report), and an upgrade
+// (AddVersionIf, driven by evolve.Upgrade) is one record holding its
+// OpSchemaVersion followed by one OpMatchUpdate per migrated artifact.
 const (
 	OpSchemaAdd     OpKind = "schema-add"
 	OpSchemaVersion OpKind = "schema-version"
@@ -67,12 +67,12 @@ type Op struct {
 }
 
 // Journal receives registry mutations as they are applied. Commit is
-// called with the registry write lock held for single-op mutations (so log
-// order always equals apply order) and must persist the ops as one atomic
-// record: after a crash, either the whole batch replays or none of it
-// does. A Commit error does not roll back the in-memory mutation; the
-// journal implementation is expected to retain the error for health
-// reporting (see store.Stats.LastError).
+// called with the registry write lock held — every mutation emits its ops
+// from one critical section, so log order always equals apply order — and
+// must persist the ops as one atomic record: after a crash, either the
+// whole record replays or none of it does. A Commit error does not roll
+// back the in-memory mutation; the journal implementation is expected to
+// retain the error for health reporting (see store.Stats.LastError).
 type Journal interface {
 	Commit(ops []Op) error
 }
@@ -91,10 +91,10 @@ type AsyncJournal interface {
 	CommitAsync(ops []Op) func() error
 }
 
-// BatchLocker is optionally implemented by journals that must exclude
-// state snapshots while a multi-op batch is open: between a batch's first
-// mutation and its Commit, a snapshot would capture state whose ops are
-// not yet in the log. Registry.Batch brackets the batch with it.
+// BatchLocker has no reader; removed with the next benchmark refresh. The
+// registry commits every mutation from one critical section, so no open
+// batch exists for a snapshot to slice through; the type remains only
+// because the benchmark (perfbench) asserts that its journal implements it.
 type BatchLocker interface {
 	LockBatch()
 	UnlockBatch()
@@ -109,22 +109,16 @@ func (r *Registry) SetJournal(j Journal) {
 	r.journal = j
 }
 
-// emitLocked hands ops to the journal; callers hold the write lock and
-// call the returned wait (when non-nil) AFTER releasing it. During a
-// batch the ops are buffered instead and committed as part of the batch's
-// single record, and the wait is nil (see Batch for what that means for
-// a mutator on another goroutine). An async journal establishes log position under the lock
-// and defers the durability wait to outside it; a plain journal commits
-// synchronously here. The wait's error is surfaced by the mutator: the
-// in-memory mutation has already happened, but the caller must not be
+// emitLocked hands one mutation's ops to the journal as one record;
+// callers hold the write lock and call the returned wait (when non-nil)
+// AFTER releasing it. An async journal establishes log position under the
+// lock and defers the durability wait to outside it; a plain journal
+// commits synchronously here. The wait's error is surfaced by the mutator:
+// the in-memory mutation has already happened, but the caller must not be
 // told a durable write succeeded when it did not — under
 // fsync-per-commit, "returned without error" is the durability contract.
 func (r *Registry) emitLocked(ops ...Op) (wait func() error) {
 	if r.journal == nil || len(ops) == 0 {
-		return nil
-	}
-	if r.batching {
-		r.pending = append(r.pending, ops...)
 		return nil
 	}
 	if aj, ok := r.journal.(AsyncJournal); ok {
@@ -134,67 +128,6 @@ func (r *Registry) emitLocked(ops ...Op) (wait func() error) {
 		return func() error { return err }
 	}
 	return nil
-}
-
-// Batch runs fn and commits every op it emits as one atomic journal
-// record — the evolution layer uses it so a schema version bump and the
-// migration of all its artifacts either all survive a crash or none do.
-// Batches serialize against each other; ops emitted by other goroutines
-// while a batch is open ride along in its record, which keeps the log in
-// exact memory-mutation order. Their acknowledgment is NOT deferred:
-// emitLocked hands such a mutator a nil wait, so it returns success
-// before its op has reached the journal at all, and a crash before the
-// batch commits loses a mutation its caller was told is durable.
-// Whatever fn did in memory is always committed — even when fn errors or
-// panics — so the log never diverges from the in-memory state; fn's
-// error (or the commit's) is returned. With no journal attached Batch is
-// just fn(). Batch must not be nested.
-func (r *Registry) Batch(fn func() error) (err error) {
-	r.mu.RLock()
-	j := r.journal
-	r.mu.RUnlock()
-	if j == nil {
-		return fn()
-	}
-	r.batchMu.Lock()
-	defer r.batchMu.Unlock()
-	if bl, ok := j.(BatchLocker); ok {
-		bl.LockBatch()
-		defer bl.UnlockBatch()
-	}
-	r.mu.Lock()
-	r.batching = true
-	r.mu.Unlock()
-	// The flush is deferred so a panic inside fn cannot leave the
-	// registry buffering ops forever: whatever fn applied in memory is
-	// committed before the panic propagates, and batching is always
-	// reset. The commit is ENQUEUED while the write lock is still held —
-	// like every single-op emit — so no concurrent mutation can slip a
-	// lower LSN in between clearing `batching` and appending the batch
-	// record, which would reorder the log against memory; an async
-	// journal's durability wait then runs outside the lock.
-	defer func() {
-		r.mu.Lock()
-		r.batching = false
-		ops := r.pending
-		r.pending = nil
-		var wait func() error
-		if len(ops) > 0 {
-			if aj, ok := j.(AsyncJournal); ok {
-				wait = aj.CommitAsync(ops)
-			} else {
-				cerr := j.Commit(ops)
-				wait = func() error { return cerr }
-			}
-		}
-		r.mu.Unlock()
-		if wait != nil {
-			if cerr := wait(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
-	}()
-	return fn()
 }
 
 // Apply replays journaled ops into the registry without re-journaling or

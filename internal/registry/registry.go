@@ -149,12 +149,8 @@ type Registry struct {
 	now       func() time.Time
 
 	// journal receives every mutation as a typed op (nil = in-memory
-	// only); batchMu serializes Batch calls, whose ops accumulate in
-	// pending until the batch commits as one record.
-	journal  Journal
-	batchMu  sync.Mutex
-	batching bool
-	pending  []Op
+	// only).
+	journal Journal
 }
 
 // New returns an empty registry.
@@ -258,46 +254,15 @@ func (r *Registry) ensureRawLocked(pc *preparedContent, s *schema.Schema) error 
 
 // AddSchema registers a schema under its name with catalog metadata. It
 // fails if the name is already registered (use ReplaceSchema to update).
+// It is a one-schema AddPrepared followed by the index merge check.
 func (r *Registry) AddSchema(s *schema.Schema, steward string, tags ...string) error {
-	if s == nil || s.Name == "" {
-		return fmt.Errorf("registry: schema must be non-nil and named")
-	}
-	pc, err := r.prepareContent(s)
+	ps, err := r.PrepareSchema(s, steward, tags...)
 	if err != nil {
-		return fmt.Errorf("registry: %w", err)
+		return err
 	}
-	pd := search.Prepare(s)
-	r.mu.Lock()
-	if _, dup := r.entries[s.Name]; dup {
-		r.mu.Unlock()
-		return fmt.Errorf("registry: schema %q already registered", s.Name)
-	}
-	if err := r.ensureRawLocked(&pc, s); err != nil {
-		r.mu.Unlock()
-		return fmt.Errorf("registry: %w", err)
-	}
-	e := &Entry{
-		Schema:      s,
-		Steward:     steward,
-		Tags:        append([]string(nil), tags...),
-		Registered:  r.now(),
-		Stats:       pc.stats,
-		Fingerprint: pc.fp,
-		Version:     1,
-	}
-	r.entries[s.Name] = e
-	r.index.AddDoc(pd)
-	var wait func() error
-	if r.journal != nil {
-		wait = r.emitLocked(schemaOp(OpSchemaAdd, pc.raw, e))
-	}
-	r.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			return fmt.Errorf("registry: schema %q registered in memory but %w: %w", s.Name, ErrNotJournaled, err)
-		}
-	}
-	return nil
+	_, errs := r.AddPrepared([]*PreparedSchema{ps})
+	r.FlushIndex()
+	return errs[0]
 }
 
 // PreparedSchema is one schema's admission-ready form: the parsed schema
@@ -452,46 +417,32 @@ type VersionBump struct {
 // structural diff. A schema not yet registered starts its chain at
 // version 1.
 func (r *Registry) AddVersion(s *schema.Schema, steward string, tags ...string) (*VersionBump, error) {
-	if s == nil || s.Name == "" {
-		return nil, fmt.Errorf("registry: schema must be non-nil and named")
-	}
-	pc, err := r.prepareContent(s)
-	if err != nil {
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	pd := search.Prepare(s)
-	r.mu.Lock()
-	bump, wait, err := r.addVersionLocked(s, steward, tags, pc, pd)
-	r.mu.Unlock()
-	return finishVersion(s, bump, wait, err)
+	return r.addVersion(s, false, "", steward, nil, tags)
 }
 
-// finishVersion runs a version bump's deferred durability wait (outside
-// the write lock) and shapes the result.
-func finishVersion(s *schema.Schema, bump *VersionBump, wait func() error, err error) (*VersionBump, error) {
-	if err != nil {
-		return bump, err
-	}
-	if wait != nil {
-		if werr := wait(); werr != nil {
-			return bump, fmt.Errorf("registry: schema %q version-bumped in memory but %w: %w", s.Name, ErrNotJournaled, werr)
-		}
-	}
-	return bump, nil
+// AddVersionIf is AddVersion under optimistic concurrency, committing the
+// migration of the schema's artifacts with it: the bump applies only when
+// the schema is currently registered and its fingerprint still equals
+// expect — the fingerprint the caller computed its diff against — and
+// every update (a replacement for the stored artifact with the same ID)
+// validates against the registry with s standing in for the schema it
+// names. The bump and the updates commit from one critical section as one
+// journal record, [OpSchemaVersion, OpMatchUpdate...]: after a crash
+// either all of them recover or none does. Any failed check returns an
+// error with the registry unchanged and nothing journaled, so a stale
+// diff can never migrate artifacts against the wrong base version.
+func (r *Registry) AddVersionIf(s *schema.Schema, expect, steward string, updates []MatchArtifact, tags ...string) (*VersionBump, error) {
+	return r.addVersion(s, true, expect, steward, updates, tags)
 }
 
-// AddVersionIf is AddVersion under optimistic concurrency: the bump
-// applies only when the schema is currently registered and its fingerprint
-// still equals expect — the fingerprint the caller computed its diff
-// against. A conflict (schema removed, or bumped by someone else in
-// between) returns an error with the registry unchanged, so a stale diff
-// can never migrate artifacts against the wrong base version.
-func (r *Registry) AddVersionIf(s *schema.Schema, expect, steward string, tags ...string) (*VersionBump, error) {
+// addVersion is the one version-bump body; with conditional set it is
+// AddVersionIf.
+func (r *Registry) addVersion(s *schema.Schema, conditional bool, expect, steward string, updates []MatchArtifact, tags []string) (*VersionBump, error) {
 	if s == nil || s.Name == "" {
 		return nil, fmt.Errorf("registry: schema must be non-nil and named")
 	}
 	// Prepared before the lock (and wasted on a conflict — the cheap
-	// outcome); the fingerprint check itself still runs under the lock.
+	// outcome); every check still runs under the lock.
 	pc, err := r.prepareContent(s)
 	if err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
@@ -499,28 +450,27 @@ func (r *Registry) AddVersionIf(s *schema.Schema, expect, steward string, tags .
 	pd := search.Prepare(s)
 	r.mu.Lock()
 	prev := r.entries[s.Name]
-	if prev == nil {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("registry: schema %q no longer registered", s.Name)
+	if conditional {
+		if prev == nil {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("registry: schema %q no longer registered", s.Name)
+		}
+		if prev.Fingerprint != expect {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("registry: schema %q changed concurrently (fingerprint %s, expected %s)",
+				s.Name, prev.Fingerprint, expect)
+		}
 	}
-	if prev.Fingerprint != expect {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("registry: schema %q changed concurrently (fingerprint %s, expected %s)",
-			s.Name, prev.Fingerprint, expect)
+	for i := range updates {
+		if err := r.validateUpdateLocked(updates[i].ID, &updates[i], s); err != nil {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("registry: migrating artifact %s: %w", updates[i].ID, err)
+		}
 	}
-	bump, wait, err := r.addVersionLocked(s, steward, tags, pc, pd)
-	r.mu.Unlock()
-	return finishVersion(s, bump, wait, err)
-}
-
-// addVersionLocked implements the version bump; callers hold the lock,
-// pass in the lock-free preparation, and run the returned wait (the
-// journal durability acknowledgment) after releasing it.
-func (r *Registry) addVersionLocked(s *schema.Schema, steward string, tags []string, pc preparedContent, pd *search.PreparedDoc) (*VersionBump, func() error, error) {
 	if err := r.ensureRawLocked(&pc, s); err != nil {
-		return nil, nil, fmt.Errorf("registry: %w", err)
+		r.mu.Unlock()
+		return nil, fmt.Errorf("registry: %w", err)
 	}
-	prev := r.entries[s.Name]
 	version := 1
 	if prev != nil {
 		version = prev.Version + 1
@@ -543,12 +493,22 @@ func (r *Registry) addVersionLocked(s *schema.Schema, steward string, tags []str
 	}
 	r.entries[s.Name] = curr
 	r.index.AddDoc(pd)
-	bump := &VersionBump{Prev: prev, Curr: curr}
-	var wait func() error
-	if r.journal != nil {
-		wait = r.emitLocked(schemaOp(OpSchemaVersion, pc.raw, curr))
+	ops := make([]Op, 0, 1+len(updates))
+	ops = append(ops, schemaOp(OpSchemaVersion, pc.raw, curr))
+	for i := range updates {
+		stored := updates[i]
+		r.putMatchLocked(&stored)
+		ops = append(ops, Op{Kind: OpMatchUpdate, Artifact: &stored})
 	}
-	return bump, wait, nil
+	wait := r.emitLocked(ops...)
+	r.mu.Unlock()
+	bump := &VersionBump{Prev: prev, Curr: curr}
+	if wait != nil {
+		if err := wait(); err != nil {
+			return bump, fmt.Errorf("registry: schema %q version-bumped in memory but %w: %w", s.Name, ErrNotJournaled, err)
+		}
+	}
+	return bump, nil
 }
 
 // ReplaceSchema updates a registered schema in place, keeping its match
@@ -655,29 +615,9 @@ func (r *Registry) Len() int {
 // assigns and returns the artifact ID.
 func (r *Registry) AddMatch(ma MatchArtifact) (string, error) {
 	r.mu.Lock()
-	ea, ok := r.entries[ma.SchemaA]
-	if !ok {
+	if err := r.validateMatchLocked(&ma, nil); err != nil {
 		r.mu.Unlock()
-		return "", fmt.Errorf("registry: schema %q not registered", ma.SchemaA)
-	}
-	eb, ok := r.entries[ma.SchemaB]
-	if !ok {
-		r.mu.Unlock()
-		return "", fmt.Errorf("registry: schema %q not registered", ma.SchemaB)
-	}
-	for _, p := range ma.Pairs {
-		if ea.Schema.ByPath(p.PathA) == nil {
-			r.mu.Unlock()
-			return "", fmt.Errorf("registry: path %q not in schema %q", p.PathA, ma.SchemaA)
-		}
-		if eb.Schema.ByPath(p.PathB) == nil {
-			r.mu.Unlock()
-			return "", fmt.Errorf("registry: path %q not in schema %q", p.PathB, ma.SchemaB)
-		}
-		if p.Score <= -1 || p.Score >= 1 {
-			r.mu.Unlock()
-			return "", fmt.Errorf("registry: score %f out of range for %q~%q", p.Score, p.PathA, p.PathB)
-		}
+		return "", err
 	}
 	if ma.Provenance.CreatedAt.IsZero() {
 		ma.Provenance.CreatedAt = r.now()
@@ -700,12 +640,12 @@ func (r *Registry) AddMatch(ma MatchArtifact) (string, error) {
 }
 
 // UpdateMatch replaces a stored artifact in place, preserving its ID —
-// the write half of artifact migration after a schema version bump. The
+// the write half of a scoped re-match after a schema version bump. The
 // replacement is validated like AddMatch: both schemata registered, every
 // referenced path present in the *current* versions, scores in range.
 func (r *Registry) UpdateMatch(id string, ma MatchArtifact) error {
 	r.mu.Lock()
-	if err := r.validateMatchLocked(id, &ma); err != nil {
+	if err := r.validateUpdateLocked(id, &ma, nil); err != nil {
 		r.mu.Unlock()
 		return err
 	}
@@ -722,25 +662,44 @@ func (r *Registry) UpdateMatch(id string, ma MatchArtifact) error {
 	return nil
 }
 
-// validateMatchLocked checks an artifact replacement against the current
-// schema versions; callers hold the write lock.
-func (r *Registry) validateMatchLocked(id string, ma *MatchArtifact) error {
+// validateUpdateLocked checks a replacement for the stored artifact id;
+// callers hold the write lock.
+func (r *Registry) validateUpdateLocked(id string, ma *MatchArtifact, next *schema.Schema) error {
 	if _, ok := r.matches[id]; !ok {
 		return fmt.Errorf("registry: no artifact %q", id)
 	}
-	ea, ok := r.entries[ma.SchemaA]
-	if !ok {
-		return fmt.Errorf("registry: schema %q not registered", ma.SchemaA)
+	return r.validateMatchLocked(ma, next)
+}
+
+// validateMatchLocked checks an artifact against the registered schemata:
+// both sides registered, every referenced path present, scores in (-1,1).
+// A non-nil next stands in for the registered version of the schema it
+// names — the version an upgrade is about to commit. Callers hold the
+// write lock.
+func (r *Registry) validateMatchLocked(ma *MatchArtifact, next *schema.Schema) error {
+	side := func(name string) (*schema.Schema, error) {
+		if next != nil && name == next.Name {
+			return next, nil
+		}
+		e, ok := r.entries[name]
+		if !ok {
+			return nil, fmt.Errorf("registry: schema %q not registered", name)
+		}
+		return e.Schema, nil
 	}
-	eb, ok := r.entries[ma.SchemaB]
-	if !ok {
-		return fmt.Errorf("registry: schema %q not registered", ma.SchemaB)
+	sa, err := side(ma.SchemaA)
+	if err != nil {
+		return err
+	}
+	sb, err := side(ma.SchemaB)
+	if err != nil {
+		return err
 	}
 	for _, p := range ma.Pairs {
-		if ea.Schema.ByPath(p.PathA) == nil {
+		if sa.ByPath(p.PathA) == nil {
 			return fmt.Errorf("registry: path %q not in schema %q", p.PathA, ma.SchemaA)
 		}
-		if eb.Schema.ByPath(p.PathB) == nil {
+		if sb.ByPath(p.PathB) == nil {
 			return fmt.Errorf("registry: path %q not in schema %q", p.PathB, ma.SchemaB)
 		}
 		if p.Score <= -1 || p.Score >= 1 {
@@ -867,12 +826,6 @@ func (r *Registry) SearchSchema(q *schema.Schema, k int) []search.Result {
 // budget-driven early termination rides on it.
 func (r *Registry) SearchSchemaInfo(q *schema.Schema, k, docBudget int) ([]search.Result, search.QueryInfo) {
 	return r.index.SearchSchemaInfo(q, k, docBudget)
-}
-
-// TuneIndex adjusts the search index's tail-merge threshold (0 restores
-// the default) — a deployment knob, not a per-query one.
-func (r *Registry) TuneIndex(tailMerge int) {
-	r.index.Tune(tailMerge)
 }
 
 // SearchFragments ranks top-level sub-trees of registered schemata.

@@ -388,20 +388,20 @@ func TestAddVersionIfConflicts(t *testing.T) {
 	v2 := personSchema()
 	v2.AddElement(v2.Roots()[0], "FIRST_NAME", schema.KindColumn, schema.TypeString)
 	// Wrong expectation: rejected, registry unchanged.
-	if _, err := r.AddVersionIf(v2, "bogus-fingerprint", "alice"); err == nil {
+	if _, err := r.AddVersionIf(v2, "bogus-fingerprint", "alice", nil); err == nil {
 		t.Fatal("AddVersionIf accepted a stale fingerprint")
 	}
 	if cur, _ := r.Schema("PersonSys"); cur.Version != 1 {
 		t.Fatalf("failed CAS mutated the registry: %+v", cur)
 	}
 	// Matching expectation: applies.
-	bump, err := r.AddVersionIf(v2, fp, "alice")
+	bump, err := r.AddVersionIf(v2, fp, "alice", nil)
 	if err != nil || bump.Curr.Version != 2 {
 		t.Fatalf("AddVersionIf: %v %+v", err, bump)
 	}
 	// Unregistered schema: rejected (no silent re-register at v1).
 	r.RemoveSchema("PersonSys")
-	if _, err := r.AddVersionIf(v2, fp, "alice"); err == nil {
+	if _, err := r.AddVersionIf(v2, fp, "alice", nil); err == nil {
 		t.Fatal("AddVersionIf resurrected a removed schema")
 	}
 	if r.Len() != 0 {

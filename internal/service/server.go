@@ -115,9 +115,6 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		logf = func(string, ...any) {}
 	}
 	reg := registry.New()
-	if cfg.IndexTailMerge > 0 {
-		reg.TuneIndex(cfg.IndexTailMerge)
-	}
 	var st *store.Store
 	if cfg.StoreDir != "" {
 		if cfg.Role == RoleFollower {
@@ -165,7 +162,7 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	}
 	// The trace recorder exists before initRepl so the follower's apply
 	// loop can record replication batches from its first poll.
-	s.recorder = obs.NewRecorder(cfg.TraceRing)
+	s.recorder = obs.NewRecorder(traceRing)
 	s.corpusPipe = corpus.NewPipeline(reg, serverCorpusCache{s})
 	if n := WarmStart(s.cache, reg); n > 0 {
 		logf("service: warm-started match cache with %d stored results", n)

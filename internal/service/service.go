@@ -40,6 +40,10 @@ import (
 // budget for daemon flag defaults.
 const DefaultSparseBudget = core.DefaultSparseBudget
 
+// traceRing bounds the in-memory ring of recent traces served at
+// GET /v1/traces.
+const traceRing = 256
+
 // Config configures a Server.
 type Config struct {
 	// Preset is the default engine preset for requests that do not name
@@ -91,11 +95,6 @@ type Config struct {
 	// CorpusBlockBudget is the default document-scoring budget of the
 	// blocking index retrieval (0 = exact; see corpus.Config.BlockBudget).
 	CorpusBlockBudget int
-	// IndexTailMerge overrides the search index's tail-merge threshold
-	// (0 keeps the index default): how many incrementally added schemata
-	// accumulate in the mutable tail before a background merge folds them
-	// into the flat compressed segment.
-	IndexTailMerge int
 	// IngestWorkers is the parallelism of the bulk-ingest prepare stage
 	// (parse, profile compilation, index-document preparation per NDJSON
 	// batch). Default: GOMAXPROCS.
@@ -135,9 +134,6 @@ type Config struct {
 	// SlowRequest is the latency threshold beyond which a request is
 	// logged through slog at Warn level (default 1s; negative disables).
 	SlowRequest time.Duration
-	// TraceRing bounds the in-memory ring of recent traces served at
-	// GET /v1/traces (default 256).
-	TraceRing int
 	// Logger receives structured operational records (slow-request
 	// warnings). Nil falls back to slog.Default().
 	Logger *slog.Logger
@@ -225,9 +221,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SlowRequest == 0 {
 		c.SlowRequest = time.Second
-	}
-	if c.TraceRing <= 0 {
-		c.TraceRing = 256
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,8 +17,10 @@ import (
 // buildCommitSequence drives a fixed sequence of journaled mutations —
 // one WAL record each — capturing the serialized registry state after
 // every commit. states[i] is the state with the first i commits applied
-// (states[0] is the empty registry).
-func buildCommitSequence(t *testing.T, dir string) (states [][]byte) {
+// (states[0] is the empty registry). The final commit is an upgrade, a
+// version bump plus one artifact migration, so the record that recovery
+// tests damage holds more than one op.
+func buildCommitSequence(t testing.TB, dir string) (states [][]byte) {
 	t.Helper()
 	st := mustOpen(t, Options{Dir: dir, Fsync: FsyncPerCommit})
 	reg := st.Registry()
@@ -61,11 +66,23 @@ func buildCommitSequence(t *testing.T, dir string) (states [][]byte) {
 		_, err := reg.RemoveSchema("shipments")
 		return err
 	}())
+	var invoiceMatchID string
 	step(func() error {
-		_, err := reg.AddMatch(registry.MatchArtifact{
+		var err error
+		invoiceMatchID, err = reg.AddMatch(registry.MatchArtifact{
 			SchemaA: "invoices", SchemaB: "orders",
 			Pairs: []registry.AssertedMatch{{PathA: "invoices_root/payer", PathB: "orders_root/customer", Score: 0.77, Status: registry.StatusAccepted, ValidatedBy: "bob"}},
 		})
+		return err
+	}())
+	step(func() error {
+		cur, _ := reg.Schema("invoices")
+		ma, _ := reg.Match(invoiceMatchID)
+		upd := *ma
+		upd.Pairs = append(append([]registry.AssertedMatch(nil), ma.Pairs...),
+			registry.AssertedMatch{PathA: "invoices_root/due", PathB: "orders_root/total", Score: 0.35, Status: registry.StatusProposed})
+		_, err := reg.AddVersionIf(testSchema("invoices", "id", "amount", "payer", "due"), cur.Fingerprint, "bob",
+			[]registry.MatchArtifact{upd})
 		return err
 	}())
 	if err := st.Close(); err != nil {
@@ -74,8 +91,10 @@ func buildCommitSequence(t *testing.T, dir string) (states [][]byte) {
 	return states
 }
 
-// finalRecordExtent locates the last record of the last WAL segment.
-func finalRecordExtent(t *testing.T, dir string) (segPath string, start, end int) {
+// finalRecordExtent locates the last record of the last WAL segment and
+// checks that it holds more than one op, so damaging it tests the
+// atomicity of a multi-op record.
+func finalRecordExtent(t testing.TB, dir string) (segPath string, start, end int) {
 	t.Helper()
 	segs, err := listSegments(dir)
 	if err != nil || len(segs) == 0 {
@@ -87,18 +106,48 @@ func finalRecordExtent(t *testing.T, dir string) (segPath string, start, end int
 		t.Fatal(err)
 	}
 	off := 0
+	var payload []byte
 	for off < len(data) {
-		_, next, ok := readRecord(data, off)
+		p, next, ok := readRecord(data, off)
 		if !ok {
 			t.Fatalf("pristine log has corrupt record at offset %d", off)
 		}
-		start, end = off, next
+		payload, start, end = p, off, next
 		off = next
 	}
 	if end != len(data) {
 		t.Fatalf("trailing garbage in pristine log")
 	}
+	var ops []registry.Op
+	if err := json.Unmarshal(payload, &ops); err != nil || len(ops) < 2 {
+		t.Fatalf("final record holds %d ops (%v), want a multi-op record", len(ops), err)
+	}
 	return segPath, start, end
+}
+
+// recoverState opens a (damaged) store directory and returns its
+// recovered state. With checkAppend it also commits a new schema and
+// checks that the commit survives a second open: the repaired log must
+// accept and retain new records.
+func recoverState(t testing.TB, dir string, checkAppend bool) []byte {
+	t.Helper()
+	st := mustOpen(t, Options{Dir: dir, Fsync: FsyncPerCommit})
+	got := encode(t, st.Registry())
+	if !checkAppend {
+		st.Close()
+		return got
+	}
+	if err := st.Registry().AddSchema(testSchema("postrecovery", "p"), ""); err != nil {
+		t.Fatal(err)
+	}
+	after := encode(t, st.Registry())
+	st.Close()
+	st2 := mustOpen(t, Options{Dir: dir})
+	if !bytes.Equal(after, encode(t, st2.Registry())) {
+		t.Fatal("post-recovery append lost on second recovery")
+	}
+	st2.Close()
+	return got
 }
 
 // TestCrashRecoveryEveryByteBoundary is the durability acceptance
@@ -120,28 +169,6 @@ func TestCrashRecoveryEveryByteBoundary(t *testing.T) {
 		t.Fatalf("final record suspiciously small (%d bytes)", recLen)
 	}
 	t.Logf("final record: %s bytes [%d,%d) (%d damage variants)", segName, start, end, 2*recLen)
-
-	recoverState := func(t *testing.T, dir string, checkAppend bool) []byte {
-		t.Helper()
-		st := mustOpen(t, Options{Dir: dir, Fsync: FsyncPerCommit})
-		got := encode(t, st.Registry())
-		if checkAppend {
-			// The repaired log must accept and retain new commits.
-			if err := st.Registry().AddSchema(testSchema("postrecovery", "p"), ""); err != nil {
-				t.Fatal(err)
-			}
-			after := encode(t, st.Registry())
-			st.Close()
-			st2 := mustOpen(t, Options{Dir: dir})
-			if !bytes.Equal(after, encode(t, st2.Registry())) {
-				t.Fatal("post-recovery append lost on second recovery")
-			}
-			st2.Close()
-		} else {
-			st.Close()
-		}
-		return got
-	}
 
 	// Sanity: the undamaged copy recovers the full state.
 	if got := recoverState(t, copyDir(t, pristine), true); !bytes.Equal(got, wantFull) {
@@ -181,6 +208,68 @@ func TestCrashRecoveryEveryByteBoundary(t *testing.T) {
 			t.Fatalf("bit flip at +%d bytes: recovered state is not the surviving prefix", off)
 		}
 	}
+}
+
+// FuzzWALRecovery truncates the final WAL record of buildCommitSequence —
+// an upgrade holding two ops — after cut bytes, appends junk, and reopens
+// the store. Open must never panic; the recovered state must be the
+// prefix state, or the full state when cut keeps the whole record; and the
+// repaired log must accept a new commit that survives a second open. When
+// the damaged tail starts with a checksum-valid record of the junk's
+// making, recovery may replay or reject it, so only the absence of a
+// panic is checked. The seed corpus lives in testdata/fuzz.
+func FuzzWALRecovery(f *testing.F) {
+	pristine := f.TempDir()
+	states := buildCommitSequence(f, pristine)
+	wantFull := states[len(states)-1]
+	wantPrefix := states[len(states)-2]
+	segPath, start, end := finalRecordExtent(f, pristine)
+	segName := filepath.Base(segPath)
+	data, err := os.ReadFile(segPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	recLen := end - start
+
+	// The record's length depends on the sequence, so the whole-record
+	// seed is added here rather than in testdata.
+	f.Add(uint16(recLen), []byte(nil))
+	f.Fuzz(func(t *testing.T, cut uint16, junk []byte) {
+		n := int(cut) % (recLen + 1)
+		damaged := append(append([]byte(nil), data[:start+n]...), junk...)
+		dir := copyDir(t, pristine)
+		if err := os.WriteFile(filepath.Join(dir, segName), damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Recovery scans the damaged tail from the final record's start,
+		// or from just past it when the record is whole.
+		at, want := start, wantPrefix
+		if n == recLen {
+			at, want = end, wantFull
+		}
+		if framesRecord(damaged[at:]) {
+			if st, err := Open(Options{Dir: dir}); err == nil {
+				st.Close()
+			}
+			return
+		}
+		if got := recoverState(t, dir, true); !bytes.Equal(got, want) {
+			t.Fatalf("cut %d of %d bytes + %d junk bytes: recovered state is neither the prefix nor the full state", n, recLen, len(junk))
+		}
+	})
+}
+
+// framesRecord reports whether b starts with a checksum-valid WAL record
+// (length, CRC-32C, payload), checked independently of readRecord.
+func framesRecord(b []byte) bool {
+	if len(b) < 8 {
+		return false
+	}
+	n := uint64(binary.LittleEndian.Uint32(b[:4]))
+	if uint64(len(b)-8) < n {
+		return false
+	}
+	return crc32.Checksum(b[8:8+n], crc32.MakeTable(crc32.Castagnoli)) == binary.LittleEndian.Uint32(b[4:8])
 }
 
 // TestRecoveryFallsBackToPreviousSnapshot corrupts the newest snapshot

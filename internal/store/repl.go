@@ -118,9 +118,10 @@ func (s *Store) LastLSN() uint64 { return s.wal.LastLSN() }
 func (s *Store) DurableLSN() uint64 { return s.wal.DurableLSN() }
 
 // ShipSnapshot encodes the current registry state for follower bootstrap
-// and returns the exact LSN it covers. It excludes open commit batches
-// (like Snapshot) so the shipped state never contains half a batch, but
-// writes nothing to disk — shipping is read-only on the leader.
+// and returns the exact LSN it covers. Like Snapshot it excludes a
+// LockBatch bracket, so the shipped state never pairs a record with the
+// wrong LSN, but it writes nothing to disk — shipping is read-only on the
+// leader.
 func (s *Store) ShipSnapshot() (lsn uint64, data []byte, err error) {
 	s.snapMu.Lock()
 	view := s.reg.SnapshotView(func() { lsn = s.wal.LastLSN() })

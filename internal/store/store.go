@@ -138,15 +138,14 @@ type Stats struct {
 }
 
 // Store is the durable engine bound to one registry. It implements
-// registry.Journal (and registry.BatchLocker, so snapshots cannot slice
-// through an open commit batch). Construct with Open; safe for
-// concurrent use.
+// registry.AsyncJournal. Construct with Open; safe for concurrent use.
 type Store struct {
 	opts Options
 	reg  *registry.Registry
 	wal  *wal
 
-	// snapMu serializes snapshots and excludes them from open batches.
+	// snapMu serializes snapshots and excludes them from a follower's
+	// append+apply (LockBatch).
 	snapMu sync.Mutex
 
 	unlock func() // single-writer directory lock release
@@ -330,9 +329,10 @@ func (s *Store) CommitAsync(ops []registry.Op) func() error {
 	}
 }
 
-// LockBatch / UnlockBatch implement registry.BatchLocker: a snapshot
-// taken mid-batch would capture state whose ops are not yet in the log,
-// and replay would then double-apply them.
+// LockBatch / UnlockBatch bracket a follower's AppendReplicated and the
+// registry apply of the same record: a snapshot taken between the two
+// would pair registry state with a log position it does not match, and
+// replay would then skip or double-apply the record.
 func (s *Store) LockBatch()   { s.snapMu.Lock() }
 func (s *Store) UnlockBatch() { s.snapMu.Unlock() }
 

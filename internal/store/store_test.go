@@ -23,7 +23,7 @@ func testSchema(name string, cols ...string) *schema.Schema {
 	return s
 }
 
-func mustOpen(t *testing.T, opts Options) *Store {
+func mustOpen(t testing.TB, opts Options) *Store {
 	t.Helper()
 	st, err := Open(opts)
 	if err != nil {
@@ -33,7 +33,7 @@ func mustOpen(t *testing.T, opts Options) *Store {
 }
 
 // encode returns the canonical serialized state for equality checks.
-func encode(t *testing.T, reg *registry.Registry) []byte {
+func encode(t testing.TB, reg *registry.Registry) []byte {
 	t.Helper()
 	data, err := reg.SnapshotView(nil).Encode()
 	if err != nil {
@@ -44,7 +44,7 @@ func encode(t *testing.T, reg *registry.Registry) []byte {
 
 // copyDir clones a store directory so damage experiments never touch the
 // pristine original.
-func copyDir(t *testing.T, src string) string {
+func copyDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(src)
@@ -237,14 +237,16 @@ func TestStoreSegmentRotationAndCompaction(t *testing.T) {
 	}
 }
 
-// TestStoreBatchIsOneAtomicRecord checks that a registry.Batch lands as a
-// single WAL record, and that damaging that record drops the whole batch
-// on recovery — never half of it.
-func TestStoreBatchIsOneAtomicRecord(t *testing.T) {
+// TestStoreUpgradeIsOneAtomicRecord checks that an upgrade (a version
+// bump plus its artifact migration, committed by AddVersionIf) lands as a
+// single WAL record, and that damaging that record drops the whole
+// upgrade on recovery — never half of it.
+func TestStoreUpgradeIsOneAtomicRecord(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, Options{Dir: dir})
 	reg := st.Registry()
-	if err := reg.AddSchema(testSchema("a", "x", "y"), ""); err != nil {
+	a := testSchema("a", "x", "y")
+	if err := reg.AddSchema(a, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.AddSchema(testSchema("b", "x", "y"), ""); err != nil {
@@ -257,41 +259,35 @@ func TestStoreBatchIsOneAtomicRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preBatch := encode(t, reg)
+	preUpgrade := encode(t, reg)
 	before := st.Stats()
 
-	err = reg.Batch(func() error {
-		if _, err := reg.AddVersion(testSchema("a", "x", "y", "z"), ""); err != nil {
-			return err
-		}
-		ma, _ := reg.Match(id)
-		upd := *ma
-		upd.Pairs = append(append([]registry.AssertedMatch(nil), ma.Pairs...),
-			registry.AssertedMatch{PathA: "a_root/z", PathB: "b_root/y", Score: 0.6})
-		return reg.UpdateMatch(id, upd)
-	})
-	if err != nil {
+	ma, _ := reg.Match(id)
+	upd := *ma
+	upd.Pairs = append(append([]registry.AssertedMatch(nil), ma.Pairs...),
+		registry.AssertedMatch{PathA: "a_root/z", PathB: "b_root/y", Score: 0.6})
+	if _, err := reg.AddVersionIf(testSchema("a", "x", "y", "z"), a.Fingerprint(), "", []registry.MatchArtifact{upd}); err != nil {
 		t.Fatal(err)
 	}
 	after := st.Stats()
 	if after.Commits != before.Commits+1 {
-		t.Fatalf("batch cost %d commits, want 1", after.Commits-before.Commits)
+		t.Fatalf("upgrade cost %d commits, want 1", after.Commits-before.Commits)
 	}
 	if after.OpsCommitted != before.OpsCommitted+2 {
-		t.Fatalf("batch committed %d ops, want 2", after.OpsCommitted-before.OpsCommitted)
+		t.Fatalf("upgrade committed %d ops, want 2", after.OpsCommitted-before.OpsCommitted)
 	}
 	want := encode(t, reg)
 	st.Close()
 
-	// Intact: the whole batch survives.
+	// Intact: the whole upgrade survives.
 	st2 := mustOpen(t, Options{Dir: copyDir(t, dir)})
 	if got := encode(t, st2.Registry()); !bytes.Equal(want, got) {
-		t.Fatalf("batch lost on recovery")
+		t.Fatalf("upgrade lost on recovery")
 	}
 	st2.Close()
 
-	// Damaged final (batch) record: the whole batch is gone, the state is
-	// exactly the pre-batch prefix — no half-applied upgrade.
+	// Damaged final (upgrade) record: the whole upgrade is gone, the
+	// state is exactly the pre-upgrade prefix — no half-applied upgrade.
 	segs, err := listSegments(dir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
@@ -310,8 +306,8 @@ func TestStoreBatchIsOneAtomicRecord(t *testing.T) {
 	if !st3.Stats().RecoveredTornTail {
 		t.Fatal("expected torn-tail recovery")
 	}
-	if got := encode(t, st3.Registry()); !bytes.Equal(preBatch, got) {
-		t.Fatalf("torn batch left partial state:\nwant %s\ngot  %s", preBatch, got)
+	if got := encode(t, st3.Registry()); !bytes.Equal(preUpgrade, got) {
+		t.Fatalf("torn upgrade left partial state:\nwant %s\ngot  %s", preUpgrade, got)
 	}
 }
 
