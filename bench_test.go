@@ -395,9 +395,9 @@ func corpusFixture(b *testing.B) (*registry.Registry, []*schema.Schema) {
 }
 
 // BenchmarkCorpusTopK measures one blocked top-5 corpus query over the
-// 200-schema repository: blocking + sharded engine scoring with early
-// exit. Compare against BenchmarkE1FullMatch-scale exhaustive costs: the
-// blocked query runs ~20 engine matches instead of 199.
+// 200-schema repository: blocking + sharded engine scoring. Compare
+// against BenchmarkE1FullMatch-scale exhaustive costs: the blocked query
+// runs ~20 engine matches instead of 199.
 func BenchmarkCorpusTopK(b *testing.B) {
 	reg, qs := corpusFixture(b)
 	eng := core.PresetHarmony()
@@ -418,7 +418,7 @@ func BenchmarkCorpusTopK(b *testing.B) {
 func BenchmarkBlockingPrune(b *testing.B) {
 	reg, qs := corpusFixture(b)
 	p := corpus.NewPipeline(reg, nil)
-	// Warm the profile memo so the benchmark measures the steady state.
+	// One untimed query first, so the timed loop measures the steady state.
 	if _, _, err := p.Candidates(qs[0], corpus.Config{Candidates: 20}); err != nil {
 		b.Fatal(err)
 	}
@@ -487,39 +487,34 @@ func BenchmarkSpreadsheetExport(b *testing.B) {
 	}
 }
 
-// BenchmarkMatrixAbove measures Correspondence extraction from the scored
-// million-pair case-study matrix. Above pre-sizes its result from a
-// counting pass; -benchmem shows the win over append-growth (one
-// allocation per call instead of a dozen reallocations of a slice that
-// ends up thousands of entries long).
-func BenchmarkMatrixAbove(b *testing.B) {
-	f := caseFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(f.res.Matrix.Above(caseStudyThreshold)) == 0 {
-			b.Fatal("no correspondences")
-		}
-	}
-}
-
 // BenchmarkSelection compares the selection policies on the scored
-// case-study matrix (DESIGN.md ablation #4).
+// case-study matrix (DESIGN.md ablation #4), stored dense and, under the
+// sparse/ prefix, as BenchmarkE1SparseMatch's sparse matrix: one
+// selection implementation serves both representations.
 func BenchmarkSelection(b *testing.B) {
 	f := caseFixture(b)
-	b.Run("threshold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SelectThreshold(f.res.Matrix, caseStudyThreshold)
-		}
-	})
-	b.Run("greedy-one-to-one", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SelectGreedyOneToOne(f.res.Matrix, caseStudyThreshold)
-		}
-	})
-	b.Run("stable-marriage", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.SelectStableMarriage(f.res.Matrix, caseStudyThreshold)
-		}
-	})
+	sparse := core.PresetHarmony().WithOptions(core.WithSparse(core.DefaultSparseBudget)).Match(f.sa, f.sb)
+	if _, ok := sparse.Matrix.(*core.SparseMatrix); !ok {
+		b.Fatalf("case study scored %T, want sparse", sparse.Matrix)
+	}
+	for _, in := range []struct {
+		prefix string
+		m      core.ScoreMatrix
+	}{{"", f.res.Matrix}, {"sparse/", sparse.Matrix}} {
+		b.Run(in.prefix+"threshold", func(b *testing.B) {
+			for b.Loop() {
+				core.SelectThreshold(in.m, caseStudyThreshold)
+			}
+		})
+		b.Run(in.prefix+"greedy-one-to-one", func(b *testing.B) {
+			for b.Loop() {
+				core.SelectGreedyOneToOne(in.m, caseStudyThreshold)
+			}
+		})
+		b.Run(in.prefix+"stable-marriage", func(b *testing.B) {
+			for b.Loop() {
+				core.SelectStableMarriage(in.m, caseStudyThreshold)
+			}
+		})
+	}
 }

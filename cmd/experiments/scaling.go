@@ -57,7 +57,7 @@ func runE10(cfg config) {
 		incs = append(incs, t.CandidatesConsidered)
 	}
 	flat := sa.Len() * sb.Len()
-	flatQueue := len(res.Matrix.Above(caseStudyThreshold))
+	flatQueue := len(core.SelectThreshold(res.Matrix, caseStudyThreshold))
 
 	fmt.Printf("flat MATCH(SA,SB):            %d candidate pairs in one sitting; review queue %d lines\n", flat, flatQueue)
 	fmt.Printf("concept-at-a-time:            %d increments covering %d pairs (same cross product)\n", len(incs), total)

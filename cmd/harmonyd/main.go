@@ -29,8 +29,9 @@
 //	-backlog N           job submission backlog bound: submissions beyond it
 //	                     are load-shed with 429 + a Retry-After drain
 //	                     estimate (default 64)
-//	-ingest-workers N    bulk-ingest prepare parallelism — parse and profile
-//	                     compilation workers per stream (default GOMAXPROCS)
+//	-ingest-workers N    bulk-ingest prepare parallelism — parse, fingerprint
+//	                     and index-document workers per stream (default
+//	                     GOMAXPROCS)
 //	-cache N             match cache capacity in entries (default 256)
 //	-profile-cache N     compiled-profile cache capacity in schemas (default
 //	                     0 = 128; negative is a startup error)
@@ -162,7 +163,7 @@ func main() {
 	workers := flag.Int("workers", 2, "job worker-pool size")
 	backlog := flag.Int("backlog", 64, "job submission backlog bound: submissions beyond it answer 429 with Retry-After")
 	ingestWorkers := flag.Int("ingest-workers", 0,
-		"bulk-ingest prepare parallelism: parse + profile compilation workers per stream (0 = GOMAXPROCS)")
+		"bulk-ingest prepare parallelism: parse, fingerprint and index-document workers per stream (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 256, "match cache capacity (entries)")
 	profileCache := flag.Int("profile-cache", 0,
 		"compiled-profile cache capacity in schemas (0 = default)")

@@ -103,8 +103,8 @@ var (
 // mid-size schemata; evidence-rich industrial workloads push the score
 // distribution upward and warrant a higher cut (the case-study experiments
 // use 0.74 — see EXPERIMENTS.md). Choose per task from the score histogram
-// (Matrix.Histogram), as the paper's engineers did with the interactive
-// confidence filter.
+// (MatchResult.Histogram), as the paper's engineers did with the
+// interactive confidence filter.
 const DefaultThreshold = 0.4
 
 // Matcher bundles an engine with a confidence threshold — the two choices
@@ -186,7 +186,7 @@ func (r *MatchResult) Correspondences() []Correspondence {
 
 // AllAbove returns every correspondence at or above the threshold (m:n).
 func (r *MatchResult) AllAbove() []Correspondence {
-	return r.raw.Matrix.Above(r.threshold)
+	return core.SelectThreshold(r.raw.Matrix, r.threshold)
 }
 
 // Partition computes the {A-only, B-only, matched} decision partition from
@@ -613,6 +613,13 @@ func (m *Matcher) Evolve(reg *Registry, next *Schema, steward string, tags ...st
 // paper's engineers performed (see EXPERIMENTS.md for its calibration).
 func (r *MatchResult) SuggestedThreshold() float64 {
 	return core.SuggestThreshold(r.raw.Matrix)
+}
+
+// Histogram buckets this result's scored pairs into n equal-width bins
+// over [-1, 1] (20 when n <= 0): the score distribution to inspect when
+// choosing a threshold.
+func (r *MatchResult) Histogram(n int) []int {
+	return core.Histogram(r.raw.Matrix, n)
 }
 
 // WithThreshold returns a view of the same match result at a different

@@ -210,6 +210,14 @@ func TestFacadeThresholdHelpers(t *testing.T) {
 	if len(at.Correspondences()) < 3 {
 		t.Errorf("selection at suggestion too small: %v", at.Correspondences())
 	}
+	// The histogram bins every scored pair.
+	total := 0
+	for _, n := range res.Histogram(10) {
+		total += n
+	}
+	if total != res.Raw().Matrix.Pairs() {
+		t.Errorf("histogram total = %d, want %d pairs", total, res.Raw().Matrix.Pairs())
+	}
 	// WithThreshold shares the matrix (no recompute).
 	if at.Raw() != res.Raw() {
 		t.Error("WithThreshold should share the raw result")

@@ -237,9 +237,9 @@ func (e *Engine) MatchViews(sv, dv *SchemaView) *Result {
 
 // Release returns the result's dense matrix buffer (if any) to the
 // process-wide pool. Call it only when nothing retains the matrix or
-// slices handed out by Matrix.Row — selection methods (Above,
-// BestPerSource, ...) copy scores out, so results whose correspondences
-// have been extracted are safe to release. Sparse matrices are not
+// slices handed out by Matrix.Row — the selection functions
+// (SelectThreshold, SelectGreedyOneToOne, ...) copy scores out, so results
+// whose correspondences have been extracted are safe to release. Sparse matrices are not
 // pooled; releasing a sparse-backed result is a no-op.
 func (r *Result) Release() {
 	if r == nil || r.Matrix == nil {

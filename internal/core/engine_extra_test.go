@@ -28,11 +28,12 @@ func TestMatchScoresWithinOpenInterval(t *testing.T) {
 	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 4, 8, 6, 4)
 	res := PresetHarmony().Match(sa, sb)
 	for i := 0; i < sa.Len(); i++ {
-		for _, s := range res.Matrix.Row(i) {
+		res.Matrix.ForRow(i, func(_ int, s float64) bool {
 			if !(s > -1 && s < 1) {
 				t.Fatalf("score %f outside (-1,1)", s)
 			}
-		}
+			return true
+		})
 	}
 }
 
@@ -59,14 +60,14 @@ func TestPropagationKeepsScoresBounded(t *testing.T) {
 		sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, seed+1, 3+rng.Intn(4), 4, 2)
 		eng := NewEngine(PresetHarmony().Voters(), EvidenceWeighted{}, WithPropagation(3, 0.3))
 		res := eng.Match(sa, sb)
-		for i := 0; i < sa.Len(); i++ {
-			for _, s := range res.Matrix.Row(i) {
-				if !(s > -1 && s < 1) {
-					return false
-				}
-			}
+		bounded := true
+		for i := 0; i < sa.Len() && bounded; i++ {
+			res.Matrix.ForRow(i, func(_ int, s float64) bool {
+				bounded = s > -1 && s < 1
+				return bounded
+			})
 		}
-		return true
+		return bounded
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
@@ -143,23 +144,13 @@ func TestSubtreeOfRejectsForeignElements(t *testing.T) {
 	}
 }
 
-func TestTopKLargerThanColumns(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.Set(0, 0, 0.9)
-	m.Set(1, 2, 0.8)
-	got := m.TopKPerSource(10, 0.5)
-	if len(got) != 2 {
-		t.Errorf("TopK(10) = %v", got)
-	}
-}
-
 func TestHistogramTotalInvariant(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMatrix(rng, 1+rng.Intn(10), 1+rng.Intn(10))
 		bins := 1 + rng.Intn(40)
 		total := 0
-		for _, n := range m.Histogram(bins) {
+		for _, n := range Histogram(m, bins) {
 			total += n
 		}
 		return total == m.Pairs()
@@ -186,7 +177,7 @@ func TestEmptySchemaMatch(t *testing.T) {
 	if res.Matrix.Rows() != 0 || res.Matrix.Cols() != b.Len() {
 		t.Errorf("dims = %dx%d", res.Matrix.Rows(), res.Matrix.Cols())
 	}
-	if got := res.Matrix.Above(-1); len(got) != 0 {
+	if got := SelectThreshold(res.Matrix, -1); len(got) != 0 {
 		t.Errorf("empty match produced %d candidates", len(got))
 	}
 	// both empty

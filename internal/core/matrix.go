@@ -6,11 +6,12 @@ import (
 	"sync"
 )
 
-// ScoreMatrix is the contract every match-matrix representation satisfies:
-// the dense Matrix (every pair scored) and the SparseMatrix (only candidate
-// pairs scored, everything else implicitly zero). Selection policies,
-// threshold suggestion, filters and structural propagation all operate
-// through this interface, so the engine can swap representations without
+// ScoreMatrix is the storage contract every match-matrix representation
+// satisfies: the dense Matrix (every pair scored) and the SparseMatrix
+// (only candidate pairs scored, everything else implicitly zero).
+// Selection (SelectThreshold, SelectGreedyOneToOne, SelectStableMarriage),
+// threshold suggestion, Histogram, filters and structural propagation are
+// written once over ForRow, so the engine can swap representations without
 // touching downstream analysis code.
 type ScoreMatrix interface {
 	// Rows returns the number of source elements.
@@ -27,36 +28,12 @@ type ScoreMatrix interface {
 	// Set stores the score of pair (src, dst). Sparse representations
 	// ignore writes to pruned cells.
 	Set(src, dst int, score float64)
-	// Row returns one source element's scores against every target
-	// element. The dense form aliases internal storage; the sparse form
-	// materializes a fresh dense row on every call.
-	Row(src int) []float64
 	// ForRow calls f for every scored cell of row src in ascending dst
 	// order, stopping early when f returns false. For a dense matrix this
 	// visits every column; for a sparse one only the stored candidates.
 	ForRow(src int, f func(dst int, score float64) bool)
 	// Clone returns a copy whose scores can be mutated independently.
 	Clone() ScoreMatrix
-	// Above returns every correspondence with score >= threshold, ordered
-	// by descending score (ties broken by source then target ID).
-	Above(threshold float64) []Correspondence
-	// TopKPerSource returns, for each source element, its best k targets
-	// with score >= threshold, ordered by descending score overall.
-	TopKPerSource(k int, threshold float64) []Correspondence
-	// BestPerSource returns each source element's single best scored
-	// target; sources whose best scored cell is below minScore — for a
-	// sparse matrix, also sources whose candidate set is empty — are
-	// omitted.
-	BestPerSource(minScore float64) []Correspondence
-	// MatchedTargets returns the target IDs appearing in any
-	// correspondence with score >= threshold.
-	MatchedTargets(threshold float64) map[int]bool
-	// MatchedSources returns the source IDs appearing in any
-	// correspondence with score >= threshold.
-	MatchedSources(threshold float64) map[int]bool
-	// Histogram buckets all scored cells into n equal-width bins over
-	// [-1, 1] and returns the counts.
-	Histogram(n int) []int
 }
 
 // Matrix is the dense match matrix produced by a match run: one score in
@@ -155,130 +132,6 @@ type Correspondence struct {
 // String formats the correspondence for logs and debugging.
 func (c Correspondence) String() string {
 	return fmt.Sprintf("(%d,%d)=%.3f", c.Src, c.Dst, c.Score)
-}
-
-// Above returns every correspondence with score >= threshold, ordered by
-// descending score (ties broken by source then target ID for determinism).
-// The result is sized by a counting pass first: on million-pair matrices
-// the append-growth path otherwise reallocates the slice a dozen times.
-func (m *Matrix) Above(threshold float64) []Correspondence {
-	n := 0
-	for _, s := range m.data {
-		if s >= threshold {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Correspondence, 0, n)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, s := range row {
-			if s >= threshold {
-				out = append(out, Correspondence{Src: i, Dst: j, Score: s})
-			}
-		}
-	}
-	sortCorrespondences(out)
-	return out
-}
-
-// TopKPerSource returns, for each source element, its best k targets with
-// score >= threshold, ordered by descending score overall.
-func (m *Matrix) TopKPerSource(k int, threshold float64) []Correspondence {
-	if k <= 0 {
-		return nil
-	}
-	var out []Correspondence
-	buf := make([]Correspondence, 0, m.cols)
-	for i := 0; i < m.rows; i++ {
-		buf = buf[:0]
-		for j, s := range m.Row(i) {
-			if s >= threshold {
-				buf = append(buf, Correspondence{Src: i, Dst: j, Score: s})
-			}
-		}
-		sortCorrespondences(buf)
-		if len(buf) > k {
-			buf = buf[:k]
-		}
-		out = append(out, buf...)
-	}
-	sortCorrespondences(out)
-	return out
-}
-
-// BestPerSource returns each source element's single best target regardless
-// of threshold; sources whose best score is below minScore are omitted.
-func (m *Matrix) BestPerSource(minScore float64) []Correspondence {
-	var out []Correspondence
-	for i := 0; i < m.rows; i++ {
-		bestJ, bestS := -1, minScore
-		for j, s := range m.Row(i) {
-			if s > bestS || (bestJ == -1 && s >= minScore) {
-				bestJ, bestS = j, s
-			}
-		}
-		if bestJ >= 0 {
-			out = append(out, Correspondence{Src: i, Dst: bestJ, Score: bestS})
-		}
-	}
-	return out
-}
-
-// MatchedTargets returns a set of target IDs that appear in any
-// correspondence with score >= threshold.
-func (m *Matrix) MatchedTargets(threshold float64) map[int]bool {
-	out := make(map[int]bool)
-	for i := 0; i < m.rows; i++ {
-		for j, s := range m.Row(i) {
-			if s >= threshold {
-				out[j] = true
-			}
-		}
-	}
-	return out
-}
-
-// MatchedSources returns a set of source IDs that appear in any
-// correspondence with score >= threshold.
-func (m *Matrix) MatchedSources(threshold float64) map[int]bool {
-	out := make(map[int]bool)
-	for i := 0; i < m.rows; i++ {
-		for _, s := range m.Row(i) {
-			if s >= threshold {
-				out[i] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Histogram buckets all scores into n equal-width bins over [-1, 1] and
-// returns the counts; useful for choosing confidence-filter thresholds.
-func (m *Matrix) Histogram(n int) []int {
-	if n <= 0 {
-		n = 20
-	}
-	counts := make([]int, n)
-	for _, s := range m.data {
-		counts[histogramBin(s, n)]++
-	}
-	return counts
-}
-
-// histogramBin maps a score in (-1,1) onto one of n equal-width bins.
-func histogramBin(s float64, n int) int {
-	bin := int((s + 1) / 2 * float64(n))
-	if bin >= n {
-		bin = n - 1
-	}
-	if bin < 0 {
-		bin = 0
-	}
-	return bin
 }
 
 // sortCorrespondences orders by descending score, then ascending Src, Dst.

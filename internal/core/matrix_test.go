@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -40,7 +39,7 @@ func TestMatrixBasics(t *testing.T) {
 func TestAboveSortedAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomMatrix(rng, 20, 30)
-	got := m.Above(0.3)
+	got := SelectThreshold(m, 0.3)
 	// completeness vs naive scan
 	want := 0
 	for i := 0; i < 20; i++ {
@@ -51,97 +50,20 @@ func TestAboveSortedAndComplete(t *testing.T) {
 		}
 	}
 	if len(got) != want {
-		t.Fatalf("Above returned %d, want %d", len(got), want)
+		t.Fatalf("SelectThreshold returned %d, want %d", len(got), want)
 	}
 	for k := 1; k < len(got); k++ {
 		if got[k].Score > got[k-1].Score {
-			t.Fatal("Above not sorted by descending score")
+			t.Fatal("SelectThreshold not sorted by descending score")
 		}
 	}
 	for _, c := range got {
 		if c.Score < 0.3 {
-			t.Fatalf("Above leaked %v", c)
+			t.Fatalf("SelectThreshold leaked %v", c)
 		}
 		if m.At(c.Src, c.Dst) != c.Score {
-			t.Fatalf("Above score mismatch %v", c)
+			t.Fatalf("SelectThreshold score mismatch %v", c)
 		}
-	}
-}
-
-func TestTopKPerSource(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := randomMatrix(rng, 10, 50)
-	got := m.TopKPerSource(3, -1)
-	perSrc := map[int]int{}
-	for _, c := range got {
-		perSrc[c.Src]++
-	}
-	for src, n := range perSrc {
-		if n > 3 {
-			t.Errorf("source %d has %d matches, want <= 3", src, n)
-		}
-	}
-	// each source's kept scores must dominate its dropped scores
-	for src := 0; src < 10; src++ {
-		var kept []float64
-		for _, c := range got {
-			if c.Src == src {
-				kept = append(kept, c.Score)
-			}
-		}
-		sort.Float64s(kept)
-		minKept := kept[0]
-		dropped := 0
-		for j := 0; j < 50; j++ {
-			s := m.At(src, j)
-			inKept := false
-			for _, k := range kept {
-				if s == k {
-					inKept = true
-					break
-				}
-			}
-			if !inKept && s > minKept {
-				dropped++
-			}
-		}
-		if dropped > 0 {
-			t.Errorf("source %d dropped %d better scores", src, dropped)
-		}
-	}
-	if m.TopKPerSource(0, -1) != nil {
-		t.Error("k=0 should return nil")
-	}
-}
-
-func TestBestPerSource(t *testing.T) {
-	m := NewMatrix(2, 3)
-	m.Set(0, 0, 0.1)
-	m.Set(0, 1, 0.9)
-	m.Set(0, 2, 0.5)
-	m.Set(1, 0, -0.2)
-	m.Set(1, 1, -0.5)
-	m.Set(1, 2, -0.9)
-	got := m.BestPerSource(0)
-	if len(got) != 1 || got[0].Dst != 1 || got[0].Src != 0 {
-		t.Errorf("BestPerSource = %v", got)
-	}
-	all := m.BestPerSource(-1)
-	if len(all) != 2 || all[1].Dst != 0 {
-		t.Errorf("BestPerSource(-1) = %v", all)
-	}
-}
-
-func TestMatchedSets(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 1, 0.8)
-	srcs := m.MatchedSources(0.5)
-	dsts := m.MatchedTargets(0.5)
-	if len(srcs) != 1 || !srcs[0] {
-		t.Errorf("MatchedSources = %v", srcs)
-	}
-	if len(dsts) != 1 || !dsts[1] {
-		t.Errorf("MatchedTargets = %v", dsts)
 	}
 }
 
@@ -151,7 +73,7 @@ func TestHistogram(t *testing.T) {
 	m.Set(0, 1, -0.5)
 	m.Set(0, 2, 0.5)
 	m.Set(0, 3, 0.999)
-	h := m.Histogram(4)
+	h := Histogram(m, 4)
 	total := 0
 	for _, n := range h {
 		total += n
@@ -162,7 +84,7 @@ func TestHistogram(t *testing.T) {
 	if h[0] != 1 || h[1] != 1 || h[3] != 2 {
 		t.Errorf("histogram = %v", h)
 	}
-	if got := m.Histogram(0); len(got) != 20 {
+	if got := Histogram(m, 0); len(got) != 20 {
 		t.Errorf("default bins = %d, want 20", len(got))
 	}
 }
@@ -172,7 +94,7 @@ func TestAboveThresholdProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMatrix(rng, 8, 8)
 		thr := rng.Float64()*2 - 1
-		got := m.Above(thr)
+		got := SelectThreshold(m, thr)
 		seen := map[[2]int]bool{}
 		for _, c := range got {
 			if c.Score < thr {

@@ -11,10 +11,23 @@ import (
 // selections, provided here as greedy matching and Gale-Shapley stable
 // marriage for the ablation in DESIGN.md (#4).
 
-// SelectThreshold returns every correspondence scoring at least threshold.
-// Elements may participate in several correspondences (m:n semantics).
+// SelectThreshold returns every scored correspondence at or above
+// threshold, ordered by descending score (ties broken by source then
+// target ID), or nil when none qualifies. Elements may participate in
+// several correspondences (m:n semantics). A sparse matrix never yields a
+// pruned cell, even at a threshold <= 0.
 func SelectThreshold(m ScoreMatrix, threshold float64) []Correspondence {
-	return m.Above(threshold)
+	var out []Correspondence
+	for i := 0; i < m.Rows(); i++ {
+		m.ForRow(i, func(j int, s float64) bool {
+			if s >= threshold {
+				out = append(out, Correspondence{Src: i, Dst: j, Score: s})
+			}
+			return true
+		})
+	}
+	sortCorrespondences(out)
+	return out
 }
 
 // SelectGreedyOneToOne returns a one-to-one matching built greedily from
@@ -23,7 +36,7 @@ func SelectThreshold(m ScoreMatrix, threshold float64) []Correspondence {
 // heuristic: the result is also a stable matching when scores are distinct.
 func SelectGreedyOneToOne(m ScoreMatrix, threshold float64) []Correspondence {
 	defer func(t0 time.Time) { phaseSelect.Observe(time.Since(t0).Seconds()) }(time.Now())
-	cands := m.Above(threshold)
+	cands := SelectThreshold(m, threshold)
 	usedSrc := make(map[int]bool)
 	usedDst := make(map[int]bool)
 	out := make([]Correspondence, 0, len(cands))

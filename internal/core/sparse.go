@@ -104,17 +104,6 @@ func (m *SparseMatrix) Set(src, dst int, score float64) {
 	}
 }
 
-// Row materializes one source element's scores against every target as a
-// fresh dense slice (pruned cells are 0). Unlike the dense Matrix, the
-// result does not alias internal storage; prefer ForRow on hot paths.
-func (m *SparseMatrix) Row(src int) []float64 {
-	out := make([]float64, m.cols)
-	for k := m.rowStart[src]; k < m.rowStart[src+1]; k++ {
-		out[m.colIdx[k]] = m.scores[k]
-	}
-	return out
-}
-
 // ForRow calls f for every stored candidate cell of row src in ascending
 // dst order, stopping early when f returns false.
 func (m *SparseMatrix) ForRow(src int, f func(dst int, score float64) bool) {
@@ -132,115 +121,6 @@ func (m *SparseMatrix) Clone() ScoreMatrix {
 	c.scores = make([]float64, len(m.scores))
 	copy(c.scores, m.scores)
 	return c
-}
-
-// Above returns every stored correspondence with score >= threshold,
-// ordered by descending score (ties broken by source then target ID).
-func (m *SparseMatrix) Above(threshold float64) []Correspondence {
-	n := 0
-	for _, s := range m.scores {
-		if s >= threshold {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Correspondence, 0, n)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
-			if s := m.scores[k]; s >= threshold {
-				out = append(out, Correspondence{Src: i, Dst: int(m.colIdx[k]), Score: s})
-			}
-		}
-	}
-	sortCorrespondences(out)
-	return out
-}
-
-// TopKPerSource returns, for each source element, its best k stored
-// targets with score >= threshold, ordered by descending score overall.
-func (m *SparseMatrix) TopKPerSource(k int, threshold float64) []Correspondence {
-	if k <= 0 {
-		return nil
-	}
-	var out []Correspondence
-	var buf []Correspondence
-	for i := 0; i < m.rows; i++ {
-		buf = buf[:0]
-		for x := m.rowStart[i]; x < m.rowStart[i+1]; x++ {
-			if s := m.scores[x]; s >= threshold {
-				buf = append(buf, Correspondence{Src: i, Dst: int(m.colIdx[x]), Score: s})
-			}
-		}
-		sortCorrespondences(buf)
-		if len(buf) > k {
-			buf = buf[:k]
-		}
-		out = append(out, buf...)
-	}
-	sortCorrespondences(out)
-	return out
-}
-
-// BestPerSource returns each source element's single best stored target;
-// sources with no stored cell at or above minScore are omitted.
-func (m *SparseMatrix) BestPerSource(minScore float64) []Correspondence {
-	var out []Correspondence
-	for i := 0; i < m.rows; i++ {
-		bestJ, bestS := -1, minScore
-		for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
-			s := m.scores[k]
-			if s > bestS || (bestJ == -1 && s >= minScore) {
-				bestJ, bestS = int(m.colIdx[k]), s
-			}
-		}
-		if bestJ >= 0 {
-			out = append(out, Correspondence{Src: i, Dst: bestJ, Score: bestS})
-		}
-	}
-	return out
-}
-
-// MatchedTargets returns the target IDs appearing in any stored cell with
-// score >= threshold.
-func (m *SparseMatrix) MatchedTargets(threshold float64) map[int]bool {
-	out := make(map[int]bool)
-	for k, s := range m.scores {
-		if s >= threshold {
-			out[int(m.colIdx[k])] = true
-		}
-	}
-	return out
-}
-
-// MatchedSources returns the source IDs appearing in any stored cell with
-// score >= threshold.
-func (m *SparseMatrix) MatchedSources(threshold float64) map[int]bool {
-	out := make(map[int]bool)
-	for i := 0; i < m.rows; i++ {
-		for k := m.rowStart[i]; k < m.rowStart[i+1]; k++ {
-			if m.scores[k] >= threshold {
-				out[i] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Histogram buckets the stored scores into n equal-width bins over [-1, 1].
-// Pruned cells are not counted: the histogram describes what was scored,
-// and the bin totals sum to Pairs exactly as for the dense form.
-func (m *SparseMatrix) Histogram(n int) []int {
-	if n <= 0 {
-		n = 20
-	}
-	counts := make([]int, n)
-	for _, s := range m.scores {
-		counts[histogramBin(s, n)]++
-	}
-	return counts
 }
 
 // --- candidate generation -------------------------------------------------

@@ -31,10 +31,6 @@ func TestSparseMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 0 {
 		t.Error("write to pruned cell should be ignored")
 	}
-	row := m.Row(0)
-	if len(row) != 5 || row[3] != 0.5 || row[0] != 0 {
-		t.Errorf("Row = %v", row)
-	}
 	var visited []int
 	m.ForRow(2, func(dst int, score float64) bool {
 		visited = append(visited, dst)
@@ -63,29 +59,15 @@ func TestSparseMatrixSelections(t *testing.T) {
 	m.Set(2, 0, 0.9)
 	m.Set(2, 2, 0.3)
 
-	above := m.Above(0.5)
+	above := SelectThreshold(m, 0.5)
 	if len(above) != 3 || above[0].Score != 0.9 || above[0].Src != 2 {
-		t.Errorf("Above = %v", above)
+		t.Errorf("SelectThreshold = %v", above)
 	}
-	if m.Above(2) != nil {
-		t.Error("Above with impossible threshold should be nil")
-	}
-	top := m.TopKPerSource(1, 0)
-	if len(top) != 2 || top[0] != (Correspondence{Src: 2, Dst: 0, Score: 0.9}) {
-		t.Errorf("TopKPerSource = %v", top)
-	}
-	best := m.BestPerSource(0.5)
-	if len(best) != 2 || best[0].Dst != 1 || best[1].Dst != 0 {
-		t.Errorf("BestPerSource = %v", best)
-	}
-	if srcs := m.MatchedSources(0.5); len(srcs) != 2 || !srcs[0] || !srcs[2] {
-		t.Errorf("MatchedSources = %v", srcs)
-	}
-	if dsts := m.MatchedTargets(0.85); len(dsts) != 1 || !dsts[0] {
-		t.Errorf("MatchedTargets = %v", dsts)
+	if SelectThreshold(m, 2) != nil {
+		t.Error("SelectThreshold with impossible threshold should be nil")
 	}
 	total := 0
-	for _, n := range m.Histogram(10) {
+	for _, n := range Histogram(m, 10) {
 		total += n
 	}
 	if total != m.Pairs() {
@@ -140,7 +122,7 @@ func TestSparseParityWithDense(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		a, b, _ := synth.Pair(seed, 30, 25, 15, 6)
 		dense := PresetHarmony().Match(a, b)
-		keep := dense.Matrix.Above(parityThreshold)
+		keep := SelectThreshold(dense.Matrix, parityThreshold)
 		if len(keep) == 0 {
 			t.Fatalf("seed %d: dense found no pairs above %.2f; workload too easy to test", seed, parityThreshold)
 		}
@@ -222,7 +204,7 @@ func TestSparseMatchConcurrent(t *testing.T) {
 	a, b, _ := synth.Pair(11, 20, 18, 10, 6)
 	sv, dv := Preprocess(a, b)
 	eng := PresetHarmony().WithOptions(WithSparse(16), WithSparseCutoff(1), WithWorkers(4))
-	want := eng.MatchViews(sv, dv).Matrix.Above(0.4)
+	want := SelectThreshold(eng.MatchViews(sv, dv).Matrix, 0.4)
 
 	const goroutines = 4
 	results := make([][]Correspondence, goroutines)
@@ -231,7 +213,7 @@ func TestSparseMatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g] = eng.MatchViews(sv, dv).Matrix.Above(0.4)
+			results[g] = SelectThreshold(eng.MatchViews(sv, dv).Matrix, 0.4)
 		}(g)
 	}
 	wg.Wait()

@@ -37,3 +37,21 @@ func SuggestThreshold(m ScoreMatrix) float64 {
 	p90 := maxima[len(maxima)*9/10]
 	return 0.85 * p90
 }
+
+// Histogram buckets the scored cells of m into n equal-width bins over
+// [-1, 1] (20 when n <= 0) and returns the counts; the bin totals sum to
+// Pairs. It is the score distribution behind the confidence filter: a
+// sparse matrix's pruned cells are not counted.
+func Histogram(m ScoreMatrix, n int) []int {
+	if n <= 0 {
+		n = 20
+	}
+	counts := make([]int, n)
+	for i := 0; i < m.Rows(); i++ {
+		m.ForRow(i, func(_ int, s float64) bool {
+			counts[min(max(int((s+1)/2*float64(n)), 0), n-1)]++
+			return true
+		})
+	}
+	return counts
+}

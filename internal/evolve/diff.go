@@ -299,7 +299,7 @@ func Diff(old, new *schema.Schema, opts Options) *ChangeSet {
 		sv, dv := core.Preprocess(old, new)
 		res := opts.Engine.MatchCross(sv, dv, oldResidue, newResidue)
 		inPlaceThreshold := opts.RenameThreshold * 0.6
-		cands := res.Matrix.Above(inPlaceThreshold) // descending score
+		cands := core.SelectThreshold(res.Matrix, inPlaceThreshold) // descending score
 		for _, containersPass := range []bool{true, false} {
 			for _, cand := range cands {
 				oe, ne := old.Element(cand.Src), new.Element(cand.Dst)

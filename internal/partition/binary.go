@@ -42,7 +42,7 @@ func FromResult(res *core.Result, threshold float64, oneToOne bool) *Binary {
 	if oneToOne {
 		cands = core.SelectGreedyOneToOne(res.Matrix, threshold)
 	} else {
-		cands = res.Matrix.Above(threshold)
+		cands = core.SelectThreshold(res.Matrix, threshold)
 	}
 	matchedA := make(map[int]bool)
 	matchedB := make(map[int]bool)

@@ -96,8 +96,9 @@ type Config struct {
 	// blocking index retrieval (0 = exact; see corpus.Config.BlockBudget).
 	CorpusBlockBudget int
 	// IngestWorkers is the parallelism of the bulk-ingest prepare stage
-	// (parse, profile compilation, index-document preparation per NDJSON
-	// batch). Default: GOMAXPROCS.
+	// (parse, stats, fingerprint, journal payload and index-document
+	// preparation per NDJSON batch; profiles compile on first match).
+	// Default: GOMAXPROCS.
 	IngestWorkers int
 	// SparseBudget is the per-source candidate budget of sparse
 	// candidate-pair scoring in the match engines (0 picks

@@ -197,7 +197,7 @@ func (s *Session) RunTask(taskID int, reviewer Reviewer) (*Task, error) {
 	for _, m := range t.Concept.Members {
 		member[m.ID] = true
 	}
-	for _, c := range res.Matrix.Above(s.threshold) {
+	for _, c := range core.SelectThreshold(res.Matrix, s.threshold) {
 		if !member[c.Src] {
 			continue
 		}
