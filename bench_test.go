@@ -70,6 +70,10 @@ func caseFixture(b *testing.B) *struct {
 func BenchmarkE1FullMatch(b *testing.B) {
 	sa, sb, _ := synth.CaseStudy(42)
 	eng := core.PresetHarmony()
+	// One untimed match primes the process-wide state (token interning,
+	// name shapes, scratch and matrix pools) that only a process's first
+	// match pays for.
+	eng.Match(sa, sb).Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Match(sa, sb).Release()
@@ -113,6 +117,7 @@ func BenchmarkE1FullMatchUninstrumented(b *testing.B) {
 	defer obs.SetEnabled(true)
 	sa, sb, _ := synth.CaseStudy(42)
 	eng := core.PresetHarmony()
+	eng.Match(sa, sb).Release() // primes process-wide state, as in BenchmarkE1FullMatch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Match(sa, sb).Release()
@@ -123,16 +128,20 @@ func BenchmarkE1FullMatchUninstrumented(b *testing.B) {
 // BenchmarkE1SparseMatch is E1's sparse counterpart (E12 in
 // EXPERIMENTS.md): the same 1378x784 match with sparse candidate-pair
 // scoring at the default budget — candidate retrieval plus voter scoring
-// of ~7 % of the pairs. TestRegressionSparseVsDense enforces the >= 3x
-// wall-clock advantage over BenchmarkE1FullMatch at matched F-measure.
+// of ~7 % of the pairs. TestRegressionSparseVsDense gates the pairs
+// scored (at most a tenth of dense) at matched F-measure and logs both
+// wall-clock times.
 func BenchmarkE1SparseMatch(b *testing.B) {
 	sa, sb, _ := synth.CaseStudy(42)
 	eng := core.PresetHarmony().WithOptions(core.WithSparse(core.DefaultSparseBudget))
+	eng.Match(sa, sb).Release() // primes process-wide state, as in BenchmarkE1FullMatch
+	b.ReportAllocs()
 	b.ResetTimer()
 	var scored int
 	for i := 0; i < b.N; i++ {
 		res := eng.Match(sa, sb)
 		scored = res.Matrix.Pairs()
+		res.Release()
 	}
 	b.ReportMetric(float64(scored), "pairs/op")
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"iter"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"harmony/internal/schema"
@@ -197,16 +199,12 @@ func (e *Engine) MatchViews(sv, dv *SchemaView) *Result {
 	var m ScoreMatrix
 	t0 := time.Now()
 	if e.sparseActive(sv.Len(), dv.Len()) {
-		cands := sparseCandidates(sv, dv, e.sparseBudget)
+		cands, align := e.sparseCandidates(sv, dv, nil)
 		sm := NewSparseMatrix(sv.Len(), dv.Len(), cands)
-		e.scoreSparse(sv, dv, sm)
+		e.scoreSparse(sv, dv, sm, align)
 		m = sm
 		matchesSparse.Inc()
-		var scored int
-		for _, row := range cands {
-			scored += len(row)
-		}
-		pairsScoredSparse.Add(uint64(scored))
+		pairsScoredSparse.Add(uint64(sm.Pairs()))
 	} else {
 		// Dense scoring writes every cell, so the (possibly pooled) buffer
 		// needs no zeroing.
@@ -312,7 +310,7 @@ func (e *Engine) MatchCross(sv, dv *SchemaView, srcEls, dstEls []*schema.Element
 		cands[el.ID] = cols
 	}
 	m := NewSparseMatrix(sv.Len(), dv.Len(), cands)
-	e.scoreSparse(sv, dv, m)
+	e.scoreSparse(sv, dv, m, nil)
 	return &Result{Src: sv, Dst: dv, Matrix: m}
 }
 
@@ -333,8 +331,9 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 	for _, el := range elements {
 		scope[el.ID] = true
 	}
-	sm := NewSparseMatrix(sv.Len(), dv.Len(), sparseCandidatesScoped(sv, dv, e.sparseBudget, scope))
-	e.scoreSparse(sv, dv, sm)
+	cands, align := e.sparseCandidates(sv, dv, scope)
+	sm := NewSparseMatrix(sv.Len(), dv.Len(), cands)
+	e.scoreSparse(sv, dv, sm, align)
 	return &Result{Src: sv, Dst: dv, Matrix: sm}
 }
 
@@ -346,8 +345,15 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 // bounded at put-back. (Path votes are cheap enough that memoizing them
 // through a hash map costs about as much as recomputing, and paths are
 // nearly unique per element, so they are always computed directly.)
+//
+// aligned and alignTotal carry the children-alignment total that sparse
+// candidate generation recorded for the pair being scored to the
+// structure voter (see scoreSparse); putScratch clears aligned.
 type pairScratch struct {
 	hybrid map[uint64]float64 // name-shape pair -> hybrid name similarity
+
+	aligned    bool    // alignTotal holds the current container pair's total
+	alignTotal float64 // greedyAlignChildren's total for the current pair
 }
 
 // maxMemoEntries bounds the memo table (~2^19 entries ≈ 8 MB);
@@ -365,6 +371,7 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 func putScratch(sc *pairScratch) {
+	sc.aligned = false
 	if len(sc.hybrid) >= maxMemoEntries {
 		sc.hybrid = make(map[uint64]float64, 1024)
 	}
@@ -404,132 +411,64 @@ func (e *Engine) score(sv, dv *SchemaView, m *Matrix, rows []int) {
 	})
 }
 
-// forEachRowChunk splits the index range [0, n) into one contiguous chunk
-// per engine worker and runs fn concurrently, handing each worker its own
-// votes/weights buffers and a pooled pairScratch. Both the dense and the
-// sparse scorers fan out through here so the chunking and clamping logic
-// exists once.
+// forEachRowChunk is forEachChunk for the voting loops: each worker also
+// gets its own votes/weights buffers and a pooled pairScratch. Both the
+// dense and the sparse scorers fan out through here.
 func (e *Engine) forEachRowChunk(n int, fn func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch)) {
-	workers := e.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	e.forEachChunk(n, func(chunks iter.Seq2[int, int]) {
+		votes := make([]Vote, len(e.voters))
+		weights := make([]float64, len(e.voters))
+		for i, wv := range e.voters {
+			weights[i] = wv.Weight
+		}
+		sc := scratchPool.Get().(*pairScratch)
+		for lo, hi := range chunks {
+			fn(lo, hi, votes, weights, sc)
+		}
+		putScratch(sc)
+	})
+}
+
+// forEachChunk runs worker once on each of the engine's workers,
+// concurrently, and returns when all have returned. Each worker sets up
+// its own scratch and ranges over chunks: contiguous [lo, hi) ranges of
+// [0, n) that the workers claim from a shared cursor, so a worker that
+// draws expensive rows (containers, say) does not hold up the others.
+// Scoring, sparse candidate generation and propagation all fan out
+// through here, so the chunking and clamping logic exists once.
+func (e *Engine) forEachChunk(n int, worker func(chunks iter.Seq2[int, int])) {
+	workers := min(max(e.workers, 1), n)
 	if workers == 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			votes := make([]Vote, len(e.voters))
-			weights := make([]float64, len(e.voters))
-			for i, wv := range e.voters {
-				weights[i] = wv.Weight
+	// A few chunks per worker balance the load; more only add claims.
+	grain := max(n/(workers*chunksPerWorker), 1)
+	var cursor atomic.Int64
+	chunks := func(yield func(lo, hi int) bool) {
+		for {
+			lo := int(cursor.Add(int64(grain))) - grain
+			if lo >= n || !yield(lo, min(lo+grain, n)) {
+				return
 			}
-			sc := scratchPool.Get().(*pairScratch)
-			fn(lo, hi, votes, weights, sc)
-			putScratch(sc)
-		}(lo, hi)
+		}
+	}
+	if workers == 1 {
+		worker(chunks)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			worker(chunks)
+		}()
 	}
 	wg.Wait()
 }
 
-// propagate runs one round of structural propagation and returns the
-// blended matrix: container pair scores are blended with the average of
-// their children's best mutual scores, and leaf pair scores with their
-// parents' pair score. All reads come from the pre-round matrix, so the
-// two passes stay order-independent. Only cells the representation stores
-// are visited — for a sparse matrix that is exactly the candidate set
-// (structural expansion guarantees every candidate pair's parents are
-// candidates too, so the parent reads hit stored cells).
-func (e *Engine) propagate(sv, dv *SchemaView, m ScoreMatrix) ScoreMatrix {
-	alpha := e.propagationAlpha
-	if alpha <= 0 {
-		return m
-	}
-	next := m.Clone()
-	var used []bool // childrenAgreement scratch, reused across pairs
-	for i := 0; i < sv.Len(); i++ {
-		a := sv.View(i).El
-		if a.IsLeaf() {
-			if a.Parent == nil {
-				continue
-			}
-			pi := a.Parent.ID
-			m.ForRow(i, func(j int, s float64) bool {
-				b := dv.View(j).El
-				if !b.IsLeaf() || b.Parent == nil {
-					return true
-				}
-				parentScore := m.At(pi, b.Parent.ID)
-				next.Set(i, j, clampScore((1-alpha)*s+alpha*parentScore))
-				return true
-			})
-			continue
-		}
-		m.ForRow(i, func(j int, s float64) bool {
-			b := dv.View(j).El
-			if b.IsLeaf() {
-				return true
-			}
-			if n := len(b.Children); cap(used) < n {
-				used = make([]bool, n)
-			}
-			agg := childrenAgreement(a, b, m, used[:len(b.Children)])
-			next.Set(i, j, clampScore((1-alpha)*s+alpha*agg))
-			return true
-		})
-	}
-	return next
-}
-
-// childrenAgreement computes the greedy one-to-one alignment quality of two
-// containers' children under the current matrix scores, normalized over the
-// smaller child set.
-// used is caller-provided scratch of len(b.Children); it is reset here.
-func childrenAgreement(a, b *schema.Element, m ScoreMatrix, used []bool) float64 {
-	ca, cb := a.Children, b.Children
-	if len(ca) == 0 || len(cb) == 0 {
-		return 0
-	}
-	for i := range used {
-		used[i] = false
-	}
-	var total float64
-	for _, x := range ca {
-		best, bestJ := 0.0, -1
-		for j, y := range cb {
-			if used[j] {
-				continue
-			}
-			if s := m.At(x.ID, y.ID); s > best {
-				best, bestJ = s, j
-			}
-		}
-		if bestJ >= 0 {
-			used[bestJ] = true
-			total += best
-		}
-	}
-	n := len(ca)
-	if len(cb) < n {
-		n = len(cb)
-	}
-	return total / float64(n)
-}
+// chunksPerWorker is how many chunks forEachChunk cuts per worker.
+const chunksPerWorker = 8
 
 // VoteRecord explains one voter's contribution to a pair's score.
 type VoteRecord struct {

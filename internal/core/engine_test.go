@@ -193,12 +193,29 @@ func TestExplainConsistentWithMatrix(t *testing.T) {
 
 func TestEngineWorkerCountsAgree(t *testing.T) {
 	a, b := personSchemaA(), personSchemaB()
-	r1 := NewEngine(PresetHarmony().Voters(), EvidenceWeighted{}, WithWorkers(1)).Match(a, b)
-	r8 := NewEngine(PresetHarmony().Voters(), EvidenceWeighted{}, WithWorkers(8)).Match(a, b)
-	for i := 0; i < a.Len(); i++ {
-		for j := 0; j < b.Len(); j++ {
-			if r1.Matrix.At(i, j) != r8.Matrix.At(i, j) {
-				t.Fatalf("worker counts disagree at (%d,%d)", i, j)
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{
+		{"dense", nil},
+		{"sparse", []Option{WithSparse(2), WithSparseCutoff(1)}},
+	} {
+		base := NewEngine(PresetHarmony().Voters(), EvidenceWeighted{}, WithPropagation(2, 0.15)).WithOptions(mode.opts...)
+		r1 := base.WithOptions(WithWorkers(1)).Match(a, b)
+		r8 := base.WithOptions(WithWorkers(8)).Match(a, b)
+		if mode.name == "sparse" {
+			if _, ok := r1.Matrix.(*SparseMatrix); !ok {
+				t.Fatalf("sparse engine produced %T", r1.Matrix)
+			}
+		}
+		if r1.Matrix.Pairs() != r8.Matrix.Pairs() {
+			t.Fatalf("%s: worker counts store %d vs %d cells", mode.name, r1.Matrix.Pairs(), r8.Matrix.Pairs())
+		}
+		for i := 0; i < a.Len(); i++ {
+			for j := 0; j < b.Len(); j++ {
+				if math.Float64bits(r1.Matrix.At(i, j)) != math.Float64bits(r8.Matrix.At(i, j)) {
+					t.Fatalf("%s: worker counts disagree at (%d,%d)", mode.name, i, j)
+				}
 			}
 		}
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"harmony/internal/text"
@@ -259,91 +262,63 @@ func buildSparseIndex(dv *SchemaView) *sparseIndex {
 	return ix
 }
 
-// sparseCandidates generates the bounded per-source candidate sets: token
-// retrieval against the target index (budget-best by accumulated IDF
-// weight) followed by one round of structural expansion, which gives every
-// candidate pair's parents a candidate pair of their own. The expansion is
-// what lets container rows score the containers their children point at —
-// the structure voter's children alignment and the propagation passes both
-// need those cells to exist.
-func sparseCandidates(sv, dv *SchemaView, budget int) [][]int32 {
-	return sparseCandidatesScoped(sv, dv, budget, nil)
-}
-
-// sparseCandidatesScoped is sparseCandidates restricted to the given source
-// rows (nil means every row): retrieval runs only for in-scope rows and the
-// structural expansion never promotes a row outside the scope, so a scoped
-// run costs O(|scope|) retrievals, not O(rows). The scoped form is what
-// incremental re-matching after a schema version bump uses: only the dirty
-// elements retrieve candidates.
-func sparseCandidatesScoped(sv, dv *SchemaView, budget int, scope []bool) [][]int32 {
+// sparseCandidates generates the bounded candidate sets of the given
+// source rows (scope nil means every row) in three passes:
+//
+//   - token retrieval against the target index, keeping the budget-best
+//     targets by accumulated IDF weight;
+//   - one round of upward structural expansion: every retrieved pair
+//     (i, j) promotes (parent(i), parent(j));
+//   - downward structural expansion: every candidate container pair
+//     admits the structure voter's greedy children alignment
+//     (greedyAlignChildren), at most min(|children|) pairs per container
+//     pair.
+//
+// The expansions let container rows score the containers their children
+// point at, and give the structure voter's alignment and the propagation
+// passes the child cells sparse pruning would otherwise hide.
+//
+// It returns each row's candidates, ascending, and, for every row of a
+// container, each candidate's children-alignment total (parallel to the
+// row, 0 where the target is a leaf). The structure voter scores
+// container pairs from these totals (scoreSparse), so the alignment runs
+// once per container pair.
+//
+// A scoped run (the incremental re-match after a schema version bump)
+// retrieves only for in-scope rows, and neither expansion promotes a row
+// outside the scope: out-of-scope rows stay empty, and the run costs
+// O(|scope|) retrievals, not O(rows).
+//
+// Retrieval fans out over the engine's workers by row. The downward pass
+// runs one tree depth at a time, fanned out over the rows of that depth:
+// only a row's parent writes to its set, so the rows of one depth are
+// independent, and a row's set is complete when its depth comes. Each row
+// is sorted and deduplicated there, so the output does not depend on
+// which worker finishes first. The upward expansion is serial.
+func (e *Engine) sparseCandidates(sv, dv *SchemaView, scope []bool) (cands [][]int32, align [][]float64) {
 	ix := buildSparseIndex(dv)
-	rows, cols := sv.Len(), dv.Len()
-	sets := make([]map[int32]struct{}, rows)
+	rows := sv.Len()
+	sets := make([][]int32, rows)
+	e.forEachChunk(rows, func(chunks iter.Seq2[int, int]) {
+		r := retriever{ix: ix, acc: make([]float64, dv.Len())}
+		for lo, hi := range chunks {
+			for i := lo; i < hi; i++ {
+				if scope == nil || scope[i] {
+					sets[i] = r.retrieve(sv.View(i), e.sparseBudget)
+				}
+			}
+		}
+	})
 
-	acc := make([]float64, cols)
-	var touched []int32
-	var keys []string
-	for i := 0; i < rows; i++ {
-		if scope != nil && !scope[i] {
-			continue
-		}
-		keys = elementKeys(sv.View(i), keys[:0], true)
-		sort.Strings(keys)
-		prev := ""
-		for _, k := range keys {
-			if k == prev {
-				continue
-			}
-			prev = k
-			post := ix.postings[k]
-			if len(post) == 0 {
-				continue
-			}
-			w := ix.idf(k)
-			switch k[0] {
-			case 'n':
-				w *= weightName
-			case 'd':
-				w *= weightDoc
-			case 'p':
-				w *= weightPrefix
-			default: // acronym families
-				w *= weightAcronym
-			}
-			for _, j := range post {
-				if acc[j] == 0 {
-					touched = append(touched, j)
-				}
-				acc[j] += w
-			}
-		}
-		all := touched
-		if len(touched) > budget {
-			sort.Slice(touched, func(a, b int) bool {
-				if acc[touched[a]] != acc[touched[b]] {
-					return acc[touched[a]] > acc[touched[b]]
-				}
-				return touched[a] < touched[b]
-			})
-			touched = touched[:budget]
-		}
-		set := make(map[int32]struct{}, len(touched)+4)
-		for _, j := range touched {
-			set[j] = struct{}{}
-		}
-		sets[i] = set
-		for _, j := range all {
-			acc[j] = 0
-		}
-		touched = all[:0]
+	// A parent's ID is below its children's, so when row i's turn comes
+	// its set still holds only what retrieval put there. last[pj] is the
+	// row pj was last promoted into: siblings promote the same parents,
+	// and skipping the repeats keeps the rows short until they are
+	// deduplicated.
+	last := make([]int32, dv.Len())
+	for j := range last {
+		last[j] = -1
 	}
-
-	// Upward structural expansion: every candidate (i, j) promotes
-	// (parent(i), parent(j)). Bounded by the number of distinct candidate
-	// parents, so container rows grow by at most their subtree's retrieval
-	// breadth. Scoped runs only promote in-scope parents: out-of-scope rows
-	// must stay empty (their stored decisions are not being revisited).
 	for i := 0; i < rows; i++ {
 		a := sv.View(i).El
 		if a.Parent == nil {
@@ -353,82 +328,165 @@ func sparseCandidatesScoped(sv, dv *SchemaView, budget int, scope []bool) [][]in
 		if scope != nil && !scope[pi] {
 			continue
 		}
-		for j := range sets[i] {
+		for _, j := range sets[i] {
 			b := dv.View(int(j)).El
-			if b.Parent == nil {
+			if b.Parent == nil || last[b.Parent.ID] == int32(pi) {
 				continue
 			}
-			if sets[pi] == nil {
-				sets[pi] = make(map[int32]struct{}, 8)
-			}
-			sets[pi][int32(b.Parent.ID)] = struct{}{}
+			last[b.Parent.ID] = int32(pi)
+			sets[pi] = append(sets[pi], int32(b.Parent.ID))
 		}
 	}
 
-	// Downward structural expansion: for every candidate container pair,
-	// the greedy children alignment (the same one the structure voter and
-	// the propagation pass compute) enters the candidate set, so those
-	// passes see the same child evidence sparse pruning would otherwise
-	// hide. At most min(|children|) pairs per container pair.
-	for i := 0; i < rows; i++ {
-		av := sv.View(i)
-		if len(av.El.Children) == 0 || len(sets[i]) == 0 {
-			continue
-		}
-		cands := make([]int32, 0, len(sets[i]))
-		for j := range sets[i] {
-			cands = append(cands, j)
-		}
-		for _, j := range cands {
-			bv := dv.View(int(j))
-			if len(bv.El.Children) == 0 {
-				continue
+	align = make([][]float64, rows)
+	var active []int32
+	for _, level := range depthLevels(sv) {
+		active = active[:0]
+		for _, i := range level {
+			if len(sets[i]) > 0 {
+				active = append(active, i)
 			}
-			alignChildren(av, bv, sets, scope)
 		}
+		e.forEachChunk(len(active), func(chunks iter.Seq2[int, int]) {
+			for lo, hi := range chunks {
+				for _, i := range active[lo:hi] {
+					align[i] = alignRow(sv.View(int(i)), dv, sets, scope)
+				}
+			}
+		})
 	}
-
-	out := make([][]int32, rows)
-	for i, set := range sets {
-		if len(set) == 0 {
-			continue
-		}
-		lst := make([]int32, 0, len(set))
-		for j := range set {
-			lst = append(lst, j)
-		}
-		sort.Slice(lst, func(a, b int) bool { return lst[a] < lst[b] })
-		out[i] = lst
-	}
-	return out
+	return sets, align
 }
 
-// alignChildren adds every pair of the structure voter's greedy children
-// alignment (greedyAlignChildren, the same computation containerVote
-// scores) to the source child's candidate set. Children outside a scoped
-// run's row scope are skipped.
-func alignChildren(av, bv *ElementView, sets []map[int32]struct{}, scope []bool) {
-	greedyAlignChildren(av, bv, func(ci, cj int, _ float64) {
-		x := av.El.Children[ci].ID
-		if scope != nil && !scope[x] {
-			return
+// depthLevels groups the source rows by tree depth, shallowest first.
+func depthLevels(sv *SchemaView) [][]int32 {
+	var levels [][]int32
+	for i := 0; i < sv.Len(); i++ {
+		d := sv.View(i).El.Depth()
+		for len(levels) < d {
+			levels = append(levels, nil)
 		}
-		if sets[x] == nil {
-			sets[x] = make(map[int32]struct{}, 4)
+		levels[d-1] = append(levels[d-1], int32(i))
+	}
+	return levels
+}
+
+// alignRow finalizes row av's candidate set (sorted, duplicate-free) and,
+// when av is a container, admits the greedy children alignment of every
+// candidate container into its children's sets (children outside a
+// scoped run's scope are skipped). It returns the alignment totals,
+// parallel to the row, or nil for a leaf row.
+func alignRow(av *ElementView, dv *SchemaView, sets [][]int32, scope []bool) []float64 {
+	i := av.El.ID
+	slices.Sort(sets[i])
+	sets[i] = slices.Compact(sets[i])
+	if len(av.children) == 0 {
+		return nil
+	}
+	totals := make([]float64, len(sets[i]))
+	for k, j := range sets[i] {
+		bv := dv.View(int(j))
+		if len(bv.children) == 0 {
+			continue
 		}
-		sets[x][int32(bv.El.Children[cj].ID)] = struct{}{}
-	})
+		var total float64
+		greedyAlignChildren(av, bv, func(ci, cj int, sim float64) {
+			total += sim
+			x := av.El.Children[ci].ID
+			if scope == nil || scope[x] {
+				sets[x] = append(sets[x], int32(bv.El.Children[cj].ID))
+			}
+		})
+		totals[k] = total
+	}
+	return totals
+}
+
+// retriever is one worker's retrieval scratch: the per-target score
+// accumulator (all zero between queries), the targets a query touched,
+// and the query's posting keys.
+type retriever struct {
+	ix      *sparseIndex
+	acc     []float64
+	touched []int32
+	keys    []string
+}
+
+// retrieve returns the budget-best targets of one source element by
+// accumulated family-weighted IDF over its posting keys; ties go to the
+// lower target ID.
+func (r *retriever) retrieve(v *ElementView, budget int) []int32 {
+	acc := r.acc
+	r.keys = elementKeys(v, r.keys[:0], true)
+	sort.Strings(r.keys)
+	prev := ""
+	for _, k := range r.keys {
+		if k == prev {
+			continue
+		}
+		prev = k
+		post := r.ix.postings[k]
+		if len(post) == 0 {
+			continue
+		}
+		w := r.ix.idf(k)
+		switch k[0] {
+		case 'n':
+			w *= weightName
+		case 'd':
+			w *= weightDoc
+		case 'p':
+			w *= weightPrefix
+		default: // acronym families
+			w *= weightAcronym
+		}
+		for _, j := range post {
+			if acc[j] == 0 {
+				r.touched = append(r.touched, j)
+			}
+			acc[j] += w
+		}
+	}
+	kept := r.touched
+	if len(kept) > budget {
+		slices.SortFunc(kept, func(a, b int32) int {
+			if acc[a] != acc[b] {
+				return cmp.Compare(acc[b], acc[a])
+			}
+			return cmp.Compare(a, b)
+		})
+		kept = kept[:budget]
+	}
+	out := slices.Clone(kept)
+	for _, j := range r.touched {
+		acc[j] = 0
+	}
+	r.touched = r.touched[:0]
+	return out
 }
 
 // --- sparse scoring -------------------------------------------------------
 
 // scoreSparse fills a sparse matrix: the voters run only on the stored
-// candidate cells, fanned out over the engine's workers by row.
-func (e *Engine) scoreSparse(sv, dv *SchemaView, m *SparseMatrix) {
+// candidate cells, fanned out over the engine's workers by row. align
+// holds the children-alignment totals sparseCandidates recorded; the
+// worker's scratch hands each container pair's total to the structure
+// voter, which then does not align the pair again. MatchCross has no
+// recorded totals and passes nil, so its structure votes align directly.
+func (e *Engine) scoreSparse(sv, dv *SchemaView, m *SparseMatrix, align [][]float64) {
 	e.forEachRowChunk(m.rows, func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
 		for i := lo; i < hi; i++ {
 			srcView := sv.View(i)
-			for x := m.rowStart[i]; x < m.rowStart[i+1]; x++ {
+			var totals []float64
+			if align != nil {
+				totals = align[i]
+			}
+			sc.aligned = totals != nil
+			base := m.rowStart[i]
+			for x := base; x < m.rowStart[i+1]; x++ {
+				if totals != nil {
+					sc.alignTotal = totals[x-base]
+				}
 				e.voteAll(srcView, dv.View(int(m.colIdx[x])), votes, sc)
 				m.scores[x] = e.merger.Merge(votes, weights)
 			}

@@ -178,7 +178,7 @@ func TestSparseAcronymRetrieval(t *testing.T) {
 	b.AddElement(tb, "ZQV", schema.KindXMLElement, schema.TypeString)
 
 	sv, dv := Preprocess(a, b)
-	cands := sparseCandidates(sv, dv, 8)
+	cands, _ := sparseTestEngine(8).sparseCandidates(sv, dv, nil)
 	for _, pair := range [][2]string{
 		{"Records/ZQV", "Entries/Zebra_Quark_Vortex"}, // raw acronym → expansion
 		{"Records/Zebra_Quark_Vortex", "Entries/ZQV"}, // expansion → raw acronym

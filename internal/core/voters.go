@@ -228,6 +228,9 @@ func (StructureVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
 	a, b := src.El, dst.El
 	switch {
 	case !a.IsLeaf() && !b.IsLeaf():
+		if sc != nil && sc.aligned {
+			return alignmentVote(src, dst, sc.alignTotal)
+		}
 		return containerVote(src, dst)
 	case a.IsLeaf() && b.IsLeaf():
 		if src.parent == nil || dst.parent == nil {
@@ -242,19 +245,28 @@ func (StructureVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
 }
 
 // containerVote greedily aligns children by hybrid name similarity and
-// scores the alignment quality over the smaller child set.
+// scores the alignment quality over the smaller child set. The sparse
+// scorer reuses the totals candidate generation recorded instead
+// (alignmentVote); Vote, Explain and MatchCross align here.
 func containerVote(src, dst *ElementView) Vote {
+	var total float64
+	greedyAlignChildren(src, dst, func(_, _ int, sim float64) {
+		total += sim
+	})
+	return alignmentVote(src, dst, total)
+}
+
+// alignmentVote scores a container pair from its greedyAlignChildren
+// total: the mean similarity over the smaller (capped) child set, with
+// evidence growing with that set.
+func alignmentVote(src, dst *ElementView, total float64) Vote {
 	if len(src.children) == 0 || len(dst.children) == 0 {
 		return Abstain
 	}
-	var total float64
 	n := minInt(len(src.children), len(dst.children))
 	if n > maxAlignChildren {
 		n = maxAlignChildren
 	}
-	greedyAlignChildren(src, dst, func(_, _ int, sim float64) {
-		total += sim
-	})
 	return Vote{Ratio: total / float64(n), Evidence: float64(n) * 0.9}
 }
 
@@ -264,9 +276,11 @@ const maxAlignChildren = 64
 
 // greedyAlignChildren greedily aligns two containers' children by
 // synonym-aware token overlap, calling fn for every aligned (ci, cj)
-// child-index pair with its similarity. The structure voter scores the
-// alignment; the sparse candidate generator admits the aligned pairs, so
-// both stay in lock-step by construction.
+// child-index pair with its similarity. In sparse mode it runs once per
+// candidate container pair, in candidate generation: the aligned pairs
+// become candidates and the summed similarity is the total the structure
+// voter scores (alignmentVote). Dense scoring, Vote, Explain and
+// MatchCross run it from containerVote.
 func greedyAlignChildren(av, bv *ElementView, fn func(ci, cj int, sim float64)) {
 	ca, cb := av.children, bv.children
 	na, nb := len(ca), len(cb)
