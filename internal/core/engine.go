@@ -155,6 +155,12 @@ type Result struct {
 	Src    *SchemaView
 	Dst    *SchemaView
 	Matrix ScoreMatrix
+	// Scored counts the element pairs put through the voter stack: every
+	// cell of a dense full match, the in-scope rows of a scoped one, the
+	// stored cells of a sparse one. It equals Matrix.Pairs() except for
+	// MatchElements (so MatchScoped below the sparse threshold), whose
+	// full-size dense matrix holds unscored rows.
+	Scored int
 }
 
 // Match resolves both schemata to compiled profiles (through the
@@ -197,22 +203,23 @@ func (e *Engine) MatchProfiles(pa, pb *CompiledProfile) *Result {
 // concept-at-a-time workflow, which re-matches sub-trees).
 func (e *Engine) MatchViews(sv, dv *SchemaView) *Result {
 	var m ScoreMatrix
+	var scored int
 	t0 := time.Now()
 	if e.sparseActive(sv.Len(), dv.Len()) {
 		cands, align := e.sparseCandidates(sv, dv, nil)
 		sm := NewSparseMatrix(sv.Len(), dv.Len(), cands)
 		e.scoreSparse(sv, dv, sm, align)
-		m = sm
+		m, scored = sm, sm.Pairs()
 		matchesSparse.Inc()
-		pairsScoredSparse.Add(uint64(sm.Pairs()))
+		pairsScoredSparse.Add(uint64(scored))
 	} else {
 		// Dense scoring writes every cell, so the (possibly pooled) buffer
 		// needs no zeroing.
 		dm := newMatrixNoZero(sv.Len(), dv.Len())
 		e.score(sv, dv, dm, nil)
-		m = dm
+		m, scored = dm, sv.Len()*dv.Len()
 		matchesDense.Inc()
-		pairsScoredDense.Add(uint64(sv.Len() * dv.Len()))
+		pairsScoredDense.Add(uint64(scored))
 	}
 	phaseVote.Observe(time.Since(t0).Seconds())
 	if e.propagationRounds > 0 {
@@ -230,7 +237,7 @@ func (e *Engine) MatchViews(sv, dv *SchemaView) *Result {
 		}
 		phasePropagate.Observe(time.Since(t0).Seconds())
 	}
-	return &Result{Src: sv, Dst: dv, Matrix: m}
+	return &Result{Src: sv, Dst: dv, Matrix: m, Scored: scored}
 }
 
 // Release returns the result's dense matrix buffer (if any) to the
@@ -287,7 +294,7 @@ func (e *Engine) MatchElements(sv, dv *SchemaView, elements []*schema.Element) *
 		rows = append(rows, el.ID)
 	}
 	e.score(sv, dv, m, rows)
-	return &Result{Src: sv, Dst: dv, Matrix: m}
+	return &Result{Src: sv, Dst: dv, Matrix: m, Scored: len(rows) * dv.Len()}
 }
 
 // MatchCross scores only the cross product of the two given element
@@ -311,7 +318,7 @@ func (e *Engine) MatchCross(sv, dv *SchemaView, srcEls, dstEls []*schema.Element
 	}
 	m := NewSparseMatrix(sv.Len(), dv.Len(), cands)
 	e.scoreSparse(sv, dv, m, nil)
-	return &Result{Src: sv, Dst: dv, Matrix: m}
+	return &Result{Src: sv, Dst: dv, Matrix: m, Scored: m.Pairs()}
 }
 
 // MatchScoped scores only the pairs whose source element is in the given
@@ -334,7 +341,7 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 	cands, align := e.sparseCandidates(sv, dv, scope)
 	sm := NewSparseMatrix(sv.Len(), dv.Len(), cands)
 	e.scoreSparse(sv, dv, sm, align)
-	return &Result{Src: sv, Dst: dv, Matrix: sm}
+	return &Result{Src: sv, Dst: dv, Matrix: sm, Scored: sm.Pairs()}
 }
 
 // pairScratch is per-worker scoring scratch: the hybrid name-similarity

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"iter"
 	"math"
 	"slices"
@@ -414,7 +413,8 @@ type retriever struct {
 
 // retrieve returns the budget-best targets of one source element by
 // accumulated family-weighted IDF over its posting keys; ties go to the
-// lower target ID.
+// lower target ID. The set is returned in no particular order: the
+// alignment sorts each row.
 func (r *retriever) retrieve(v *ElementView, budget int) []int32 {
 	acc := r.acc
 	r.keys = elementKeys(v, r.keys[:0], true)
@@ -449,12 +449,7 @@ func (r *retriever) retrieve(v *ElementView, budget int) []int32 {
 	}
 	kept := r.touched
 	if len(kept) > budget {
-		slices.SortFunc(kept, func(a, b int32) int {
-			if acc[a] != acc[b] {
-				return cmp.Compare(acc[b], acc[a])
-			}
-			return cmp.Compare(a, b)
-		})
+		selectTop(kept, budget, acc)
 		kept = kept[:budget]
 	}
 	out := slices.Clone(kept)
@@ -463,6 +458,37 @@ func (r *retriever) retrieve(v *ElementView, budget int) []int32 {
 	}
 	r.touched = r.touched[:0]
 	return out
+}
+
+// selectTop reorders ids so that ids[:k] holds the k best by acc —
+// higher score first, then lower ID — in no particular order (a
+// quickselect; 0 < k < len(ids)). The order is total, so the kept set is
+// exactly the first k of a full sort.
+func selectTop(ids []int32, k int, acc []float64) {
+	better := func(a, b int32) bool {
+		return acc[a] > acc[b] || (acc[a] == acc[b] && a < b)
+	}
+	lo, hi := 0, len(ids)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		ids[mid], ids[hi] = ids[hi], ids[mid]
+		pivot, store := ids[hi], lo
+		for i := lo; i < hi; i++ {
+			if better(ids[i], pivot) {
+				ids[i], ids[store] = ids[store], ids[i]
+				store++
+			}
+		}
+		ids[store], ids[hi] = ids[hi], ids[store]
+		switch {
+		case store == k-1:
+			return
+		case store > k-1:
+			hi = store - 1
+		default:
+			lo = store + 1
+		}
+	}
 }
 
 // --- sparse scoring -------------------------------------------------------

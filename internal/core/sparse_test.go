@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -303,6 +306,41 @@ func TestMatchCrossScoresOnlySubset(t *testing.T) {
 			if want := rows.Matrix.At(i, j); got != want {
 				t.Fatalf("cross cell (%d,%d)=%f, row-scoped=%f", i, j, got, want)
 			}
+		}
+	}
+}
+
+// TestSelectTopKeepsSortedPrefix checks the retrieval selection against
+// a full sort under the same order (score descending, then lower ID) on
+// inputs with many tied scores: the kept set must be the sorted prefix.
+func TestSelectTopKeepsSortedPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(60)
+		acc := make([]float64, n)
+		for i := range acc {
+			acc[i] = float64(rng.Intn(5)) * 0.25
+		}
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		rng.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		k := 1 + rng.Intn(n-1)
+		want := slices.Clone(ids)
+		slices.SortFunc(want, func(a, b int32) int {
+			if acc[a] != acc[b] {
+				return cmp.Compare(acc[b], acc[a])
+			}
+			return cmp.Compare(a, b)
+		})
+		selectTop(ids, k, acc)
+		got := slices.Clone(ids[:k])
+		slices.Sort(got)
+		want = want[:k]
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d k=%d): kept %v, want %v", trial, n, k, got, want)
 		}
 	}
 }

@@ -32,6 +32,11 @@ type UpgradeReport struct {
 	PairsRepathed int `json:"pairsRepathed"`
 	PairsDropped  int `json:"pairsDropped"`
 	Proposals     int `json:"proposals"`
+
+	// PairsScored counts the element pairs Rematch put through the
+	// engine's voters, over every artifact it re-matched. A work count
+	// for tests and experiments, kept out of the API's report.
+	PairsScored int `json:"-"`
 }
 
 func (r *UpgradeReport) addArtifact(m *MigrationReport) {
@@ -155,6 +160,9 @@ func Rematch(reg *registry.Registry, eng *core.Engine, d *ChangeSet, rep *Upgrad
 		}
 		sv, dv := core.Preprocess(cur.Schema, counter.Schema)
 		res := eng.MatchScoped(sv, dv, dirty)
+		if rep != nil {
+			rep.PairsScored += res.Scored
+		}
 		sel := core.SelectGreedyOneToOne(res.Matrix, threshold)
 		if len(sel) == 0 {
 			continue

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"harmony/internal/schema"
+	"harmony/internal/search"
 )
 
 // ErrNotJournaled marks a mutation that was applied in memory but whose
@@ -131,49 +132,88 @@ func (r *Registry) emitLocked(ops ...Op) (wait func() error) {
 }
 
 // Apply replays journaled ops into the registry without re-journaling or
-// re-validating them — the write half of crash recovery. Ops must arrive
-// in their original commit order on a registry whose state matches the
-// point just before they were first applied (a snapshot); anything else is
-// reported as corruption.
+// re-validating them — the write half of crash recovery and of a
+// follower's log shipping. Ops must arrive in their original commit
+// order on a registry whose state matches the point just before they were
+// first applied (a snapshot); anything else is reported as corruption.
+// A record's schema ops are parsed and prepared (stats, fingerprint,
+// index documents) outside the lock on GOMAXPROCS workers, so the lock
+// covers only map updates. Their index merge checks are deferred like
+// AddPrepared's: a follower calls FlushIndex after each record, and
+// store.Open builds the index once when replay ends.
 func (r *Registry) Apply(ops []Op) error {
+	prepared, errs := r.prepareOps(ops)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range ops {
-		if err := r.applyLocked(&ops[i]); err != nil {
+		if errs[i] != nil {
+			return fmt.Errorf("registry replay: %s: %w", ops[i].Kind, errs[i])
+		}
+		if err := r.applyLocked(&ops[i], prepared[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (r *Registry) applyLocked(op *Op) error {
-	switch op.Kind {
-	case OpSchemaAdd:
+// prepareOps parses and prepares a record's schema ops, on a worker pool
+// when there are several; each op's payload is the schema's journal
+// payload already.
+func (r *Registry) prepareOps(ops []Op) ([]*PreparedSchema, []error) {
+	prepared := make([]*PreparedSchema, len(ops))
+	errs := make([]error, len(ops))
+	var todo []int
+	for i := range ops {
+		if ops[i].Kind == OpSchemaAdd || ops[i].Kind == OpSchemaVersion {
+			todo = append(todo, i)
+		}
+	}
+	prepare := func(i int) {
+		op := &ops[i]
 		s, err := schema.ParseJSON(op.Schema)
 		if err != nil {
-			return fmt.Errorf("registry replay: %s: %w", op.Kind, err)
+			errs[i] = err
+			return
 		}
-		if _, dup := r.entries[s.Name]; dup {
-			return fmt.Errorf("registry replay: schema %q already registered", s.Name)
+		prepared[i], errs[i] = r.prepareSchema(s, op.Schema, op.Steward, op.Tags)
+	}
+	if len(todo) < 2 {
+		for _, i := range todo {
+			prepare(i)
 		}
-		r.entries[s.Name] = opEntry(s, op)
-		r.index.Add(s)
+		return prepared, errs
+	}
+	pool := newWorkPool(len(todo))
+	for _, i := range todo {
+		pool.submit(func() { prepare(i) })
+	}
+	pool.wait()
+	return prepared, errs
+}
+
+// applyLocked applies one op; ps is its prepared schema for schema ops.
+func (r *Registry) applyLocked(op *Op, ps *PreparedSchema) error {
+	switch op.Kind {
+	case OpSchemaAdd:
+		name := ps.Schema.Name
+		if _, dup := r.entries[name]; dup {
+			return fmt.Errorf("registry replay: schema %q already registered", name)
+		}
+		r.entries[name] = opEntry(ps, op)
+		r.index.AddPrepared([]*search.PreparedDoc{ps.pd})
 		return nil
 
 	case OpSchemaVersion:
-		s, err := schema.ParseJSON(op.Schema)
-		if err != nil {
-			return fmt.Errorf("registry replay: %s: %w", op.Kind, err)
-		}
-		if prev := r.entries[s.Name]; prev != nil {
-			chain := append(r.history[s.Name], prev)
+		name := ps.Schema.Name
+		if prev := r.entries[name]; prev != nil {
+			chain := append(r.history[name], prev)
 			if len(chain) > maxHistory {
 				chain = chain[len(chain)-maxHistory:]
 			}
-			r.history[s.Name] = chain
+			r.history[name] = chain
 		}
-		r.entries[s.Name] = opEntry(s, op)
-		r.index.Add(s)
+		r.entries[name] = opEntry(ps, op)
+		r.index.AddPrepared([]*search.PreparedDoc{ps.pd})
 		return nil
 
 	case OpSchemaDelete:
@@ -213,19 +253,15 @@ func (r *Registry) applyLocked(op *Op) error {
 }
 
 // opEntry rebuilds a catalog entry from a schema op's recorded metadata.
-func opEntry(s *schema.Schema, op *Op) *Entry {
-	version := op.Version
-	if version < 1 {
-		version = 1
-	}
+func opEntry(ps *PreparedSchema, op *Op) *Entry {
 	return &Entry{
-		Schema:      s,
+		Schema:      ps.Schema,
 		Steward:     op.Steward,
 		Tags:        op.Tags,
 		Registered:  op.Registered,
-		Stats:       s.ComputeStats(),
-		Fingerprint: s.Fingerprint(),
-		Version:     version,
+		Stats:       ps.pc.stats,
+		Fingerprint: ps.pc.fp,
+		Version:     max(op.Version, 1),
 	}
 }
 

@@ -165,97 +165,193 @@ func WriteFileAtomic(path string, data []byte) error {
 }
 
 // DecodeSnapshot reconstructs a registry from bytes produced by
-// SnapshotView.Encode (or a legacy Save file — same format). Artifacts
-// are restored verbatim (IDs preserved); the search index is rebuilt over
-// the current versions, and superseded versions rejoin their chains. The
-// returned registry has no journal attached.
+// SnapshotView.Encode (or a legacy Save file — same format). It admits
+// the snapshot the way bulk ingest admits a stream: the envelope is read
+// as a stream, and each schema is parsed once and prepared (stats,
+// fingerprint, index documents) on GOMAXPROCS workers as it arrives;
+// then every current version is admitted in one batch, keeping its
+// recorded registration time and version. Superseded versions rejoin
+// their chains and artifacts are restored verbatim (IDs preserved). The
+// index holds every document in its tail with merges deferred: call
+// CompactIndex once the registry is complete (store.Open does, after
+// replaying its log). The returned registry has no journal attached.
 func DecodeSnapshot(data []byte) (*Registry, error) {
-	var p persisted
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("registry decode: %w", err)
-	}
 	r := New()
-	for _, pe := range p.Schemas {
-		s, err := schema.ParseJSON(pe.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("registry decode: %w", err)
-		}
-		if err := r.AddSchema(s, pe.Steward, pe.Tags...); err != nil {
-			return nil, fmt.Errorf("registry decode: %w", err)
-		}
-		// preserve original registration time and version
-		r.mu.Lock()
-		r.entries[s.Name].Registered = pe.Registered
-		if pe.Version > 1 {
-			r.entries[s.Name].Version = pe.Version
-		}
-		r.mu.Unlock()
+	if err := r.load(data); err != nil {
+		return nil, err
 	}
-	for _, pe := range p.History {
-		s, err := schema.ParseJSON(pe.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("registry decode: %w", err)
-		}
-		version := pe.Version
-		if version < 1 {
-			version = 1
-		}
-		r.mu.Lock()
-		r.history[s.Name] = append(r.history[s.Name], &Entry{
-			Schema:      s,
-			Steward:     pe.Steward,
-			Tags:        pe.Tags,
-			Registered:  pe.Registered,
-			Stats:       s.ComputeStats(),
-			Fingerprint: s.Fingerprint(),
-			Version:     version,
-		})
-		r.mu.Unlock()
-	}
-	r.mu.Lock()
-	for _, chain := range r.history {
-		sort.Slice(chain, func(i, j int) bool { return chain[i].Version < chain[j].Version })
-	}
-	for i := range p.Matches {
-		pa := p.Matches[i]
-		r.putMatchLocked(&MatchArtifact{
-			ID: pa.ID, SchemaA: pa.SchemaA, SchemaB: pa.SchemaB,
-			Context: pa.Context, Provenance: pa.Provenance, Pairs: pa.Pairs,
-		})
-	}
-	r.nextID = p.NextID
-	r.mu.Unlock()
 	return r, nil
 }
 
 // ResetTo replaces the registry's entire contents with a snapshot's —
-// the follower-side write half of replication re-bootstrap. The attached
-// journal (if any) is kept but NOT notified: like Apply, a reset mirrors
-// state that is already durable elsewhere. Concurrent readers see either
-// the old state or the new, never a mix.
+// the follower-side write half of replication re-bootstrap. The snapshot
+// is decoded and prepared as DecodeSnapshot does, outside the lock; a
+// snapshot that fails to decode leaves the registry untouched. Its
+// documents then replace the live index's in one batch (the index object
+// stays the same: searches hold it without the registry lock), and the
+// index is built once before ResetTo returns. The attached journal (if
+// any) is kept but NOT notified: like Apply, a reset mirrors state that
+// is already durable elsewhere. Concurrent readers see either the old
+// state or the new, never a mix.
 func (r *Registry) ResetTo(data []byte) error {
-	fresh, err := DecodeSnapshot(data)
+	if err := r.load(data); err != nil {
+		return err
+	}
+	r.CompactIndex()
+	return nil
+}
+
+// load decodes a snapshot outside the lock, then replaces the registry's
+// contents with it: the current versions go through batch admission and
+// their documents to the index in one batch. decodeSnapshot has rejected
+// duplicate names, so every schema is admitted.
+func (r *Registry) load(data []byte) error {
+	c, err := r.decodeSnapshot(data)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// The search index pointer is read without the registry lock
-	// (search.Index synchronizes internally), so it must never be
-	// swapped: re-populate it in place instead.
-	for name := range r.entries {
-		if _, still := fresh.entries[name]; !still {
-			r.index.Remove(name)
+	r.entries = make(map[string]*Entry, len(c.current))
+	r.history = make(map[string][]*Entry)
+	r.matches = make(map[string]*MatchArtifact, len(c.matches))
+	r.involving = make(map[string]map[string]*MatchArtifact)
+	batch := make([]*PreparedSchema, len(c.current))
+	for i, d := range c.current {
+		batch[i] = d.ps
+	}
+	_, docs := r.admitLocked(batch, make([]error, len(batch)))
+	r.index.Reset(docs)
+	for _, d := range c.current {
+		e := r.entries[d.ps.Schema.Name]
+		e.Registered = d.pe.Registered
+		e.Version = max(d.pe.Version, 1)
+	}
+	for _, d := range c.history {
+		r.history[d.e.Schema.Name] = append(r.history[d.e.Schema.Name], d.e)
+	}
+	for _, chain := range r.history {
+		sort.Slice(chain, func(i, j int) bool { return chain[i].Version < chain[j].Version })
+	}
+	for i := range c.matches {
+		pa := c.matches[i]
+		r.putMatchLocked(&MatchArtifact{
+			ID: pa.ID, SchemaA: pa.SchemaA, SchemaB: pa.SchemaB,
+			Context: pa.Context, Provenance: pa.Provenance, Pairs: pa.Pairs,
+		})
+	}
+	r.nextID = c.nextID
+	return nil
+}
+
+// snapshotContent is a decoded, prepared snapshot, ready to install.
+type snapshotContent struct {
+	current []*decodedEntry
+	history []*decodedEntry
+	matches []persistedArtifact
+	nextID  int
+}
+
+// decodedEntry is one snapshot entry: its recorded form and, once a
+// worker has parsed it, the prepared schema (a current version) or the
+// chain entry (a superseded one).
+type decodedEntry struct {
+	pe   persistedEntry
+	meta [][]byte // entryKeys spans still to decode (the scanner's path)
+	ps   *PreparedSchema
+	e    *Entry
+	err  error
+}
+
+// decodeSnapshot reads the envelope and prepares every entry on
+// GOMAXPROCS workers as it arrives. An envelope outside the shape the
+// encoder writes is decoded again by encoding/json, so either path
+// accepts exactly what encoding/json accepts. The first failing entry in
+// envelope order is reported, as is a name registered twice.
+func (r *Registry) decodeSnapshot(data []byte) (*snapshotContent, error) {
+	c, err := r.decodeEntries(data, scanEnvelope)
+	if err == errUnusualEnvelope {
+		c, err = r.decodeEntries(data, unmarshalEnvelope)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("registry decode: %w", err)
+	}
+	seen := make(map[string]bool, len(c.current))
+	for _, d := range append(c.current, c.history...) {
+		if d.err != nil {
+			return nil, fmt.Errorf("registry decode: %w", d.err)
 		}
 	}
-	for _, e := range fresh.entries {
-		r.index.Add(e.Schema)
+	for _, d := range c.current {
+		name := d.ps.Schema.Name
+		if seen[name] {
+			return nil, fmt.Errorf("registry decode: schema %q already registered", name)
+		}
+		seen[name] = true
 	}
-	r.entries = fresh.entries
-	r.history = fresh.history
-	r.matches = fresh.matches
-	r.involving = fresh.involving
-	r.nextID = fresh.nextID
+	return c, nil
+}
+
+// decodeEntries runs one envelope decoder, handing each entry it emits
+// to the worker pool, and waits for the pool.
+func (r *Registry) decodeEntries(data []byte, envelope func([]byte, func(bool, *decodedEntry), *snapshotContent) error) (*snapshotContent, error) {
+	c := &snapshotContent{}
+	pool := newWorkPool(0)
+	err := envelope(data, func(history bool, d *decodedEntry) {
+		if history {
+			c.history = append(c.history, d)
+		} else {
+			c.current = append(c.current, d)
+		}
+		pool.submit(func() { r.prepareEntry(d, history) })
+	}, c)
+	pool.wait()
+	return c, err
+}
+
+// prepareEntry decodes one entry's metadata, parses its schema and
+// prepares it: for admission (a current version, whose raw bytes are its
+// journal payload) or as a chain entry (a superseded one).
+func (r *Registry) prepareEntry(d *decodedEntry, history bool) {
+	if d.meta != nil {
+		if d.err = d.decodeMeta(); d.err != nil {
+			return
+		}
+	}
+	s, err := schema.ParseJSON(d.pe.Schema)
+	if err != nil {
+		d.err = err
+		return
+	}
+	if !history {
+		d.ps, d.err = r.prepareSchema(s, d.pe.Schema, d.pe.Steward, d.pe.Tags)
+		return
+	}
+	d.e = &Entry{
+		Schema:      s,
+		Steward:     d.pe.Steward,
+		Tags:        d.pe.Tags,
+		Registered:  d.pe.Registered,
+		Stats:       s.ComputeStats(),
+		Fingerprint: s.Fingerprint(),
+		Version:     max(d.pe.Version, 1),
+	}
+}
+
+// unmarshalEnvelope is the encoding/json envelope decoder: the whole
+// document first, then every entry to the workers.
+func unmarshalEnvelope(data []byte, emit func(bool, *decodedEntry), c *snapshotContent) error {
+	var p persisted
+	if err := json.Unmarshal(data, &p); err != nil {
+		return err
+	}
+	for _, pe := range p.Schemas {
+		emit(false, &decodedEntry{pe: pe})
+	}
+	for _, pe := range p.History {
+		emit(true, &decodedEntry{pe: pe})
+	}
+	c.matches, c.nextID = p.Matches, p.NextID
 	return nil
 }
 
@@ -269,5 +365,6 @@ func Load(path string) (*Registry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry load: %w", err)
 	}
+	r.CompactIndex()
 	return r, nil
 }

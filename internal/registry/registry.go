@@ -19,6 +19,7 @@ package registry
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -325,10 +326,37 @@ func (r *Registry) prepareSchema(s *schema.Schema, raw json.RawMessage, steward 
 // wrapped in ErrNotJournaled (on every admitted schema's errs slot).
 func (r *Registry) AddPrepared(batch []*PreparedSchema) (added int, errs []error) {
 	errs = make([]error, len(batch))
-	ops := make([]Op, 0, len(batch))
-	admitted := make([]int, 0, len(batch))
-	docs := make([]*search.PreparedDoc, 0, len(batch))
 	r.mu.Lock()
+	admitted, docs := r.admitLocked(batch, errs)
+	r.index.AddPrepared(docs)
+	var wait func() error
+	if r.journal != nil {
+		ops := make([]Op, 0, len(admitted))
+		for _, i := range admitted {
+			ops = append(ops, schemaOp(OpSchemaAdd, batch[i].pc.raw, r.entries[batch[i].Schema.Name]))
+		}
+		wait = r.emitLocked(ops...)
+	}
+	r.mu.Unlock()
+	if wait != nil {
+		if err := wait(); err != nil {
+			for _, i := range admitted {
+				errs[i] = fmt.Errorf("registry: schema %q registered in memory but %w: %w",
+					batch[i].Schema.Name, ErrNotJournaled, err)
+			}
+		}
+	}
+	return len(admitted), errs
+}
+
+// admitLocked is batch admission: it registers each prepared schema as
+// version 1, registered now, and returns the admitted positions and
+// their index documents for the caller to hand to the index in one
+// batch. A duplicate name rejects that schema only, in errs. Callers
+// hold the write lock.
+func (r *Registry) admitLocked(batch []*PreparedSchema, errs []error) (admitted []int, docs []*search.PreparedDoc) {
+	admitted = make([]int, 0, len(batch))
+	docs = make([]*search.PreparedDoc, 0, len(batch))
 	for i, ps := range batch {
 		if ps == nil {
 			errs[i] = fmt.Errorf("registry: nil prepared schema")
@@ -343,7 +371,7 @@ func (r *Registry) AddPrepared(batch []*PreparedSchema) (added int, errs []error
 			errs[i] = fmt.Errorf("registry: %w", err)
 			continue
 		}
-		e := &Entry{
+		r.entries[name] = &Entry{
 			Schema:      ps.Schema,
 			Steward:     ps.Steward,
 			Tags:        ps.Tags,
@@ -352,26 +380,10 @@ func (r *Registry) AddPrepared(batch []*PreparedSchema) (added int, errs []error
 			Fingerprint: ps.pc.fp,
 			Version:     1,
 		}
-		r.entries[name] = e
 		docs = append(docs, ps.pd)
-		if r.journal != nil {
-			ops = append(ops, schemaOp(OpSchemaAdd, ps.pc.raw, e))
-		}
 		admitted = append(admitted, i)
 	}
-	r.index.AddPrepared(docs)
-	wait := r.emitLocked(ops...)
-	r.mu.Unlock()
-	if wait != nil {
-		if err := wait(); err != nil {
-			for _, i := range admitted {
-				errs[i] = fmt.Errorf("registry: schema %q registered in memory but %w: %w",
-					batch[i].Schema.Name, ErrNotJournaled, err)
-			}
-			return len(admitted), errs
-		}
-	}
-	return len(admitted), errs
+	return admitted, docs
 }
 
 // AddSchemas registers a batch of schemata with shared metadata:
@@ -395,10 +407,56 @@ func (r *Registry) AddSchemas(ss []*schema.Schema, steward string, tags ...strin
 }
 
 // FlushIndex runs the search-index merge checks that batch admission
-// (AddPrepared) defers, kicking off a background merge if either posting
-// space is past its threshold. Call once when a bulk stream ends.
+// (AddPrepared) and replay (Apply) defer, kicking off a background merge
+// if either posting space is past its threshold. Call once when a bulk
+// stream ends.
 func (r *Registry) FlushIndex() {
 	r.index.MaybeMerge()
+}
+
+// CompactIndex builds each search-index posting space that has unmerged
+// or dead documents once, and waits for the builds: the registry's
+// searches then meet a fully merged index. A restart calls it once, after
+// the snapshot and the log are both admitted.
+func (r *Registry) CompactIndex() {
+	r.index.Compact()
+}
+
+// workPool runs tasks on up to GOMAXPROCS goroutines: the parallel half
+// of snapshot decoding and log replay.
+type workPool struct {
+	tasks chan func()
+	wg    sync.WaitGroup
+}
+
+// newWorkPool starts min(tasks, GOMAXPROCS) workers for a stream of
+// about tasks tasks (any tasks < 1 means unknown: GOMAXPROCS workers).
+func newWorkPool(tasks int) *workPool {
+	n := runtime.GOMAXPROCS(0)
+	if tasks > 0 {
+		n = min(n, tasks)
+	}
+	// A few queued tasks per worker let the envelope decoder run ahead
+	// of the workers instead of handing over one entry at a time.
+	p := &workPool{tasks: make(chan func(), 4*n)}
+	p.wg.Add(n)
+	for range n {
+		go func() {
+			defer p.wg.Done()
+			for task := range p.tasks {
+				task()
+			}
+		}()
+	}
+	return p
+}
+
+func (p *workPool) submit(task func()) { p.tasks <- task }
+
+// wait returns once every submitted task has run; submit no more.
+func (p *workPool) wait() {
+	close(p.tasks)
+	p.wg.Wait()
 }
 
 // VersionBump reports one AddVersion outcome: the superseded entry (nil

@@ -371,7 +371,11 @@ func (f *Follower) applyRecord(rec store.Record, ops []registry.Op) error {
 			return err
 		}
 	}
-	return f.opts.Registry.Apply(ops)
+	if err := f.opts.Registry.Apply(ops); err != nil {
+		return err
+	}
+	f.opts.Registry.FlushIndex()
+	return nil
 }
 
 // rebootstrap fetches a snapshot from the leader and resets local state

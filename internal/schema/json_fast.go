@@ -5,6 +5,8 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"harmony/internal/jsonlex"
 )
 
 // Fast path for ParseJSON.
@@ -69,52 +71,24 @@ func (bi *byteIntern) get(b []byte) string {
 
 // fastParser scans one JSON document.
 type fastParser struct {
-	data []byte
-	pos  int
+	jsonlex.Lexer
 }
 
 // parseSchemaFast decodes data directly into a Schema, reporting
 // ok=false when the input needs the encoding/json fallback (malformed
 // or merely unusual — the caller cannot tell and must not care).
 func parseSchemaFast(data []byte) (*Schema, bool) {
-	p := &fastParser{data: data}
-	p.ws()
+	p := &fastParser{jsonlex.Lexer{Data: data}}
+	p.WS()
 	s, ok := p.parseSchemaDirect()
 	if !ok {
 		return nil, false
 	}
-	p.ws()
-	if p.pos != len(p.data) {
+	p.WS()
+	if p.Pos != len(p.Data) {
 		return nil, false
 	}
 	return s, true
-}
-
-func (p *fastParser) ws() {
-	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
-	}
-}
-
-func (p *fastParser) eat(c byte) bool {
-	if p.pos < len(p.data) && p.data[p.pos] == c {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *fastParser) parseLiteral(lit string) bool {
-	if len(p.data)-p.pos < len(lit) || string(p.data[p.pos:p.pos+len(lit)]) != lit {
-		return false
-	}
-	p.pos += len(lit)
-	return true
 }
 
 // keyLooksLike reports an ASCII case-insensitive match. An inexact match
@@ -133,35 +107,12 @@ func keyLooksLike(key []byte, want string) bool {
 	return true
 }
 
-// scanKey scans one object key and returns its raw bytes. Keys with
-// escapes or non-ASCII bytes bail: std matches field names with unicode
-// case folding, which byte comparison cannot reproduce.
-func (p *fastParser) scanKey() ([]byte, bool) {
-	if !p.eat('"') {
-		return nil, false
-	}
-	start := p.pos
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		if c == '"' {
-			key := p.data[start:p.pos]
-			p.pos++
-			return key, true
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			return nil, false
-		}
-		p.pos++
-	}
-	return nil, false
-}
-
 // parseStringValue decodes a string value, returning prev unchanged for
 // a JSON null (encoding/json's behavior for *string-less decoding).
 // With intern set the result is canonicalized through the intern table.
 func (p *fastParser) parseStringValue(prev string, intern bool) (string, bool) {
-	if p.pos < len(p.data) && p.data[p.pos] == 'n' {
-		if p.parseLiteral("null") {
+	if p.Pos < len(p.Data) && p.Data[p.Pos] == 'n' {
+		if p.Literal("null") {
 			return prev, true
 		}
 		return "", false
@@ -180,8 +131,8 @@ func (p *fastParser) parseStringValue(prev string, intern bool) (string, bool) {
 // reports isNull with no bytes. Used for enum fields whose string never
 // needs to materialize.
 func (p *fastParser) parseRawStringOrNull() (b []byte, isNull, ok bool) {
-	if p.pos < len(p.data) && p.data[p.pos] == 'n' {
-		if p.parseLiteral("null") {
+	if p.Pos < len(p.Data) && p.Data[p.Pos] == 'n' {
+		if p.Literal("null") {
 			return nil, true, true
 		}
 		return nil, false, false
@@ -195,16 +146,16 @@ func (p *fastParser) parseRawStringOrNull() (b []byte, isNull, ok bool) {
 // before retaining). Invalid UTF-8 bails (std replaces it with U+FFFD,
 // which this parser does not reproduce).
 func (p *fastParser) parseStringRaw() ([]byte, bool) {
-	if !p.eat('"') {
+	if !p.Eat('"') {
 		return nil, false
 	}
-	start := p.pos
+	start := p.Pos
 	ascii := true
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
+	for p.Pos < len(p.Data) {
+		c := p.Data[p.Pos]
 		if c == '"' {
-			seg := p.data[start:p.pos]
-			p.pos++
+			seg := p.Data[start:p.Pos]
+			p.Pos++
 			if !ascii && !utf8.Valid(seg) {
 				return nil, false
 			}
@@ -219,7 +170,7 @@ func (p *fastParser) parseStringRaw() ([]byte, bool) {
 		if c >= utf8.RuneSelf {
 			ascii = false
 		}
-		p.pos++
+		p.Pos++
 	}
 	return nil, false
 }
@@ -227,24 +178,24 @@ func (p *fastParser) parseStringRaw() ([]byte, bool) {
 // unquoteFrom decodes the rest of a string that contains escapes,
 // starting over from the opening position.
 func (p *fastParser) unquoteFrom(start int) ([]byte, bool) {
-	buf := make([]byte, 0, 2*(p.pos-start)+16)
-	buf = append(buf, p.data[start:p.pos]...)
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
+	buf := make([]byte, 0, 2*(p.Pos-start)+16)
+	buf = append(buf, p.Data[start:p.Pos]...)
+	for p.Pos < len(p.Data) {
+		c := p.Data[p.Pos]
 		switch {
 		case c == '"':
-			p.pos++
+			p.Pos++
 			if !utf8.Valid(buf) {
 				return nil, false
 			}
 			return buf, true
 		case c == '\\':
-			p.pos++
-			if p.pos >= len(p.data) {
+			p.Pos++
+			if p.Pos >= len(p.Data) {
 				return nil, false
 			}
-			esc := p.data[p.pos]
-			p.pos++
+			esc := p.Data[p.Pos]
+			p.Pos++
 			switch esc {
 			case '"', '\\', '/':
 				buf = append(buf, esc)
@@ -259,7 +210,7 @@ func (p *fastParser) unquoteFrom(start int) ([]byte, bool) {
 			case 't':
 				buf = append(buf, '\t')
 			case 'u':
-				r, ok := p.hex4()
+				r, ok := p.Hex4()
 				if !ok {
 					return nil, false
 				}
@@ -268,10 +219,10 @@ func (p *fastParser) unquoteFrom(start int) ([]byte, bool) {
 					// else turns r into U+FFFD and leaves the next escape
 					// to be decoded on its own, exactly as encoding/json
 					// does.
-					if p.pos+1 < len(p.data) && p.data[p.pos] == '\\' && p.data[p.pos+1] == 'u' {
-						next := p.pos
-						p.pos += 2
-						r2, ok := p.hex4()
+					if p.Pos+1 < len(p.Data) && p.Data[p.Pos] == '\\' && p.Data[p.Pos+1] == 'u' {
+						next := p.Pos
+						p.Pos += 2
+						r2, ok := p.Hex4()
 						if !ok {
 							return nil, false
 						}
@@ -279,7 +230,7 @@ func (p *fastParser) unquoteFrom(start int) ([]byte, bool) {
 							buf = utf8.AppendRune(buf, dec)
 							break
 						}
-						p.pos = next
+						p.Pos = next
 					}
 					r = utf8.RuneError
 				}
@@ -291,32 +242,10 @@ func (p *fastParser) unquoteFrom(start int) ([]byte, bool) {
 			return nil, false
 		default:
 			buf = append(buf, c)
-			p.pos++
+			p.Pos++
 		}
 	}
 	return nil, false
-}
-
-func (p *fastParser) hex4() (rune, bool) {
-	if p.pos+4 > len(p.data) {
-		return 0, false
-	}
-	var r rune
-	for i := 0; i < 4; i++ {
-		c := p.data[p.pos+i]
-		switch {
-		case c >= '0' && c <= '9':
-			r = r<<4 | rune(c-'0')
-		case c >= 'a' && c <= 'f':
-			r = r<<4 | rune(c-'a'+10)
-		case c >= 'A' && c <= 'F':
-			r = r<<4 | rune(c-'A'+10)
-		default:
-			return 0, false
-		}
-	}
-	p.pos += 4
-	return r, true
 }
 
 // kindFromBytes mirrors KindFromString without materializing the string.
@@ -374,11 +303,11 @@ var braceOpen = []byte{'{'}
 // Schema as it goes. Name, format and doc apply at the end, so key order
 // and duplicate scalar keys (last wins) behave exactly like std.
 func (p *fastParser) parseSchemaDirect() (*Schema, bool) {
-	if !p.eat('{') {
+	if !p.Eat('{') {
 		return nil, false
 	}
-	p.ws()
-	if p.eat('}') {
+	p.WS()
+	if p.Eat('}') {
 		return nil, false // std reports the missing-name error
 	}
 	s := New("", FormatUnknown)
@@ -386,16 +315,16 @@ func (p *fastParser) parseSchemaDirect() (*Schema, bool) {
 	format := FormatUnknown
 	sawElements := false
 	for {
-		p.ws()
-		key, ok := p.scanKey()
+		p.WS()
+		key, ok := p.Key()
 		if !ok {
 			return nil, false
 		}
-		p.ws()
-		if !p.eat(':') {
+		p.WS()
+		if !p.Eat(':') {
 			return nil, false
 		}
-		p.ws()
+		p.WS()
 		switch {
 		case bytes.Equal(key, keyName):
 			if name, ok = p.parseStringValue(name, false); !ok {
@@ -420,13 +349,13 @@ func (p *fastParser) parseSchemaDirect() (*Schema, bool) {
 				return nil, false
 			}
 			sawElements = true
-			if p.pos < len(p.data) && p.data[p.pos] == 'n' {
-				if !p.parseLiteral("null") {
+			if p.Pos < len(p.Data) && p.Data[p.Pos] == 'n' {
+				if !p.Literal("null") {
 					return nil, false
 				}
 				break
 			}
-			s.Grow(countObjects(p.data[p.pos:]))
+			s.Grow(countObjects(p.Data[p.Pos:]))
 			if _, ok := p.parseElementsDirect(s, nil); !ok {
 				return nil, false
 			}
@@ -436,15 +365,15 @@ func (p *fastParser) parseSchemaDirect() (*Schema, bool) {
 					return nil, false // std would case-fold this onto a field
 				}
 			}
-			if !p.skipValue() {
+			if !p.SkipValue() {
 				return nil, false
 			}
 		}
-		p.ws()
-		if p.eat(',') {
+		p.WS()
+		if p.Eat(',') {
 			continue
 		}
-		if !p.eat('}') {
+		if !p.Eat('}') {
 			return nil, false
 		}
 		break
@@ -461,25 +390,25 @@ func (p *fastParser) parseSchemaDirect() (*Schema, bool) {
 // parseElementsDirect scans one element array, adding each element under
 // parent. Returns the number of elements added at this level.
 func (p *fastParser) parseElementsDirect(s *Schema, parent *Element) (int, bool) {
-	if !p.eat('[') {
+	if !p.Eat('[') {
 		return 0, false
 	}
-	p.ws()
-	if p.eat(']') {
+	p.WS()
+	if p.Eat(']') {
 		return 0, true
 	}
 	n := 0
 	for {
-		p.ws()
+		p.WS()
 		if !p.parseElementDirect(s, parent) {
 			return 0, false
 		}
 		n++
-		p.ws()
-		if p.eat(',') {
+		p.WS()
+		if p.Eat(',') {
 			continue
 		}
-		if p.eat(']') {
+		if p.Eat(']') {
 			return n, true
 		}
 		return 0, false
@@ -491,11 +420,11 @@ func (p *fastParser) parseElementsDirect(s *Schema, parent *Element) (int, bool)
 // kind must be known by then — canonical order guarantees it; anything
 // else bails) or at the object's end.
 func (p *fastParser) parseElementDirect(s *Schema, parent *Element) bool {
-	if !p.eat('{') {
+	if !p.Eat('{') {
 		return false
 	}
-	p.ws()
-	if p.eat('}') {
+	p.WS()
+	if p.Eat('}') {
 		return false // std reports the empty-name error
 	}
 	var name, doc string
@@ -504,16 +433,16 @@ func (p *fastParser) parseElementDirect(s *Schema, parent *Element) bool {
 	var e *Element
 	sawChildren := false
 	for {
-		p.ws()
-		key, ok := p.scanKey()
+		p.WS()
+		key, ok := p.Key()
 		if !ok {
 			return false
 		}
-		p.ws()
-		if !p.eat(':') {
+		p.WS()
+		if !p.Eat(':') {
 			return false
 		}
-		p.ws()
+		p.WS()
 		switch {
 		case bytes.Equal(key, keyName):
 			if sawChildren {
@@ -556,8 +485,8 @@ func (p *fastParser) parseElementDirect(s *Schema, parent *Element) bool {
 				return false // std merges repeated array keys element-wise
 			}
 			sawChildren = true
-			if p.pos < len(p.data) && p.data[p.pos] == 'n' {
-				if !p.parseLiteral("null") {
+			if p.Pos < len(p.Data) && p.Data[p.Pos] == 'n' {
+				if !p.Literal("null") {
 					return false
 				}
 				break // null children: element still built at object end
@@ -580,15 +509,15 @@ func (p *fastParser) parseElementDirect(s *Schema, parent *Element) bool {
 					return false
 				}
 			}
-			if !p.skipValue() {
+			if !p.SkipValue() {
 				return false
 			}
 		}
-		p.ws()
-		if p.eat(',') {
+		p.WS()
+		if p.Eat(',') {
 			continue
 		}
-		if !p.eat('}') {
+		if !p.Eat('}') {
 			return false
 		}
 		break
@@ -600,149 +529,5 @@ func (p *fastParser) parseElementDirect(s *Schema, parent *Element) bool {
 		e = s.AddElement(parent, name, kind, typ)
 		e.Doc = doc
 	}
-	return true
-}
-
-// skipValue scans past one JSON value of any type, validating as
-// strictly as encoding/json so a malformed value in an ignored field
-// still sends the document to the fallback (which rejects it).
-func (p *fastParser) skipValue() bool {
-	if p.pos >= len(p.data) {
-		return false
-	}
-	switch c := p.data[p.pos]; {
-	case c == '"':
-		return p.skipString()
-	case c == '{':
-		p.pos++
-		p.ws()
-		if p.eat('}') {
-			return true
-		}
-		for {
-			p.ws()
-			if !p.skipString() {
-				return false
-			}
-			p.ws()
-			if !p.eat(':') {
-				return false
-			}
-			p.ws()
-			if !p.skipValue() {
-				return false
-			}
-			p.ws()
-			if p.eat(',') {
-				continue
-			}
-			return p.eat('}')
-		}
-	case c == '[':
-		p.pos++
-		p.ws()
-		if p.eat(']') {
-			return true
-		}
-		for {
-			p.ws()
-			if !p.skipValue() {
-				return false
-			}
-			p.ws()
-			if p.eat(',') {
-				continue
-			}
-			return p.eat(']')
-		}
-	case c == 't':
-		return p.parseLiteral("true")
-	case c == 'f':
-		return p.parseLiteral("false")
-	case c == 'n':
-		return p.parseLiteral("null")
-	default:
-		return p.skipNumber()
-	}
-}
-
-// skipString validates one JSON string without building it. Structural
-// validation matches encoding/json's scanner: escape sequences must be
-// well-formed, control characters are rejected, but raw non-UTF-8 bytes
-// pass (std accepts them in skipped content).
-func (p *fastParser) skipString() bool {
-	if !p.eat('"') {
-		return false
-	}
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		switch {
-		case c == '"':
-			p.pos++
-			return true
-		case c == '\\':
-			p.pos++
-			if p.pos >= len(p.data) {
-				return false
-			}
-			switch p.data[p.pos] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				p.pos++
-			case 'u':
-				p.pos++
-				if _, ok := p.hex4(); !ok {
-					return false
-				}
-			default:
-				return false
-			}
-		case c < 0x20:
-			return false
-		default:
-			p.pos++
-		}
-	}
-	return false
-}
-
-// skipNumber validates one JSON number: -? (0|[1-9][0-9]*) frac? exp?
-func (p *fastParser) skipNumber() bool {
-	d := p.data
-	i := p.pos
-	if i < len(d) && d[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(d) && d[i] == '0':
-		i++
-	case i < len(d) && d[i] >= '1' && d[i] <= '9':
-		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-			i++
-		}
-	default:
-		return false
-	}
-	if i < len(d) && d[i] == '.' {
-		i++
-		if i >= len(d) || d[i] < '0' || d[i] > '9' {
-			return false
-		}
-		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
-		}
-		if i >= len(d) || d[i] < '0' || d[i] > '9' {
-			return false
-		}
-		for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-			i++
-		}
-	}
-	p.pos = i
 	return true
 }

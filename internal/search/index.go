@@ -447,6 +447,29 @@ func (ix *Index) AddPrepared(docs []*PreparedDoc) {
 	ix.mu.Unlock()
 }
 
+// Reset replaces the index's entire contents with docs under one lock
+// acquisition, with merge checks deferred like AddPrepared: the previous
+// documents and segments are dropped outright, and docs wait in the tails
+// for the next merge (Compact builds them once). Lifetime counters and
+// the merge floor are kept. A registry re-bootstrapping from a snapshot
+// uses it, because searches hold the index pointer without the
+// registry's lock, so the index object itself must not be swapped.
+func (ix *Index) Reset(docs []*PreparedDoc) {
+	ix.mu.Lock()
+	// An in-flight merge would install into the space being dropped.
+	for ix.schemas.merging || ix.frags.merging {
+		ix.mu.Unlock()
+		ix.quiesce()
+		ix.mu.Lock()
+	}
+	ix.schemas, ix.frags = newSpace(false), newSpace(true)
+	ix.byName = make(map[string]*nameDocs, len(docs))
+	for _, pd := range docs {
+		ix.addPreparedLocked(pd)
+	}
+	ix.mu.Unlock()
+}
+
 func (ix *Index) addPreparedLocked(pd *PreparedDoc) {
 	ix.removeLocked(pd.name)
 	ix.schemas.add(pd.doc)
@@ -511,41 +534,33 @@ func (ix *Index) runMerge(sp *space, snap []*docHandle, tailEnd int) {
 	obsMergeDone(time.Since(t0))
 }
 
-// Compact forces both spaces into fully merged form and waits for it: all
-// live documents in the flat segment, empty tail, no dead documents. Used
-// by tests and administrative callers; routine reclamation happens in the
-// background automatically.
+// Compact folds each space's tail and dead documents into a new flat
+// segment and waits for it: one segment build per space that needs one,
+// the two spaces building concurrently off the index lock, so searches
+// proceed meanwhile. With no concurrent writer the index returns fully
+// merged — every live document in a flat segment, empty tails, no dead
+// documents. A store calls it once when it has admitted a whole snapshot
+// and its log; routine reclamation happens in the background.
 func (ix *Index) Compact() {
-	for {
-		ix.mu.Lock()
-		if ix.schemas.merging || ix.frags.merging {
-			ch1, ch2 := ix.schemas.mergeDone, ix.frags.mergeDone
-			ix.mu.Unlock()
-			if ch1 != nil {
-				<-ch1
-			}
-			if ch2 != nil {
-				<-ch2
-			}
+	ix.quiesce()
+	ix.mu.Lock()
+	var wg sync.WaitGroup
+	for _, sp := range []*space{&ix.schemas, &ix.frags} {
+		if sp.merging || len(sp.tail) == 0 && sp.flatDead() == 0 {
 			continue
 		}
-		for _, sp := range []*space{&ix.schemas, &ix.frags} {
-			if len(sp.tail) == 0 && sp.flatDead() == 0 {
-				continue
-			}
-			snap, tailEnd := sp.freeze()
-			t0 := time.Now()
-			sp.install(buildSegment(snap), tailEnd)
-			ix.merges++
-			ix.lastMergeNanos = time.Since(t0).Nanoseconds()
-			obsMergeDone(time.Since(t0))
-		}
-		ix.mu.Unlock()
-		return
+		snap, tailEnd := sp.freeze()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ix.runMerge(sp, snap, tailEnd)
+		}()
 	}
+	ix.mu.Unlock()
+	wg.Wait()
 }
 
-// quiesce waits for in-flight merges to land (test hook).
+// quiesce waits for in-flight merges to land.
 func (ix *Index) quiesce() {
 	for {
 		ix.mu.RLock()

@@ -171,6 +171,14 @@ type Store struct {
 // replay every later WAL record — tolerating a torn tail — and continue
 // the log from there. With MigrateFrom set and an empty directory, the
 // legacy JSON file seeds the first snapshot.
+//
+// Recovery is a bulk ingest. The snapshot's schemas are parsed and
+// prepared on every core as its envelope streams by, and admitted in
+// one batch (registry.DecodeSnapshot); each WAL record's schemas are
+// prepared in parallel outside the registry lock (registry.Apply).
+// Both defer the search index's merges, and Open builds each posting
+// space once before it returns, so the first query after a restart
+// meets a fully merged index.
 func Open(opts Options) (*Store, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -271,6 +279,7 @@ func Open(opts Options) (*Store, error) {
 	if res.replayed > 0 {
 		opts.Logf("store: replayed %d WAL records onto snapshot lsn %d", res.replayed, s.snapshotLSN)
 	}
+	reg.CompactIndex()
 
 	w, err := openWAL(opts.Dir, opts.Fsync, opts.SegmentBytes, res.lastLSN, res.diskLSN)
 	if err != nil {

@@ -1,6 +1,9 @@
 package text
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // This file holds allocation-free counterparts of the metrics in
 // metrics.go, operating on data precompiled into schema profiles:
@@ -23,24 +26,33 @@ func SynonymOverlapIDs(aIDs []uint32, aMasks []uint32, bIDs []uint32, bMasks []u
 	if la == 0 || lb == 0 {
 		return 0
 	}
-	var usedArr [64]bool
-	var used []bool
-	if lb <= len(usedArr) {
-		used = usedArr[:lb]
-	} else {
-		used = make([]bool, lb)
-	}
 	matched := 0
-	for i := 0; i < la; i++ {
-		id, mask := aIDs[i], aMasks[i]
-		for j := 0; j < lb; j++ {
-			if used[j] {
-				continue
+	if lb <= 64 {
+		// The unused positions of b as set bits, visited in ascending
+		// order like the slice loop below; used positions cost nothing.
+		free := ^uint64(0) >> (64 - lb)
+		bMasks := bMasks[:lb] // as long as bIDs; lets the loop skip bounds checks
+		for i := 0; i < la && free != 0; i++ {
+			id, mask := aIDs[i], aMasks[i]
+			for f := free; f != 0; f &= f - 1 {
+				j := bits.TrailingZeros64(f)
+				if id == bIDs[j] || mask&bMasks[j] != 0 {
+					free &^= 1 << j
+					matched++
+					break
+				}
 			}
-			if id == bIDs[j] || mask&bMasks[j] != 0 {
-				used[j] = true
-				matched++
-				break
+		}
+	} else {
+		used := make([]bool, lb)
+		for i := 0; i < la; i++ {
+			id, mask := aIDs[i], aMasks[i]
+			for j := 0; j < lb; j++ {
+				if !used[j] && (id == bIDs[j] || mask&bMasks[j] != 0) {
+					used[j] = true
+					matched++
+					break
+				}
 			}
 		}
 	}
