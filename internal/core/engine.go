@@ -345,44 +345,43 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 }
 
 // pairScratch is per-worker scoring scratch: the hybrid name-similarity
-// memo keyed by name-shape pairs (see shapeOf). Shapes intern exact name
-// token sequences process-wide, so the memoized metric is a pure
-// function of the key, and scratches are pooled WITHOUT clearing — a
-// warm pool carries memo hits across matches and schemas. Size is
-// bounded at put-back. (Path votes are cheap enough that memoizing them
-// through a hash map costs about as much as recomputing, and paths are
-// nearly unique per element, so they are always computed directly.)
+// memo keyed by name-shape pairs (see shapeOf), a flat open-addressed
+// table (nameMemo). Shapes intern exact name token sequences
+// process-wide, so the memoized metric is a pure function of the key,
+// and scratches are pooled WITHOUT clearing — a warm pool carries memo
+// hits across matches and schemas, until a GC empties the pool. Size is
+// bounded at put-back. (Path votes are not memoized: paths are nearly
+// unique per element, and their token signatures already prove most
+// pairs 0 without a scan.)
 //
 // aligned and alignTotal carry the children-alignment total that sparse
 // candidate generation recorded for the pair being scored to the
 // structure voter (see scoreSparse); putScratch clears aligned.
 type pairScratch struct {
-	hybrid map[uint64]float64 // name-shape pair -> hybrid name similarity
+	hybrid nameMemo // name-shape pair -> hybrid name similarity
 
 	aligned    bool    // alignTotal holds the current container pair's total
 	alignTotal float64 // greedyAlignChildren's total for the current pair
 }
 
-// maxMemoEntries bounds the memo table (~2^19 entries ≈ 8 MB);
-// inserts stop at the cap and oversized tables are dropped at put-back.
-const maxMemoEntries = 1 << 19
-
 func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &pairScratch{
-		hybrid: make(map[uint64]float64, 1024),
-	}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
 
+// putScratch returns sc to the pool, dropping a memo that reached its
+// entry bound.
 func putScratch(sc *pairScratch) {
-	sc.aligned = false
-	if len(sc.hybrid) >= maxMemoEntries {
-		sc.hybrid = make(map[uint64]float64, 1024)
-	}
+	sc.reset()
 	scratchPool.Put(sc)
+}
+
+func (sc *pairScratch) reset() {
+	sc.aligned = false
+	if sc.hybrid.n >= maxMemoEntries {
+		sc.hybrid = nameMemo{}
+	}
 }
 
 // voteAll runs every voter on one pair into votes, dispatching through

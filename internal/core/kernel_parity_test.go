@@ -63,6 +63,72 @@ func TestSparseKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGatedPrimitivesMatchFrozenReference pins the signature-gated
+// scoring primitives to their frozen pre-gate forms (kernel_ref_test.go),
+// bit for bit: every element pair's path vote and hybrid name similarity,
+// and every container pair's aligned (ci, cj, sim) sequence. It also
+// checks that each container's packed child signatures are its
+// children's name signatures, which exactness alone would not catch.
+func TestGatedPrimitivesMatchFrozenReference(t *testing.T) {
+	type pair struct {
+		name string
+		a, b *schema.Schema
+	}
+	var pairs []pair
+	for seed := int64(1); seed <= 3; seed++ {
+		a, b, _ := synth.Pair(seed, 30, 25, 15, 6)
+		pairs = append(pairs, pair{fmt.Sprintf("pair-%d", seed), a, b})
+	}
+	if !testing.Short() {
+		sa, sb, _ := synth.CaseStudy(42)
+		pairs = append(pairs, pair{"case-study", sa, sb})
+	}
+	type aligned struct {
+		ci, cj int
+		sim    uint64
+	}
+	var got, want []aligned
+	for _, p := range pairs {
+		sv, dv := Preprocess(p.a, p.b)
+		containers := 0
+		for i := 0; i < sv.Len(); i++ {
+			a := sv.View(i)
+			for k, c := range a.children {
+				if a.childSigs[k] != c.name.Sig {
+					t.Fatalf("%s row %d: childSigs[%d] is not the child's name signature", p.name, i, k)
+				}
+			}
+			for j := 0; j < dv.Len(); j++ {
+				b := dv.View(j)
+				if g, w := pathVote(a, b), refPathVote(a, b); math.Float64bits(g.Ratio) != math.Float64bits(w.Ratio) ||
+					math.Float64bits(g.Evidence) != math.Float64bits(w.Evidence) {
+					t.Fatalf("%s (%d,%d): path vote %+v, reference %+v", p.name, i, j, g, w)
+				}
+				if g, w := hybridNameSimFlat(a, b), refHybridNameSimFlat(a, b); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s (%d,%d): name similarity %v, reference %v", p.name, i, j, g, w)
+				}
+				if len(a.children) == 0 || len(b.children) == 0 {
+					continue
+				}
+				containers++
+				got, want = got[:0], want[:0]
+				greedyAlignChildren(a, b, func(ci, cj int, sim float64) {
+					got = append(got, aligned{ci, cj, math.Float64bits(sim)})
+				})
+				refGreedyAlignChildren(a, b, func(ci, cj int, sim float64) {
+					want = append(want, aligned{ci, cj, math.Float64bits(sim)})
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s (%d,%d): alignment %v, reference %v", p.name, i, j, got, want)
+				}
+			}
+		}
+		if containers == 0 {
+			t.Fatalf("%s has no container pair to align", p.name)
+		}
+	}
+}
+
 // TestMatchScopedMatchesReference covers the scoped form: a partial
 // scope must give the reference's candidate rows and scores exactly.
 func TestMatchScopedMatchesReference(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"harmony/internal/schema"
+	"harmony/internal/text"
 )
 
 // The reference sparse kernel: the serial, search-based form of candidate
@@ -38,9 +39,10 @@ func refMatchScoped(e *Engine, sv, dv *SchemaView, elements []*schema.Element) *
 }
 
 // refSparseCandidates is the serial candidate generator: retrieval, one
-// round of upward expansion, and the downward children alignment, each
-// over every row in ID order (a parent's ID is below its children's, so a
-// row's set is complete before its own alignment runs).
+// round of upward expansion, and the downward children alignment
+// (refGreedyAlignChildren), each over every row in ID order (a parent's
+// ID is below its children's, so a row's set is complete before its own
+// alignment runs).
 func refSparseCandidates(sv, dv *SchemaView, budget int, scope []bool) [][]int32 {
 	ix := buildSparseIndex(dv)
 	rows, cols := sv.Len(), dv.Len()
@@ -139,7 +141,7 @@ func refSparseCandidates(sv, dv *SchemaView, budget int, scope []bool) [][]int32
 			if len(bv.El.Children) == 0 {
 				continue
 			}
-			greedyAlignChildren(av, bv, func(ci, cj int, _ float64) {
+			refGreedyAlignChildren(av, bv, func(ci, cj int, _ float64) {
 				x := av.El.Children[ci].ID
 				if scope != nil && !scope[x] {
 					return
@@ -242,4 +244,73 @@ func refChildrenAgreement(a, b *schema.Element, m ScoreMatrix, used []bool) floa
 		n = len(cb)
 	}
 	return total / float64(n)
+}
+
+// The frozen scoring primitives: greedyAlignChildren, pathVote and
+// hybridNameSimFlat as they were before token signatures gated them,
+// scanning every pair with text.SynonymOverlapIDs and text.JaccardIDs.
+// TestGatedPrimitivesMatchFrozenReference pins the production forms to
+// them bit for bit.
+
+// refGreedyAlignChildren aligns every child pair by a full overlap scan.
+func refGreedyAlignChildren(av, bv *ElementView, fn func(ci, cj int, sim float64)) {
+	ca, cb := av.children, bv.children
+	na, nb := len(ca), len(cb)
+	if na > maxAlignChildren {
+		na = maxAlignChildren
+	}
+	if nb > maxAlignChildren {
+		nb = maxAlignChildren
+	}
+	var used [maxAlignChildren]bool
+	for i := 0; i < na; i++ {
+		best, bestJ := 0.0, -1
+		x := ca[i]
+		for j := 0; j < nb; j++ {
+			if used[j] {
+				continue
+			}
+			y := cb[j]
+			if s := text.SynonymOverlapIDs(x.name.IDs, x.name.Masks, y.name.IDs, y.name.Masks); s > best {
+				best, bestJ = s, j
+			}
+		}
+		if bestJ >= 0 && best > 0 {
+			used[bestJ] = true
+			fn(i, bestJ, best)
+		}
+	}
+}
+
+// refPathVote scans both paths twice, once per metric.
+func refPathVote(src, dst *ElementView) Vote {
+	sim := 0.6*text.SynonymOverlapIDs(src.path.IDs, src.path.Masks, dst.path.IDs, dst.path.Masks) +
+		0.4*text.JaccardIDs(src.path.IDs, dst.path.IDs)
+	ev := float64(minInt(len(src.path.IDs), len(dst.path.IDs))) * 0.8
+	return Vote{Ratio: sim, Evidence: ev}
+}
+
+// refHybridNameSimFlat scans both names twice for the token metrics.
+func refHybridNameSimFlat(a, b *ElementView) float64 {
+	best := text.SynonymOverlapIDs(a.name.IDs, a.name.Masks, b.name.IDs, b.name.Masks)
+	if jac := text.JaccardIDs(a.name.IDs, b.name.IDs); jac > best {
+		best = jac
+	}
+	if best >= 0.9 {
+		return best
+	}
+	jw := text.JaroWinklerRunes(a.nameRunes, b.nameRunes)
+	var dice float64
+	switch {
+	case a.JoinedName == b.JoinedName:
+		dice = 1
+	case len(a.trigrams) == 0 || len(b.trigrams) == 0:
+		dice = 0
+	default:
+		dice = text.DiceSortedPacked(a.trigrams, b.trigrams)
+	}
+	if c := (jw + dice) / 2 * 0.9; c > best {
+		best = c
+	}
+	return best
 }

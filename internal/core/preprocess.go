@@ -33,21 +33,24 @@ type ElementView struct {
 	// (duplicates included); the documentation voter's evidence mass.
 	DocTokenCount int
 
-	// Compiled flat forms, produced by compileFrom. The ID/mask pairs
-	// are distinct tokens in first-occurrence order. nameShape interns
+	// Compiled flat forms, produced by compileFrom. The token sets hold
+	// distinct tokens in first-occurrence order with their signatures,
+	// which prove most overlaps zero before a scan. nameShape interns
 	// the full name token sequence (see shapeOf); it keys the per-worker
 	// hybrid name-similarity memo across matches. Paths are nearly
 	// unique per element and are not interned.
-	nameIDs   []uint32
-	nameMasks []uint32
-	pathIDs   []uint32
-	pathMasks []uint32
+	name      text.TokenSet
+	path      text.TokenSet
 	nameRunes []rune
 	trigrams  []uint64
 	acronym   string // Acronym(NameTokens), for the acronym voter
 	nameShape int32
 	parent    *ElementView   // template view of the parent (nil at roots)
 	children  []*ElementView // template views of the children, in order
+	// childSigs[k] is children[k].name.Sig, packed per container so the
+	// children alignment gates a container pair without touching the
+	// child views.
+	childSigs []text.TokenSig
 }
 
 // Parent returns the parent element's compiled view, or nil for

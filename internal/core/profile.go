@@ -183,7 +183,7 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 
 		fullIDs, fullMasks = internTokens(name, fullIDs[:0], fullMasks[:0])
 		v.nameShape = shapeOf(fullIDs)
-		v.nameIDs, v.nameMasks = appendDistinct(&idArena, &maskArena, fullIDs, fullMasks)
+		v.name = appendDistinct(&idArena, &maskArena, fullIDs, fullMasks)
 
 		// Path tokens: ancestors' name tokens root-first, then own.
 		pathBuf = pathBuf[:0]
@@ -195,22 +195,28 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 		}
 		pathBuf = append(pathBuf, name...)
 		fullIDs, fullMasks = internTokens(pathBuf, fullIDs[:0], fullMasks[:0])
-		v.pathIDs, v.pathMasks = appendDistinct(&idArena, &maskArena, fullIDs, fullMasks)
+		v.path = appendDistinct(&idArena, &maskArena, fullIDs, fullMasks)
 	}
 
 	// Wire parent/child template pointers for the structure voter. They
 	// point into the (stable) template array, not into per-match view
 	// copies: the structure voter reads only pair-independent fields.
+	// Each element is at most one container's child, so an arena of n
+	// signatures holds every container's childSigs without growing.
+	sigArena := make([]text.TokenSig, 0, n)
 	for i, e := range els {
 		if e.Parent != nil {
 			p.tmpl[i].parent = &p.tmpl[e.Parent.ID]
 		}
 		if len(e.Children) > 0 {
 			ch := make([]*ElementView, len(e.Children))
+			lo := len(sigArena)
 			for ci, c := range e.Children {
 				ch[ci] = &p.tmpl[c.ID]
+				sigArena = append(sigArena, p.tmpl[c.ID].name.Sig)
 			}
 			p.tmpl[i].children = ch
+			p.tmpl[i].childSigs = sigArena[lo:len(sigArena):len(sigArena)]
 		}
 	}
 	return p
@@ -228,10 +234,10 @@ func internTokens(toks []string, ids, masks []uint32) ([]uint32, []uint32) {
 }
 
 // appendDistinct appends the first occurrence of each ID (with its
-// mask) to the arenas and returns capped subslices of the appended
-// range. First-occurrence order matches what the string metrics'
-// distinct() helper produces.
-func appendDistinct(idArena, maskArena *[]uint32, ids, masks []uint32) ([]uint32, []uint32) {
+// mask) to the arenas and returns the token set over capped subslices
+// of the appended range. First-occurrence order matches what the string
+// metrics' distinct() helper produces.
+func appendDistinct(idArena, maskArena *[]uint32, ids, masks []uint32) text.TokenSet {
 	lo := len(*idArena)
 	for k, id := range ids {
 		dup := false
@@ -247,7 +253,7 @@ func appendDistinct(idArena, maskArena *[]uint32, ids, masks []uint32) ([]uint32
 		}
 	}
 	hi := len(*idArena)
-	return (*idArena)[lo:hi:hi], (*maskArena)[lo:hi:hi]
+	return text.NewTokenSet((*idArena)[lo:hi:hi], (*maskArena)[lo:hi:hi])
 }
 
 // --- shapes ----------------------------------------------------------------

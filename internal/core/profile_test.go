@@ -149,7 +149,7 @@ func TestHybridSimCachedMatchesDirectCompute(t *testing.T) {
 	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 3, 8, 6, 4)
 	pa, pb := CompileSchema(sa), CompileSchema(sb)
 
-	sc := &pairScratch{hybrid: make(map[uint64]float64)}
+	sc := &pairScratch{}
 	for _, memo := range []string{"cold", "warm"} {
 		for i := range pa.tmpl {
 			for j := range pb.tmpl {
@@ -160,7 +160,7 @@ func TestHybridSimCachedMatchesDirectCompute(t *testing.T) {
 				}
 			}
 		}
-		if len(sc.hybrid) == 0 {
+		if sc.hybrid.n == 0 {
 			t.Fatalf("%s sweep left the memo empty", memo)
 		}
 	}

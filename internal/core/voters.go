@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"harmony/internal/schema"
 	"harmony/internal/text"
 )
@@ -52,7 +54,7 @@ func (NameVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
 		return Abstain
 	}
 	sim := hybridSimCached(src, dst, sc)
-	ev := float64(minInt(len(src.nameIDs), len(dst.nameIDs)))
+	ev := float64(minInt(len(src.name.IDs), len(dst.name.IDs)))
 	// Character-level length adds a little evidence: longer names that
 	// agree are less likely to agree by chance.
 	ev += float64(minInt(len(src.JoinedName), len(dst.JoinedName))) / 12.0
@@ -71,8 +73,8 @@ func (NameVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
 // level cannot win — char is ≤ 1, damped by 0.9, and compared strictly
 // — so it is skipped entirely.
 func hybridNameSimFlat(a, b *ElementView) float64 {
-	best := text.SynonymOverlapIDs(a.nameIDs, a.nameMasks, b.nameIDs, b.nameMasks)
-	if jac := text.JaccardIDs(a.nameIDs, b.nameIDs); jac > best {
+	best, jac := a.name.OverlapJaccard(&b.name)
+	if jac > best {
 		best = jac
 	}
 	if best >= 0.9 {
@@ -103,13 +105,11 @@ func hybridSimCached(a, b *ElementView, sc *pairScratch) float64 {
 		return hybridNameSimFlat(a, b)
 	}
 	key := pairKey(a.nameShape, b.nameShape)
-	if v, ok := sc.hybrid[key]; ok {
+	if v, ok := sc.hybrid.get(key); ok {
 		return v
 	}
 	v := hybridNameSimFlat(a, b)
-	if len(sc.hybrid) < maxMemoEntries {
-		sc.hybrid[key] = v
-	}
+	sc.hybrid.put(key, v)
 	return v
 }
 
@@ -153,16 +153,19 @@ func (PathVoter) Name() string { return "path" }
 
 // Vote implements Voter.
 func (PathVoter) Vote(src, dst *ElementView) Vote {
-	if len(src.pathIDs) == 0 || len(dst.pathIDs) == 0 {
+	if len(src.path.IDs) == 0 || len(dst.path.IDs) == 0 {
 		return Abstain
 	}
 	return pathVote(src, dst)
 }
 
+// pathVote blends synonym-aware overlap and Jaccard of the two paths.
+// Most path pairs share no token: their signatures prove both metrics 0
+// without a scan (text.TokenSet.OverlapJaccard).
 func pathVote(src, dst *ElementView) Vote {
-	sim := 0.6*text.SynonymOverlapIDs(src.pathIDs, src.pathMasks, dst.pathIDs, dst.pathMasks) +
-		0.4*text.JaccardIDs(src.pathIDs, dst.pathIDs)
-	ev := float64(minInt(len(src.pathIDs), len(dst.pathIDs))) * 0.8
+	syn, jac := src.path.OverlapJaccard(&dst.path)
+	sim := 0.6*syn + 0.4*jac
+	ev := float64(minInt(len(src.path.IDs), len(dst.path.IDs))) * 0.8
 	return Vote{Ratio: sim, Evidence: ev}
 }
 
@@ -281,30 +284,32 @@ const maxAlignChildren = 64
 // become candidates and the summed similarity is the total the structure
 // voter scores (alignmentVote). Dense scoring, Vote, Explain and
 // MatchCross run it from containerVote.
+//
+// Most child pairs share no token. The containers' packed child
+// signatures (childSigs) skip those pairs without touching a child view:
+// their overlap is 0, and a 0 never beats best under the strict >. A
+// row's scan stops at an overlap of 1, which no later child can beat.
 func greedyAlignChildren(av, bv *ElementView, fn func(ci, cj int, sim float64)) {
 	ca, cb := av.children, bv.children
-	na, nb := len(ca), len(cb)
-	if na > maxAlignChildren {
-		na = maxAlignChildren
-	}
-	if nb > maxAlignChildren {
-		nb = maxAlignChildren
-	}
-	var used [maxAlignChildren]bool
-	for i := 0; i < na; i++ {
+	na, nb := min(len(ca), maxAlignChildren), min(len(cb), maxAlignChildren)
+	sa, sb := av.childSigs[:na], bv.childSigs[:nb]
+	free := ^uint64(0) >> (64 - nb) // unaligned children of b; nb ≤ 64
+	for i, sig := range sa {
 		best, bestJ := 0.0, -1
-		x := ca[i]
-		for j := 0; j < nb; j++ {
-			if used[j] {
+		for f := free; f != 0; f &= f - 1 {
+			j := bits.TrailingZeros64(f)
+			if sig.Disjoint(sb[j]) {
 				continue
 			}
-			y := cb[j]
-			if s := text.SynonymOverlapIDs(x.nameIDs, x.nameMasks, y.nameIDs, y.nameMasks); s > best {
+			if s := ca[i].name.Overlap(&cb[j].name); s > best {
 				best, bestJ = s, j
+				if best == 1 {
+					break
+				}
 			}
 		}
-		if bestJ >= 0 && best > 0 {
-			used[bestJ] = true
+		if bestJ >= 0 {
+			free &^= 1 << bestJ
 			fn(i, bestJ, best)
 		}
 	}

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"bytes"
+	"hash/maphash"
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -39,32 +40,53 @@ import (
 // strings repeat massively across a schema corpus; returning one shared
 // string per distinct value makes parsing allocation-free for repeated
 // content (the map lookup on a []byte key does not allocate).
+//
+// Restart parses snapshot schemas on every core at once, so the table
+// is split into internShards shards by key hash: parsers looking up
+// different names take different read locks instead of all bumping one
+// mutex's reader count.
 type byteIntern struct {
+	seed   maphash.Seed
+	shards [internShards]internShard
+}
+
+type internShard struct {
 	mu sync.RWMutex
 	m  map[string]string
+	_  [64]byte // keeps neighbouring shards' locks off one cache line
 }
 
 const (
-	internEntryCap  = 1 << 17
+	internShards    = 16
+	internEntryCap  = 1 << 17 // over all shards
 	internMaxKeyLen = 256
 )
 
-var strIntern = byteIntern{m: make(map[string]string, 4096)}
+var strIntern = newByteIntern()
+
+func newByteIntern() *byteIntern {
+	bi := &byteIntern{seed: maphash.MakeSeed()}
+	for i := range bi.shards {
+		bi.shards[i].m = make(map[string]string, 4096/internShards)
+	}
+	return bi
+}
 
 func (bi *byteIntern) get(b []byte) string {
-	bi.mu.RLock()
-	s, ok := bi.m[string(b)]
-	bi.mu.RUnlock()
+	sh := &bi.shards[maphash.Bytes(bi.seed, b)%internShards]
+	sh.mu.RLock()
+	s, ok := sh.m[string(b)]
+	sh.mu.RUnlock()
 	if ok {
 		return s
 	}
 	s = string(b)
 	if len(b) <= internMaxKeyLen {
-		bi.mu.Lock()
-		if len(bi.m) < internEntryCap {
-			bi.m[s] = s
+		sh.mu.Lock()
+		if len(sh.m) < internEntryCap/internShards {
+			sh.m[s] = s
 		}
-		bi.mu.Unlock()
+		sh.mu.Unlock()
 	}
 	return s
 }

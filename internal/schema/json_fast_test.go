@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // stdParse is the reference decode path the fast parser must agree with.
@@ -157,6 +159,60 @@ func TestParseJSONFastUsesFastPath(t *testing.T) {
 		t.Fatalf("canonical marshal form fell back to encoding/json: %s", data)
 	}
 	differential(t, string(data))
+}
+
+// TestParseJSONFastConcurrent parses overlapping schemas from several
+// goroutines at once, as restart workers do, so the race detector sees
+// the sharded intern table under concurrent inserts and lookups. Every
+// parse must give the serial parse's marshal form, and repeated names
+// must come back as one canonical string.
+func TestParseJSONFastConcurrent(t *testing.T) {
+	var docs [][]byte
+	for k := 0; k < 8; k++ {
+		s := New(fmt.Sprintf("concurrent_%d", k), FormatRelational)
+		root := s.AddElement(nil, fmt.Sprintf("table_%d", k), KindTable, TypeNone)
+		for i := 0; i < 40; i++ {
+			// Half the columns are shared by every schema, half are unique.
+			name := fmt.Sprintf("shared_column_%d", i)
+			if i%2 == 1 {
+				name = fmt.Sprintf("column_%d_of_%d", i, k)
+			}
+			e := s.AddElement(root, name, KindColumn, TypeString)
+			e.Doc = fmt.Sprintf("documentation %d", i%5)
+		}
+		data, err := s.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, data)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				for i := range docs {
+					k := (i + w) % len(docs)
+					got, ok := parseSchemaFast(docs[k])
+					if !ok {
+						t.Errorf("worker %d: schema %d fell back to encoding/json", w, k)
+						return
+					}
+					if g, _ := got.MarshalJSON(); !bytes.Equal(g, docs[k]) {
+						t.Errorf("worker %d: schema %d parsed to %s", w, k, g)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	name := []byte("shared_column_0")
+	if a, b := strIntern.get(name), strIntern.get(name); unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Fatal("a repeated name was not interned to one string")
+	}
 }
 
 func BenchmarkParseJSON(b *testing.B) {
