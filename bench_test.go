@@ -194,7 +194,7 @@ func BenchmarkE4Increment(b *testing.B) {
 	concept := f.sumA.Concepts()[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.MatchElements(sv, dv, concept.Members)
+		eng.MatchScoped(sv, dv, concept.Members)
 	}
 	b.ReportMetric(float64(concept.Size()*f.sb.Len()), "pairs/op")
 }

@@ -19,6 +19,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/partition"
 	"harmony/internal/schema"
+	"harmony/internal/search"
 	"harmony/internal/text"
 )
 
@@ -90,7 +91,7 @@ func Distances(eng *core.Engine, schemas []*schema.Schema, threshold float64) *D
 func QuickDistances(schemas []*schema.Schema) *DistanceMatrix {
 	docs := make([][]string, len(schemas))
 	for i, s := range schemas {
-		docs[i] = Profile(s)
+		docs[i] = search.SchemaProfile(s)
 	}
 	corpus := text.NewCorpus(docs)
 	vecs := make([]text.Vector, len(schemas))
@@ -104,18 +105,4 @@ func QuickDistances(schemas []*schema.Schema) *DistanceMatrix {
 		}
 	}
 	return m
-}
-
-// Profile returns a schema's token profile: the normalized name tokens of
-// every element plus the normalized documentation tokens. Shared with
-// package search, which indexes the same profile.
-func Profile(s *schema.Schema) []string {
-	var toks []string
-	for _, e := range s.Elements() {
-		toks = append(toks, text.NormalizeName(e.Name)...)
-		if e.Doc != "" {
-			toks = append(toks, text.NormalizeDoc(e.Doc)...)
-		}
-	}
-	return toks
 }

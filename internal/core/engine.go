@@ -158,8 +158,7 @@ type Result struct {
 	// Scored counts the element pairs put through the voter stack: every
 	// cell of a dense full match, the in-scope rows of a scoped one, the
 	// stored cells of a sparse one. It equals Matrix.Pairs() except for
-	// MatchElements (so MatchScoped below the sparse threshold), whose
-	// full-size dense matrix holds unscored rows.
+	// a dense MatchScoped, whose full-size matrix holds unscored rows.
 	Scored int
 }
 
@@ -271,32 +270,6 @@ func (e *Engine) sparseActive(rows, cols int) bool {
 	return rows*cols >= cutoff
 }
 
-// MatchSubtree scores only the pairs whose source element lies in the
-// sub-tree rooted at root (an element of sv's schema) against every target
-// element — the paper's sub-tree filter used as an *operation*: "match
-// operations were rapid: typically between 10^4 and 10^5 matches were
-// considered in each increment". Rows outside the sub-tree are left zero.
-func (e *Engine) MatchSubtree(sv, dv *SchemaView, root *schema.Element) *Result {
-	return e.MatchElements(sv, dv, root.Subtree())
-}
-
-// MatchElements scores only the pairs whose source element is in the given
-// set against every target element; other rows are left zero. This is the
-// incremental-matching primitive behind the concept-at-a-time workflow,
-// where a concept's members need not form a single sub-tree. Structural
-// propagation is not applied: it needs the full matrix, and partial rows
-// would blend against unscored zeros. Incremental scores therefore differ
-// slightly from a full Match over the same pair.
-func (e *Engine) MatchElements(sv, dv *SchemaView, elements []*schema.Element) *Result {
-	m := NewMatrix(sv.Len(), dv.Len())
-	rows := make([]int, 0, len(elements))
-	for _, el := range elements {
-		rows = append(rows, el.ID)
-	}
-	e.score(sv, dv, m, rows)
-	return &Result{Src: sv, Dst: dv, Matrix: m, Scored: len(rows) * dv.Len()}
-}
-
 // MatchCross scores only the cross product of the two given element
 // subsets; every other cell reads zero. This is the residue-matching
 // primitive of schema-evolution diffing: rename detection needs scores for
@@ -322,17 +295,30 @@ func (e *Engine) MatchCross(sv, dv *SchemaView, srcEls, dstEls []*schema.Element
 }
 
 // MatchScoped scores only the pairs whose source element is in the given
-// set, like MatchElements, but routes through the sparse candidate-pair
-// path when sparse scoring is configured and the scoped workload
-// (len(elements) × target size) clears the engine's cutoff: each in-scope
-// element retrieves a bounded candidate set instead of scoring the full
-// target row. This is the incremental re-match primitive of schema
-// evolution — after a version bump only the dirty elements are in scope,
-// so the run costs a fraction of a full rematch. Out-of-scope rows are left
-// empty in either representation.
+// set; other rows are left empty. This is the incremental-matching
+// primitive, the paper's sub-tree filter used as an *operation* ("match
+// operations were rapid: typically between 10^4 and 10^5 matches were
+// considered in each increment"): the concept-at-a-time workflow scores
+// a concept's members, which need not form one sub-tree, and schema
+// evolution re-matches only the dirty elements after a version bump.
+// Structural propagation is not applied: it needs the full matrix, and
+// partial rows would blend against unscored zeros, so scoped scores
+// differ slightly from a full Match over the same pair.
+//
+// When sparse scoring is configured and the scoped workload
+// (len(elements) × target size) clears the engine's cutoff, each
+// in-scope element retrieves a bounded candidate set into a
+// SparseMatrix; otherwise every in-scope row of a dense matrix is scored
+// against the whole target.
 func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Result {
 	if !e.sparseActive(len(elements), dv.Len()) {
-		return e.MatchElements(sv, dv, elements)
+		m := NewMatrix(sv.Len(), dv.Len())
+		rows := make([]int, 0, len(elements))
+		for _, el := range elements {
+			rows = append(rows, el.ID)
+		}
+		e.score(sv, dv, m, rows)
+		return &Result{Src: sv, Dst: dv, Matrix: m, Scored: len(rows) * dv.Len()}
 	}
 	scope := make([]bool, sv.Len())
 	for _, el := range elements {

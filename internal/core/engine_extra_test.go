@@ -37,16 +37,16 @@ func TestMatchScoresWithinOpenInterval(t *testing.T) {
 	}
 }
 
-func TestMatchElementsEqualsFullMatchWithoutPropagation(t *testing.T) {
+func TestMatchScopedEqualsFullMatchWithoutPropagation(t *testing.T) {
 	a, b := personSchemaA(), personSchemaB()
 	eng := NewEngine(PresetHarmony().Voters(), EvidenceWeighted{}) // no propagation
 	sv, dv := Preprocess(a, b)
 	full := eng.MatchViews(sv, dv)
-	partial := eng.MatchElements(sv, dv, a.Elements())
+	partial := eng.MatchScoped(sv, dv, a.Elements())
 	for i := 0; i < a.Len(); i++ {
 		for j := 0; j < b.Len(); j++ {
 			if full.Matrix.At(i, j) != partial.Matrix.At(i, j) {
-				t.Fatalf("MatchElements diverges at (%d,%d): %f vs %f",
+				t.Fatalf("MatchScoped diverges at (%d,%d): %f vs %f",
 					i, j, full.Matrix.At(i, j), partial.Matrix.At(i, j))
 			}
 		}

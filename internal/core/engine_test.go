@@ -93,7 +93,10 @@ func TestMatchSubtreeOnlyFillsSubtreeRows(t *testing.T) {
 	a, b := personSchemaA(), personSchemaB()
 	sv, dv := Preprocess(a, b)
 	eng := PresetHarmony()
-	res := eng.MatchSubtree(sv, dv, a.ByPath("Person"))
+	res := eng.MatchScoped(sv, dv, a.ByPath("Person").Subtree())
+	if _, dense := res.Matrix.(*Matrix); !dense {
+		t.Fatalf("PresetHarmony scoped a subtree into %T, want a dense matrix", res.Matrix)
+	}
 	for i := 0; i < a.Len(); i++ {
 		inSub := a.Element(i).Root() == a.ByPath("Person")
 		rowNonZero := false

@@ -235,8 +235,8 @@ func internTokens(toks []string, ids, masks []uint32) ([]uint32, []uint32) {
 
 // appendDistinct appends the first occurrence of each ID (with its
 // mask) to the arenas and returns the token set over capped subslices
-// of the appended range. First-occurrence order matches what the string
-// metrics' distinct() helper produces.
+// of the appended range, in first-occurrence order: the distinct lists
+// the token kernels expect.
 func appendDistinct(idArena, maskArena *[]uint32, ids, masks []uint32) text.TokenSet {
 	lo := len(*idArena)
 	for k, id := range ids {

@@ -268,8 +268,8 @@ func TestMatchScopedRestrictsRows(t *testing.T) {
 			return true
 		})
 	}
-	// Dense fallback: an engine without sparse gives the same behavior as
-	// MatchElements.
+	// Dense fallback: an engine without sparse scores the scoped rows of a
+	// dense matrix.
 	denseRes := PresetHarmony().MatchScoped(sv, dv, scope)
 	if _, isDense := denseRes.Matrix.(*Matrix); !isDense {
 		t.Fatalf("dense engine MatchScoped produced %T", denseRes.Matrix)
@@ -291,9 +291,13 @@ func TestMatchCrossScoresOnlySubset(t *testing.T) {
 	for _, el := range dstEls {
 		inDst[el.ID] = true
 	}
-	// MatchElements is the reference: full rows for the source subset,
-	// no propagation — MatchCross must agree on the dst subset exactly.
-	rows := eng.MatchElements(sv, dv, srcEls)
+	// Dense MatchScoped is the reference: full rows for the source
+	// subset, no propagation — MatchCross must agree on the dst subset
+	// exactly.
+	rows := eng.MatchScoped(sv, dv, srcEls)
+	if _, dense := rows.Matrix.(*Matrix); !dense {
+		t.Fatalf("PresetHarmony scoped the source subset into %T, want a dense matrix", rows.Matrix)
+	}
 	for i := 0; i < sv.Len(); i++ {
 		for j := 0; j < dv.Len(); j++ {
 			got := res.Matrix.At(i, j)

@@ -66,12 +66,15 @@ func (NameVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
 	return Vote{Ratio: sim, Evidence: ev}
 }
 
-// hybridNameSimFlat is HybridNameSimilarity over compiled views: the
+// hybridNameSimFlat is the composite name metric of the name voter: the
 // maximum of synonym-aware token overlap, token Jaccard, and damped
-// character-level similarity (Jaro-Winkler + trigram Dice over the
-// joined names). When token evidence already reaches 0.9 the character
-// level cannot win — char is ≤ 1, damped by 0.9, and compared strictly
-// — so it is skipped entirely.
+// character-level similarity (the mean of Jaro-Winkler and trigram Dice
+// over the joined normalized names, times 0.9). Token and character
+// levels together make it robust to abbreviation noise that
+// tokenization cannot repair, and the damping keeps a coincidental
+// character-level resemblance from dominating. When token evidence
+// already reaches 0.9 the character level cannot win — char is ≤ 1,
+// damped by 0.9, and compared strictly — so it is skipped entirely.
 func hybridNameSimFlat(a, b *ElementView) float64 {
 	best, jac := a.name.OverlapJaccard(&b.name)
 	if jac > best {

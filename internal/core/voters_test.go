@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 
 	"harmony/internal/schema"
 )
@@ -142,4 +143,43 @@ func TestVoterNamesUniqueAndConcurrentSafe(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
+}
+
+// nameViews compiles two one-column schemata and returns the compiled
+// views of their columns, named a and b.
+func nameViews(a, b string) (*ElementView, *ElementView) {
+	one := func(name string) *schema.Schema {
+		s := schema.New("S", schema.FormatRelational)
+		s.AddElement(s.AddRoot("T", schema.KindTable), name, schema.KindColumn, schema.TypeString)
+		return s
+	}
+	sv, dv := PairProfiles(CompileSchema(one(a)), CompileSchema(one(b)))
+	return sv.View(1), dv.View(1)
+}
+
+func TestHybridNameSimilarity(t *testing.T) {
+	if got := hybridNameSimFlat(nameViews("PERSON_ID", "PersonIdentifier")); got < 0.9 {
+		t.Errorf("hybridNameSimFlat(PERSON_ID, PersonIdentifier) = %f, want >= 0.9", got)
+	}
+	if got := hybridNameSimFlat(nameViews("WEATHER_TEMP", "PersonLastName")); got > 0.5 {
+		t.Errorf("hybridNameSimFlat(unrelated) = %f, want <= 0.5", got)
+	}
+}
+
+func TestHybridNameSimilarityBounds(t *testing.T) {
+	prop := func(a, b string) bool {
+		s := hybridNameSimFlat(nameViews(trunc(a, 20), trunc(b, 20)))
+		return s >= 0 && s <= 1
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func trunc(s string, n int) string {
+	r := []rune(s)
+	if len(r) > n {
+		r = r[:n]
+	}
+	return string(r)
 }

@@ -207,14 +207,21 @@ type Result struct {
 	Stats Stats `json:"stats"`
 }
 
-// CacheKey identifies one per-candidate outcome for external caching. It
-// mirrors the service layer's fingerprint-keyed match cache so corpus
-// queries and pairwise /v1/match requests share entries.
+// CacheKey identifies one cached match outcome, per corpus candidate here
+// and per /v1/match request in the service layer, which shares the type.
+// Fingerprints are content-addressed (schema.Schema.Fingerprint), so the
+// key survives schema renames and process restarts but not content
+// changes. The key is directional: a match A→B is not the same artifact
+// as B→A (source and target roles differ in the outcome).
 type CacheKey struct {
 	FingerprintA string
 	FingerprintB string
 	Preset       string
 	Threshold    float64
+}
+
+func (k CacheKey) String() string {
+	return fmt.Sprintf("%s~%s/%s@%.4f", k.FingerprintA, k.FingerprintB, k.Preset, k.Threshold)
 }
 
 // Cache lets the caller serve per-candidate outcomes from, and publish

@@ -162,10 +162,11 @@ func (p *Pipeline) publish(queryName, qfp string, cands []candidate, fresh []*Sc
 // left uncovered, excluding candidate paths the composition already
 // claimed (the mapping stays one-to-one). The query side reuses the
 // per-query compiled profile; only the candidate side resolves through
-// the engine's profile cache.
+// the engine's profile cache. The uncovered rows are scored densely,
+// against every candidate element, whatever sparse budget the query set.
 func (p *Pipeline) matchRemainder(eng *core.Engine, qprof *core.CompiledProfile, cand *schema.Schema, uncovered []*schema.Element, composed []Pair, cfg Config) []Pair {
 	sv, dv := core.PairProfiles(qprof, eng.Profile(cand))
-	res := eng.MatchElements(sv, dv, uncovered)
+	res := eng.WithOptions(core.WithSparse(0)).MatchScoped(sv, dv, uncovered)
 	usedB := make(map[string]bool, len(composed))
 	for _, pr := range composed {
 		usedB[pr.PathB] = true

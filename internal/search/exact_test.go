@@ -30,7 +30,7 @@ type naiveRef struct {
 
 func newNaiveRef() *naiveRef { return &naiveRef{docs: make(map[string][]string)} }
 
-func (r *naiveRef) add(s *schema.Schema) { r.docs[s.Name] = schemaProfile(s) }
+func (r *naiveRef) add(s *schema.Schema) { r.docs[s.Name] = SchemaProfile(s) }
 func (r *naiveRef) remove(name string)   { delete(r.docs, name) }
 
 func (r *naiveRef) search(tokens []string, k int) []Result {
@@ -45,7 +45,8 @@ func (r *naiveRef) search(tokens []string, k int) []Result {
 	for name, profile := range r.docs {
 		m := make(map[uint32]int, len(profile))
 		for _, tok := range profile {
-			m[text.Intern(tok)]++
+			id, _ := text.InternMasked(tok)
+			m[id]++
 		}
 		tf[name] = m
 		lens[name] = len(profile)
@@ -119,7 +120,7 @@ func requireIdentical(t *testing.T, label string, got, want []Result) {
 // profile, some free text, some garbage that was never indexed.
 func queryTokensFor(rng *rand.Rand, schemas []*schema.Schema) []string {
 	s := schemas[rng.Intn(len(schemas))]
-	profile := schemaProfile(s)
+	profile := SchemaProfile(s)
 	var toks []string
 	if len(profile) > 0 {
 		for i := 0; i < 3+rng.Intn(12); i++ {

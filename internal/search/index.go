@@ -658,7 +658,7 @@ func (ix *Index) SearchText(query string, k int) []Result {
 // SearchSchema uses a whole schema as the query term, the paper's
 // query-by-schema idiom for the DoD Metadata Registry.
 func (ix *Index) SearchSchema(q *schema.Schema, k int) []Result {
-	return ix.SearchTokens(schemaProfile(q), k)
+	return ix.SearchTokens(SchemaProfile(q), k)
 }
 
 // SearchTokens ranks schemata against pre-normalized query tokens.
@@ -672,7 +672,7 @@ func (ix *Index) SearchTokens(tokens []string, k int) []Result {
 // scoring after that many exactly scored documents (the surviving top k
 // is then best-effort); 0 means exact.
 func (ix *Index) SearchSchemaInfo(q *schema.Schema, k, docBudget int) ([]Result, QueryInfo) {
-	return ix.searchSpace(&ix.schemas, schemaProfile(q), k, docBudget, false)
+	return ix.searchSpace(&ix.schemas, SchemaProfile(q), k, docBudget, false)
 }
 
 // SearchTokensExhaustive scores with full-corpus term-at-a-time
@@ -688,7 +688,7 @@ func (ix *Index) SearchTokensExhaustive(tokens []string, k int) []Result {
 // reference path — same tokens, same results, no pruning. Experiments
 // use it as the speed baseline for the block-max engine.
 func (ix *Index) SearchSchemaExhaustive(q *schema.Schema, k int) []Result {
-	res, _ := ix.searchSpace(&ix.schemas, schemaProfile(q), k, 0, true)
+	res, _ := ix.searchSpace(&ix.schemas, SchemaProfile(q), k, 0, true)
 	return res
 }
 
@@ -740,8 +740,11 @@ func sortUint32(a []uint32) {
 	slices.Sort(a)
 }
 
-// schemaProfile returns the schema's full normalized token profile.
-func schemaProfile(s *schema.Schema) []string {
+// SchemaProfile returns a schema's token profile: the normalized name
+// tokens of every element plus its normalized documentation tokens. The
+// index blocks schema queries on it, and cluster.QuickDistances weighs
+// schemata by it.
+func SchemaProfile(s *schema.Schema) []string {
 	var toks []string
 	for _, e := range s.Elements() {
 		toks = append(toks, text.NormalizeName(e.Name)...)

@@ -93,7 +93,7 @@ type pr8Posting struct {
 func newPR8Index(schemas []*schema.Schema) *pr8Index {
 	px := &pr8Index{postings: make(map[string][]pr8Posting)}
 	for _, s := range schemas {
-		profile := schemaProfile(s)
+		profile := SchemaProfile(s)
 		doc := len(px.docs)
 		px.docs = append(px.docs, pr8Doc{name: s.Name, length: len(profile), alive: true})
 		px.totalLen += len(profile)
@@ -182,7 +182,7 @@ func BenchmarkSearch10KPR8(b *testing.B) {
 func benchProfiles(schemas []*schema.Schema) [][]string {
 	profiles := make([][]string, 64)
 	for i := range profiles {
-		profiles[i] = schemaProfile(schemas[(i*157)%len(schemas)])
+		profiles[i] = SchemaProfile(schemas[(i*157)%len(schemas)])
 	}
 	return profiles
 }
@@ -222,7 +222,7 @@ func TestSearch10KSpeedupAndExactness(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		q := schemas[(i*257)%len(schemas)]
 		k := 1 + (i*7)%25
-		profile := schemaProfile(q)
+		profile := SchemaProfile(q)
 		fast := ix.SearchTokens(profile, k)
 		slow := ix.SearchTokensExhaustive(profile, k)
 		requireIdentical(t, q.Name, fast, slow)
@@ -232,7 +232,7 @@ func TestSearch10KSpeedupAndExactness(t *testing.T) {
 	// scores differ from the canonical fold by rounding ulps — require
 	// agreement to a relative 1e-9 rank by rank.
 	for i := 0; i < 8; i++ {
-		profile := schemaProfile(schemas[(i*401)%len(schemas)])
+		profile := SchemaProfile(schemas[(i*401)%len(schemas)])
 		fast := ix.SearchTokens(profile, 10)
 		old := px.search(profile, 10)
 		if len(fast) != len(old) {
@@ -252,7 +252,7 @@ func TestSearch10KSpeedupAndExactness(t *testing.T) {
 	const queries = 30
 	profiles := make([][]string, queries)
 	for i := range profiles {
-		profiles[i] = schemaProfile(schemas[(i*101)%len(schemas)])
+		profiles[i] = SchemaProfile(schemas[(i*101)%len(schemas)])
 	}
 	work := func(search func(tokens []string, k int) []Result) Stats {
 		before := ix.IndexStats()

@@ -5,32 +5,19 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"harmony/internal/corpus"
 )
 
-// CacheKey identifies one cached match result. Fingerprints are
-// content-addressed (schema.Schema.Fingerprint), so the key survives
-// schema renames and process restarts but not content changes. The key is
-// directional: a match A→B is not the same artifact as B→A (source and
-// target roles differ in the outcome).
-type CacheKey struct {
-	FingerprintA string
-	FingerprintB string
-	Preset       string
-	Threshold    float64
-}
+// CacheKey identifies one cached match result: the corpus pipeline's
+// key, so corpus queries and pairwise /v1/match requests share one
+// entry space.
+type CacheKey = corpus.CacheKey
 
-func (k CacheKey) String() string {
-	return fmt.Sprintf("%s~%s/%s@%.4f", k.FingerprintA, k.FingerprintB, k.Preset, k.Threshold)
-}
-
-// MatchPair is one path-level correspondence of a cached match outcome.
-// Paths (not element IDs) make the outcome meaningful independently of any
-// in-memory Schema value.
-type MatchPair struct {
-	PathA string  `json:"pathA"`
-	PathB string  `json:"pathB"`
-	Score float64 `json:"score"`
-}
+// MatchPair is one path-level correspondence of a cached match outcome:
+// the corpus pipeline's pair, so a cache hit hands corpus queries their
+// pairs with one copy.
+type MatchPair = corpus.Pair
 
 // MatchOutcome is the cacheable product of one pairwise match: the
 // one-to-one selection at the key's threshold plus summary figures.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,34 +57,17 @@ func (c *corpusCounters) snapshot() CorpusStats {
 // provenance when composed) that warm-starts the next process.
 type serverCorpusCache struct{ s *Server }
 
-func serviceKey(key corpus.CacheKey) CacheKey {
-	return CacheKey{
-		FingerprintA: key.FingerprintA,
-		FingerprintB: key.FingerprintB,
-		Preset:       key.Preset,
-		Threshold:    key.Threshold,
-	}
-}
-
 func (cc serverCorpusCache) Lookup(key corpus.CacheKey) ([]corpus.Pair, string, bool) {
-	out, ok := cc.s.cache.Get(serviceKey(key))
+	out, ok := cc.s.cache.Get(key)
 	if !ok {
 		return nil, "", false
 	}
-	pairs := make([]corpus.Pair, 0, len(out.Pairs))
-	for _, p := range out.Pairs {
-		pairs = append(pairs, corpus.Pair{PathA: p.PathA, PathB: p.PathB, Score: p.Score})
-	}
-	return pairs, out.ReusedVia, true
+	return slices.Clone(out.Pairs), out.ReusedVia, true
 }
 
 func (cc serverCorpusCache) Store(key corpus.CacheKey, queryName string, m *corpus.SchemaMatch) {
-	out := &MatchOutcome{ReusedVia: m.Hub, Pairs: make([]MatchPair, 0, len(m.Pairs))}
-	for _, p := range m.Pairs {
-		out.Pairs = append(out.Pairs, MatchPair{PathA: p.PathA, PathB: p.PathB, Score: p.Score})
-	}
-	sk := serviceKey(key)
-	cc.s.cache.Put(sk, out)
+	out := &MatchOutcome{ReusedVia: m.Hub, Pairs: slices.Clone(m.Pairs)}
+	cc.s.cache.Put(key, out)
 	// Followers only populate the in-memory cache: persisting would
 	// journal a local record and fork the LSN sequence off the leader's.
 	if cc.s.readOnly.Load() {
@@ -91,7 +75,7 @@ func (cc serverCorpusCache) Store(key corpus.CacheKey, queryName string, m *corp
 	}
 	// Persisting is best-effort: an unregistered query schema (corpus
 	// queries may be ad hoc) fails artifact validation and is skipped.
-	storeArtifactVia(cc.s.reg, queryName, m.Schema, sk, out, m.Hub)
+	storeArtifactVia(cc.s.reg, queryName, m.Schema, key, out, m.Hub)
 }
 
 // --- request handling -----------------------------------------------------

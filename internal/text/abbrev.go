@@ -155,17 +155,6 @@ func ExpandAbbreviation(tok string) []string {
 	return out
 }
 
-// KnownAbbreviation reports whether tok has an entry in the built-in
-// abbreviation dictionary.
-func KnownAbbreviation(tok string) bool {
-	_, ok := abbreviations[tok]
-	return ok
-}
-
-// AbbreviationCount returns the number of entries in the built-in
-// dictionary; exposed for documentation and tests.
-func AbbreviationCount() int { return len(abbreviations) }
-
 // synonyms groups tokens that denote the same concept under different
 // names. Lookup is symmetric: two tokens are synonymous when they share a
 // group. Entries are stored stemmed because matching happens after the
@@ -216,31 +205,3 @@ func buildSynonymIndex() map[string][]int {
 	}
 	return idx
 }
-
-// Synonymous reports whether two stemmed tokens share at least one synonym
-// group. Identical tokens are trivially synonymous.
-func Synonymous(a, b string) bool {
-	if a == b {
-		return true
-	}
-	ga, ok := synonymIndex[a]
-	if !ok {
-		return false
-	}
-	gb, ok := synonymIndex[b]
-	if !ok {
-		return false
-	}
-	for _, x := range ga {
-		for _, y := range gb {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// SynonymGroupCount returns the number of synonym groups; exposed for
-// documentation and tests.
-func SynonymGroupCount() int { return len(synonymGroups) }

@@ -25,46 +25,13 @@ func TestExpandAbbreviation(t *testing.T) {
 }
 
 func TestKnownAbbreviation(t *testing.T) {
-	if !KnownAbbreviation("qty") {
+	if _, ok := abbreviations["qty"]; !ok {
 		t.Error("qty should be a known abbreviation")
 	}
-	if KnownAbbreviation("quantity") {
+	if _, ok := abbreviations["quantity"]; ok {
 		t.Error("quantity should not be an abbreviation")
 	}
-	if AbbreviationCount() < 80 {
-		t.Errorf("abbreviation dictionary too small: %d", AbbreviationCount())
-	}
-}
-
-func TestSynonymous(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want bool
-	}{
-		{Stem("begin"), Stem("start"), true},
-		{Stem("weapon"), Stem("munition"), true},
-		{Stem("person"), Stem("individual"), true},
-		{Stem("person"), Stem("vehicle"), false},
-		{"same", "same", true},
-		{"zzz", "qqq", false},
-	}
-	for _, tc := range cases {
-		if got := Synonymous(tc.a, tc.b); got != tc.want {
-			t.Errorf("Synonymous(%q,%q) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-	// symmetry over the whole dictionary
-	for _, g := range synonymGroups {
-		for _, a := range g {
-			for _, b := range g {
-				sa, sb := Stem(a), Stem(b)
-				if !Synonymous(sa, sb) || !Synonymous(sb, sa) {
-					t.Errorf("Synonymous(%q,%q) not symmetric-true", sa, sb)
-				}
-			}
-		}
-	}
-	if SynonymGroupCount() < 20 {
-		t.Errorf("synonym dictionary too small: %d", SynonymGroupCount())
+	if len(abbreviations) < 80 {
+		t.Errorf("abbreviation dictionary too small: %d", len(abbreviations))
 	}
 }

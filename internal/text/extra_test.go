@@ -1,65 +1,6 @@
 package text
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func TestEditSimilarityBounds(t *testing.T) {
-	prop := func(a, b string) bool {
-		a, b = trunc(a, 16), trunc(b, 16)
-		s := EditSimilarity(a, b)
-		return s >= 0 && s <= 1 && math.Abs(s-EditSimilarity(b, a)) < 1e-12
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	if EditSimilarity("", "") != 1 {
-		t.Error("two empty strings should be identical")
-	}
-	if EditSimilarity("abc", "abc") != 1 {
-		t.Error("identical strings should score 1")
-	}
-}
-
-func TestNGramDiceEdgeCases(t *testing.T) {
-	if got := NGramDice("ab", "ab", 3); got != 1 {
-		t.Errorf("short identical = %f, want 1 (exact fallback)", got)
-	}
-	if got := NGramDice("ab", "cd", 3); got != 0 {
-		t.Errorf("short different = %f, want 0", got)
-	}
-	if got := NGramDice("abc", "abc", 0); got != 1 {
-		t.Errorf("n=0 should default to trigram: %f", got)
-	}
-	// repeated grams are multiset-counted
-	if got := NGramDice("aaaa", "aaaa", 2); got != 1 {
-		t.Errorf("repeated grams = %f, want 1", got)
-	}
-}
-
-func TestLongestCommonSubstringSymmetric(t *testing.T) {
-	prop := func(a, b string) bool {
-		a, b = trunc(a, 12), trunc(b, 12)
-		return LongestCommonSubstring(a, b) == LongestCommonSubstring(b, a)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHybridNameSimilarityBounds(t *testing.T) {
-	prop := func(a, b string) bool {
-		ta := NormalizeName(trunc(a, 20))
-		tb := NormalizeName(trunc(b, 20))
-		s := HybridNameSimilarity(ta, tb)
-		return s >= 0 && s <= 1
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
+import "testing"
 
 func TestAbbreviationExpansionsAreWords(t *testing.T) {
 	// Every expansion must be non-empty lower-case words without digits.

@@ -5,19 +5,20 @@ import (
 	"sort"
 )
 
-// This file holds allocation-free counterparts of the metrics in
-// metrics.go, operating on data precompiled into schema profiles:
-// interned token IDs + synonym masks instead of strings, rune slices
-// instead of strings, and packed trigram multisets instead of n-gram
-// maps. Each function is an exact drop-in for its string-based twin —
-// the compiled-profile tests assert bitwise-equal scores — so any
-// change here must be mirrored by a proof of equivalence, not just a
-// passing quality gate.
+// This file holds the name-similarity kernels of the name voter. They
+// run allocation-free on data precompiled into schema profiles: interned
+// token IDs and synonym masks, decoded rune slices, and packed trigram
+// multisets. Every name score the engine produces flows through them,
+// so a change here changes match results: it needs a proof of
+// equivalence, not just a passing quality gate.
 
-// SynonymOverlapIDs is SynonymAwareOverlap over interned tokens. Both
-// argument pairs must be distinct-token lists in first-occurrence order
-// (as produced by compilation), with masks[i] the synonym bitmask of
-// ids[i]. Greedy one-to-one alignment, matched / min(|A|,|B|).
+// SynonymOverlapIDs is the synonym-aware overlap coefficient of two
+// interned token lists: tokens count as shared when their IDs are equal
+// or their synonym masks meet. Both argument pairs must be distinct-token
+// lists in first-occurrence order (as produced by compilation), with
+// masks[i] the synonym bitmask of ids[i]. Each token of A takes the
+// first free token of B it matches (greedy one-to-one alignment), and
+// the score is matched / min(|A|,|B|). Two empty lists score 1.
 func SynonymOverlapIDs(aIDs []uint32, aMasks []uint32, bIDs []uint32, bMasks []uint32) float64 {
 	la, lb := len(aIDs), len(bIDs)
 	if la == 0 && lb == 0 {
@@ -63,8 +64,9 @@ func SynonymOverlapIDs(aIDs []uint32, aMasks []uint32, bIDs []uint32, bMasks []u
 	return float64(matched) / float64(m)
 }
 
-// JaccardIDs is TokenJaccard over distinct interned-token lists:
-// |A∩B| / |A∪B|. Inputs must already be deduplicated.
+// JaccardIDs is the Jaccard similarity of two distinct interned-token
+// lists: |A∩B| / |A∪B|. Inputs must already be deduplicated. Two empty
+// lists score 1.
 func JaccardIDs(a, b []uint32) float64 {
 	la, lb := len(a), len(b)
 	if la == 0 && lb == 0 {
@@ -85,9 +87,11 @@ func JaccardIDs(a, b []uint32) float64 {
 	return float64(inter) / float64(la+lb-inter)
 }
 
-// JaroWinklerRunes is JaroWinkler on pre-decoded rune slices. It
-// allocates nothing for names up to 64 runes (the common case for
-// joined element names).
+// JaroWinklerRunes is the Jaro-Winkler similarity of two rune slices:
+// their Jaro similarity boosted by the shared prefix (up to 4 runes)
+// with the standard scaling factor 0.1. Two empty slices score 1, one
+// empty slice scores 0. It allocates nothing for names up to 64 runes
+// (the common case for joined element names).
 func JaroWinklerRunes(ra, rb []rune) float64 {
 	j := jaroRunes(ra, rb)
 	prefix := 0
@@ -183,10 +187,10 @@ func TrigramsPacked(r []rune) []uint64 {
 }
 
 // DiceSortedPacked is the multiset Dice coefficient over two sorted
-// packed-trigram slices: 2·|common| / (|A|+|B|). The two-pointer walk
-// over sorted multisets computes the same sum-of-min-counts the map
-// intersection in NGramDice does. Callers handle the equal-string and
-// too-short edge cases, matching NGramDice's fallbacks.
+// packed-trigram slices: 2·|common| / (|A|+|B|), where a trigram that
+// occurs m times in A and n times in B counts min(m, n) times. Both
+// slices must be non-empty: callers score equal names 1 and a name too
+// short for trigrams 0 against any other name.
 func DiceSortedPacked(a, b []uint64) float64 {
 	common := 0
 	i, j := 0, 0

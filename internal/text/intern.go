@@ -18,7 +18,7 @@ var interns = internTable{ids: make(map[string]uint32, 1024)}
 
 // InternMasked returns the process-wide ID of a normalized token together
 // with its synonym-group bitmask: bit i is set when the token belongs to
-// synonym group i. Two interned tokens are Synonymous exactly when their
+// synonym group i. Two interned tokens are synonyms exactly when their
 // IDs are equal or their masks intersect.
 func InternMasked(tok string) (id, mask uint32) {
 	interns.mu.RLock()
@@ -40,12 +40,6 @@ func InternMasked(tok string) (id, mask uint32) {
 	interns.ids[tok] = id
 	interns.masks = append(interns.masks, mask)
 	return id, mask
-}
-
-// Intern returns the process-wide ID of a normalized token.
-func Intern(tok string) uint32 {
-	id, _ := InternMasked(tok)
-	return id
 }
 
 // LookupInterned returns the ID of a token that has already been interned,
@@ -85,17 +79,11 @@ func InternAll(dst []uint32, toks []string) []uint32 {
 	return dst
 }
 
-// InternedCount returns the number of distinct tokens interned so far.
-func InternedCount() int {
-	interns.mu.RLock()
-	defer interns.mu.RUnlock()
-	return len(interns.masks)
-}
-
 // synonymMaskOf folds a token's synonym-group memberships into a bitmask.
-// The group count is bounded by the width of the mask (see the guard in
-// intern_test.go); tokens outside every group get mask 0, reproducing
-// Synonymous' requirement that both tokens appear in the index.
+// The group count is bounded by the width of the mask
+// (TestSynonymGroupsFitMask in intern_test.go guards it); tokens outside
+// every group get mask 0, so a token with no synonym group is a synonym
+// only of itself.
 func synonymMaskOf(tok string) uint32 {
 	var m uint32
 	for _, gi := range synonymIndex[tok] {

@@ -1,7 +1,8 @@
 // Package text provides the linguistic preprocessing substrate used by the
 // Harmony match engine: tokenization of schema element names, stopword
-// removal, Porter stemming, abbreviation expansion, string-similarity
-// metrics, and a TF-IDF corpus model over element documentation.
+// removal, Porter stemming, abbreviation expansion, token interning, the
+// name-similarity kernels the name voter runs over interned and packed
+// names, and a TF-IDF corpus model over element documentation.
 //
 // The paper (Smith et al., CIDR 2009, §3.2) describes this stage as
 // "linguistic preprocessing (e.g., tokenization and stemming) of element
@@ -175,4 +176,17 @@ func NormalizeName(name string) []string {
 // DocNormalize. Results are memoized like NormalizeName's.
 func NormalizeDoc(doc string) []string {
 	return normalizeDocMemo(doc)
+}
+
+// Acronym builds the acronym of a token slice: the concatenated first runes
+// of each token ("date time group" -> "dtg").
+func Acronym(tokens []string) string {
+	var sb strings.Builder
+	for _, t := range tokens {
+		r := []rune(t)
+		if len(r) > 0 {
+			sb.WriteRune(r[0])
+		}
+	}
+	return sb.String()
 }

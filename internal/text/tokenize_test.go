@@ -117,7 +117,18 @@ func TestMatchingNamesNormalizeAlike(t *testing.T) {
 	// share semantic tokens after normalization (date/begin~first).
 	a := NormalizeName("DATE_BEGIN_156")
 	b := NormalizeName("DATETIME_FIRST_INFO")
-	if SynonymAwareOverlap(a, b) == 0 {
+	aIDs, aMasks := internDistinct(a...)
+	bIDs, bMasks := internDistinct(b...)
+	if SynonymOverlapIDs(aIDs, aMasks, bIDs, bMasks) == 0 {
 		t.Errorf("expected overlap between %v and %v", a, b)
+	}
+}
+
+func TestAcronym(t *testing.T) {
+	if got := Acronym([]string{"date", "time", "group"}); got != "dtg" {
+		t.Errorf("Acronym = %q, want dtg", got)
+	}
+	if got := Acronym(nil); got != "" {
+		t.Errorf("Acronym(nil) = %q, want empty", got)
 	}
 }

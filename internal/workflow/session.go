@@ -190,8 +190,8 @@ func (s *Session) RunTask(taskID int, reviewer Reviewer) (*Task, error) {
 	}
 	t.Status = TaskInProgress
 	// MatchScoped routes large increments through the sparse candidate
-	// path when the engine has it configured; for dense engines it is
-	// exactly the incremental MatchElements the workflow always used.
+	// path when the engine has it configured; for dense engines it
+	// scores the concept's rows in full.
 	res := s.engine.MatchScoped(s.srcView, s.dstView, t.Concept.Members)
 	member := make(map[int]bool, len(t.Concept.Members))
 	for _, m := range t.Concept.Members {
