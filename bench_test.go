@@ -73,24 +73,23 @@ func BenchmarkE1FullMatch(b *testing.B) {
 	// One untimed match primes the process-wide state (token interning,
 	// name shapes, scratch and matrix pools) that only a process's first
 	// match pays for.
-	eng.Match(sa, sb).Release()
+	matchCompiled(eng, sa, sb).Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Match(sa, sb).Release()
+		matchCompiled(eng, sa, sb).Release()
 	}
 	b.ReportMetric(float64(sa.Len()*sb.Len()), "pairs/op")
 }
 
 // BenchmarkE1FullMatchWarm is E17's steady-state: the same 1378x784
-// match served through a pre-warmed compiled-profile cache, plus
+// match served through the engine's pre-warmed profile cache, plus
 // Result.Release returning the dense matrix to the pool. This is the
 // daemon's serving regime — schemas register once and are matched many
 // times — so per-op cost is only the pair-dependent work (joint IDF,
 // voting, propagation) with near-zero steady-state allocations.
 func BenchmarkE1FullMatchWarm(b *testing.B) {
 	sa, sb, _ := synth.CaseStudy(42)
-	pc := core.NewProfileCache(core.DefaultProfileCacheSize)
-	eng := core.PresetHarmony().WithOptions(core.WithProfileCache(pc))
+	eng := core.PresetHarmony()
 	// Two warm-up matches: the first fills the profile cache, the second
 	// runs against a warm name-similarity memo and matrix pool, so the
 	// timed loop measures the steady serving state.
@@ -117,10 +116,10 @@ func BenchmarkE1FullMatchUninstrumented(b *testing.B) {
 	defer obs.SetEnabled(true)
 	sa, sb, _ := synth.CaseStudy(42)
 	eng := core.PresetHarmony()
-	eng.Match(sa, sb).Release() // primes process-wide state, as in BenchmarkE1FullMatch
+	matchCompiled(eng, sa, sb).Release() // primes process-wide state, as in BenchmarkE1FullMatch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Match(sa, sb).Release()
+		matchCompiled(eng, sa, sb).Release()
 	}
 	b.ReportMetric(float64(sa.Len()*sb.Len()), "pairs/op")
 }
@@ -134,12 +133,12 @@ func BenchmarkE1FullMatchUninstrumented(b *testing.B) {
 func BenchmarkE1SparseMatch(b *testing.B) {
 	sa, sb, _ := synth.CaseStudy(42)
 	eng := core.PresetHarmony().WithOptions(core.WithSparse(core.DefaultSparseBudget))
-	eng.Match(sa, sb).Release() // primes process-wide state, as in BenchmarkE1FullMatch
+	matchCompiled(eng, sa, sb).Release() // primes process-wide state, as in BenchmarkE1FullMatch
 	b.ReportAllocs()
 	b.ResetTimer()
 	var scored int
 	for i := 0; i < b.N; i++ {
-		res := eng.Match(sa, sb)
+		res := matchCompiled(eng, sa, sb)
 		scored = res.Matrix.Pairs()
 		res.Release()
 	}
@@ -189,7 +188,7 @@ func BenchmarkE3Workbook(b *testing.B) {
 // increment (the paper's 10^4-10^5-pair sub-tree match).
 func BenchmarkE4Increment(b *testing.B) {
 	f := caseFixture(b)
-	sv, dv := core.Preprocess(f.sa, f.sb)
+	sv, dv := pairCompiled(f.sa, f.sb)
 	eng := core.PresetHarmony()
 	concept := f.sumA.Concepts()[0]
 	b.ResetTimer()
@@ -233,7 +232,7 @@ func BenchmarkE6Presets(b *testing.B) {
 		eng := mk()
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.Match(sa, sb)
+				matchCompiled(eng, sa, sb)
 			}
 			b.ReportMetric(float64(sa.Len()*sb.Len()), "pairs/op")
 		})
@@ -288,7 +287,7 @@ func BenchmarkE9Scaling(b *testing.B) {
 		sb, _ := synth.Custom("R", schema.FormatXML, synth.StyleXML, 2, sz.b, 6, sz.a/2)
 		b.Run(sz.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.Match(sa, sb)
+				matchCompiled(eng, sa, sb)
 			}
 			b.ReportMetric(float64(sa.Len()*sb.Len()), "pairs/op")
 		})
@@ -459,7 +458,7 @@ func (acceptAllReviewer) Review(_, _ *schema.Element, _ float64) workflow.Decisi
 // the merger, the inner loop of every match.
 func BenchmarkPairScore(b *testing.B) {
 	f := caseFixture(b)
-	sv, dv := core.Preprocess(f.sa, f.sb)
+	sv, dv := pairCompiled(f.sa, f.sb)
 	eng := core.PresetHarmony()
 	voters := eng.Voters()
 	weights := make([]float64, len(voters))
@@ -484,8 +483,21 @@ func BenchmarkPreprocess(b *testing.B) {
 	f := caseFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Preprocess(f.sa, f.sb)
+		pairCompiled(f.sa, f.sb)
 	}
+}
+
+// pairCompiled compiles both schemata afresh and pairs their profiles:
+// the preprocessing a match over schemas new to the engine pays.
+func pairCompiled(sa, sb *schema.Schema) (*core.SchemaView, *core.SchemaView) {
+	return core.PairProfiles(core.CompileSchema(sa), core.CompileSchema(sb))
+}
+
+// matchCompiled is a match that compiles both schemata on every call.
+// Engine.Match would serve every op after the first from the engine's
+// profile cache; the cold-match benchmarks measure compile + pair + vote.
+func matchCompiled(eng *core.Engine, sa, sb *schema.Schema) *core.Result {
+	return eng.MatchProfiles(core.CompileSchema(sa), core.CompileSchema(sb))
 }
 
 // BenchmarkSpreadsheetExport measures CSV serialization of the full

@@ -26,7 +26,6 @@ func runE13(cfg config) {
 		conceptsA, conceptsB = 60, 50
 	}
 	a, b, truth := synth.Pair(cfg.seed, conceptsA, conceptsB, (conceptsA*3)/5, 7)
-	eng := core.PresetHarmony()
 
 	fmt.Printf("workload:  %s %d x %s %d elements; validated artifact from ground truth\n",
 		a.Name, a.Len(), b.Name, b.Len())
@@ -49,6 +48,9 @@ func runE13(cfg config) {
 
 		a2, _, log := synth.Evolve(a, truth, cfg.seed+int64(1000*rate), synth.ChurnMixed(rate))
 
+		// Each path runs on a fresh engine, so neither reuses profiles
+		// the other (or an earlier churn rate) compiled.
+		eng := core.PresetHarmony()
 		startInc := time.Now()
 		rep, d, err := evolve.Upgrade(reg, a2, "", evolve.Options{Engine: eng})
 		must(err)
@@ -56,8 +58,9 @@ func runE13(cfg config) {
 		must(err)
 		incremental := time.Since(startInc)
 
+		fullEng := core.PresetHarmony()
 		startFull := time.Now()
-		res := eng.Match(a2, b)
+		res := fullEng.Match(a2, b)
 		_ = core.SelectGreedyOneToOne(res.Matrix, 0.5)
 		full := time.Since(startFull)
 

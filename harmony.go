@@ -255,7 +255,7 @@ func NewSummary(s *Schema) *Summary { return summarize.New(s) }
 // ComprehensiveVocabulary runs the matcher over every pair of schemata and
 // builds the N-way vocabulary with its 2^N-1 Venn cells.
 func (m *Matcher) ComprehensiveVocabulary(schemas []*Schema) (*Vocabulary, error) {
-	return partition.BuildFromEngine(m.Engine, schemas, m.Threshold)
+	return partition.BuildFromEngine(context.Background(), m.Engine, schemas, m.Threshold)
 }
 
 // WriteVocabulary renders a vocabulary's cell table.
@@ -274,7 +274,9 @@ func QuickDistances(schemas []*Schema) *DistanceMatrix {
 // MatchDistances computes exact overlap-based distances with the matcher
 // (N(N-1)/2 full matches).
 func (m *Matcher) MatchDistances(schemas []*Schema) *DistanceMatrix {
-	return cluster.Distances(m.Engine, schemas, m.Threshold)
+	// A background context is never cancelled, so Distances cannot fail.
+	d, _ := cluster.Distances(context.Background(), m.Engine, schemas, m.Threshold)
+	return d
 }
 
 // ClusterSchemas cuts an average-linkage dendrogram into k clusters and

@@ -14,6 +14,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 
 	"harmony/internal/core"
@@ -69,18 +70,23 @@ func (m *DistanceMatrix) Validate() error {
 // Distances builds the inter-schema distance matrix by running the match
 // engine over every schema pair and converting match overlap to distance:
 // d = 1 - overlap coefficient of the binary partition at the threshold.
-// Cost is N(N-1)/2 full matches; for repository-scale N prefer
-// QuickDistances to preselect and reserve this for the short list.
-func Distances(eng *core.Engine, schemas []*schema.Schema, threshold float64) *DistanceMatrix {
+// Cost is N(N-1)/2 full matches, with ctx checked between them; for
+// repository-scale N prefer QuickDistances to preselect and reserve this
+// for the short list.
+func Distances(ctx context.Context, eng *core.Engine, schemas []*schema.Schema, threshold float64) (*DistanceMatrix, error) {
 	m := NewDistanceMatrix(len(schemas))
 	for i := 0; i < len(schemas); i++ {
 		for j := i + 1; j < len(schemas); j++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			res := eng.Match(schemas[i], schemas[j])
 			ov := partition.FromResult(res, threshold, true).OverlapCoefficient()
+			res.Release()
 			m.Set(i, j, 1-ov)
 		}
 	}
-	return m
+	return m, nil
 }
 
 // QuickDistances characterizes overlap "approximately but quickly": each

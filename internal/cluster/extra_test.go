@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"harmony/internal/core"
@@ -84,7 +85,10 @@ func TestMatchDistancesOnTinySchemas(t *testing.T) {
 	c.AddElement(w, "TEMPERATURE", schema.KindColumn, schema.TypeDecimal)
 	c.AddElement(w, "WIND_SPEED", schema.KindColumn, schema.TypeDecimal)
 
-	d := Distances(core.PresetHarmony(), []*schema.Schema{a, b, c}, 0.3)
+	d, err := Distances(context.Background(), core.PresetHarmony(), []*schema.Schema{a, b, c}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,5 +107,26 @@ func TestHeights(t *testing.T) {
 		if h[i] < h[i-1] {
 			t.Error("average-linkage heights should be monotone")
 		}
+	}
+}
+
+// TestDistancesCancelled: a context cancelled before the call stops the
+// pairwise loop before its first match.
+func TestDistancesCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pc := core.NewProfileCache(0)
+	eng := core.PresetHarmony().WithOptions(core.WithProfileCache(pc))
+	var schemas []*schema.Schema
+	for _, name := range []string{"A", "B", "C"} {
+		s := schema.New(name, schema.FormatRelational)
+		s.AddElement(s.AddRoot("T", schema.KindTable), "ID", schema.KindColumn, schema.TypeString)
+		schemas = append(schemas, s)
+	}
+	if _, err := Distances(ctx, eng, schemas, 0.3); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := pc.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("cancelled distances looked up %d profiles", st.Hits+st.Misses)
 	}
 }

@@ -15,8 +15,10 @@ import (
 // voters, a merger, and execution options. The zero value is not usable;
 // construct engines with NewEngine or a preset (PresetHarmony and friends).
 //
-// Engines are stateless across matches and safe for concurrent use by
-// multiple goroutines.
+// Engines are safe for concurrent use by multiple goroutines. The only
+// state one carries across matches is its compiled-profile cache: every
+// engine owns one, shared with the engines derived from it by
+// WithOptions.
 type Engine struct {
 	voters  []WeightedVoter
 	merger  Merger
@@ -27,9 +29,8 @@ type Engine struct {
 	// so the inner pair loop pays no type assertions.
 	ctxVoters []contextVoter
 
-	// profiles, when set, caches compiled schema profiles by fingerprint
-	// so repeated matches over the same schema content skip linguistic
-	// preprocessing entirely.
+	// profiles caches compiled schema profiles, so repeated matches over
+	// the same schema objects skip linguistic preprocessing entirely.
 	profiles *ProfileCache
 
 	// propagationRounds > 0 enables structural score propagation after
@@ -96,9 +97,9 @@ func WithSparseCutoff(pairs int) Option {
 	}
 }
 
-// WithProfileCache attaches a compiled-profile cache: Match and Profile
-// resolve schemas through it instead of recompiling. A single cache is
-// typically shared by every engine preset serving one registry.
+// WithProfileCache replaces the engine's own compiled-profile cache with
+// pc, so several engines share one: the daemon gives every engine preset
+// serving one registry the same cache.
 func WithProfileCache(pc *ProfileCache) Option {
 	return func(e *Engine) {
 		e.profiles = pc
@@ -108,9 +109,10 @@ func WithProfileCache(pc *ProfileCache) Option {
 // NewEngine builds an engine from weighted voters and a merger.
 func NewEngine(voters []WeightedVoter, merger Merger, opts ...Option) *Engine {
 	e := &Engine{
-		voters:  voters,
-		merger:  merger,
-		workers: runtime.GOMAXPROCS(0),
+		voters:   voters,
+		merger:   merger,
+		workers:  runtime.GOMAXPROCS(0),
+		profiles: NewProfileCache(DefaultProfileCacheSize),
 	}
 	e.ctxVoters = make([]contextVoter, len(voters))
 	for i, wv := range voters {
@@ -124,16 +126,10 @@ func NewEngine(voters []WeightedVoter, merger Merger, opts ...Option) *Engine {
 	return e
 }
 
-// HasProfileCache reports whether a compiled-profile cache is attached,
-// so callers that batch many matches (the corpus pipeline) can supply a
-// fallback cache for bare engines instead of recompiling per pair.
-func (e *Engine) HasProfileCache() bool {
-	return e.profiles != nil
-}
-
 // WithOptions returns a copy of the engine with further options applied.
-// The copy shares the (immutable) voter set and merger, so deriving a
-// sparse or differently-parallel engine from a preset is cheap.
+// The copy shares the (immutable) voter set and merger and the profile
+// cache, so deriving a sparse or differently-parallel engine from a
+// preset is cheap and reuses the preset's compiled profiles.
 func (e *Engine) WithOptions(opts ...Option) *Engine {
 	c := *e
 	for _, o := range opts {
@@ -162,26 +158,20 @@ type Result struct {
 	Scored int
 }
 
-// Match resolves both schemata to compiled profiles (through the
-// profile cache when one is attached), materializes the pair views and
-// scores every element pair. This is the MATCH(S1, S2) operator of the
-// literature; with a warm profile cache only the pair-dependent work
-// (joint IDF + voting) runs.
+// Match resolves both schemata to compiled profiles through the
+// engine's profile cache, materializes the pair views and scores every
+// element pair. This is the MATCH(S1, S2) operator of the literature;
+// with a warm profile cache only the pair-dependent work (joint IDF +
+// voting) runs.
 func (e *Engine) Match(src, dst *schema.Schema) *Result {
 	return e.MatchProfiles(e.Profile(src), e.Profile(dst))
 }
 
-// Profile returns the compiled profile of s: from the engine's profile
-// cache when one is attached (compiling on miss), otherwise compiled
-// fresh.
+// Profile returns the compiled profile of s from the engine's profile
+// cache, compiling on a miss. Views paired from it describe s itself:
+// its name, its elements and their IDs.
 func (e *Engine) Profile(s *schema.Schema) *CompiledProfile {
-	if e.profiles != nil {
-		return e.profiles.Profile(s)
-	}
-	t0 := time.Now()
-	p := CompileSchema(s)
-	phaseCompile.Observe(time.Since(t0).Seconds())
-	return p
+	return e.profiles.Profile(s)
 }
 
 // MatchProfiles scores every element pair of two compiled profiles.

@@ -40,7 +40,7 @@ func TestMatchScoresWithinOpenInterval(t *testing.T) {
 func TestMatchScopedEqualsFullMatchWithoutPropagation(t *testing.T) {
 	a, b := personSchemaA(), personSchemaB()
 	eng := NewEngine(PresetHarmony().Voters(), EvidenceWeighted{}) // no propagation
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 	full := eng.MatchViews(sv, dv)
 	partial := eng.MatchScoped(sv, dv, a.Elements())
 	for i := 0; i < a.Len(); i++ {
@@ -76,7 +76,7 @@ func TestPropagationKeepsScoresBounded(t *testing.T) {
 
 func TestPreprocessCachesParentAndChildViews(t *testing.T) {
 	a := personSchemaA()
-	sv, _ := Preprocess(a, personSchemaB())
+	sv, _ := pairViews(a, personSchemaB())
 	root := a.ByPath("Person")
 	leaf := a.ByPath("Person/LAST_NAME")
 	rv := sv.View(root.ID)

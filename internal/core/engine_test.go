@@ -91,7 +91,7 @@ func TestMatchFindsCrossNamingCorrespondences(t *testing.T) {
 
 func TestMatchSubtreeOnlyFillsSubtreeRows(t *testing.T) {
 	a, b := personSchemaA(), personSchemaB()
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 	eng := PresetHarmony()
 	res := eng.MatchScoped(sv, dv, a.ByPath("Person").Subtree())
 	if _, dense := res.Matrix.(*Matrix); !dense {
@@ -175,7 +175,7 @@ func TestExplainConsistentWithMatrix(t *testing.T) {
 		{Voter: NameVoter{}, Weight: 1},
 		{Voter: DocVoter{}, Weight: 1},
 	}, EvidenceWeighted{}) // no propagation, so Explain must reproduce scores
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 	res := eng.MatchViews(sv, dv)
 	for i := 0; i < a.Len(); i++ {
 		for j := 0; j < b.Len(); j++ {

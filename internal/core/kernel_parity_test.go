@@ -54,7 +54,7 @@ func TestSparseKernelMatchesReference(t *testing.T) {
 		pairs = append(pairs, pair{"case-study", sa, sb, DefaultSparseBudget})
 	}
 	for _, p := range pairs {
-		sv, dv := Preprocess(p.a, p.b)
+		sv, dv := pairViews(p.a, p.b)
 		want := refMatchViews(sparseTestEngine(p.budget), sv, dv)
 		for _, workers := range []int{1, 4} {
 			eng := sparseTestEngine(p.budget).WithOptions(WithWorkers(workers))
@@ -89,7 +89,7 @@ func TestGatedPrimitivesMatchFrozenReference(t *testing.T) {
 	}
 	var got, want []aligned
 	for _, p := range pairs {
-		sv, dv := Preprocess(p.a, p.b)
+		sv, dv := pairViews(p.a, p.b)
 		containers := 0
 		for i := 0; i < sv.Len(); i++ {
 			a := sv.View(i)
@@ -133,7 +133,7 @@ func TestGatedPrimitivesMatchFrozenReference(t *testing.T) {
 // scope must give the reference's candidate rows and scores exactly.
 func TestMatchScopedMatchesReference(t *testing.T) {
 	a, b, _ := synth.Pair(17, 20, 18, 10, 6)
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 	scope := a.Roots()[2].Subtree()
 	want := refMatchScoped(sparseTestEngine(8), sv, dv, scope)
 	if want.Pairs() == 0 {
@@ -162,7 +162,7 @@ func TestPropagationTieGoesToLowestChildIndex(t *testing.T) {
 	y2 := b.AddElement(deal, "y2", schema.KindColumn, schema.TypeString)
 	y3 := b.AddElement(deal, "y3", schema.KindColumn, schema.TypeString)
 	deal.Children = []*schema.Element{y2, y1, y3}
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 
 	scores := []struct {
 		src, dst *schema.Element
@@ -211,7 +211,7 @@ func TestSparseAlignmentTotalsMatchStructureVote(t *testing.T) {
 		t.Skip("case-study candidate generation in -short mode")
 	}
 	sa, sb, _ := synth.CaseStudy(42)
-	sv, dv := Preprocess(sa, sb)
+	sv, dv := pairViews(sa, sb)
 	cands, align := PresetHarmony().WithOptions(WithSparse(DefaultSparseBudget)).sparseCandidates(sv, dv, nil)
 	sc := &pairScratch{aligned: true}
 	checked := 0
@@ -257,7 +257,7 @@ func TestPropagationPrunedParentReadsZero(t *testing.T) {
 	b := schema.New("B", schema.FormatRelational)
 	q1 := b.AddRoot("Q1", schema.KindTable)
 	b1 := b.AddElement(q1, "b1", schema.KindColumn, schema.TypeString)
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 
 	// (P2, Q1) is pruned; (P1, Q1) is stored and read first.
 	rows := make([][]int32, a.Len())

@@ -72,20 +72,6 @@ func (sv *SchemaView) Len() int { return len(sv.Views) }
 // View returns the preprocessed view of the element with the given ID.
 func (sv *SchemaView) View(id int) *ElementView { return &sv.Views[id] }
 
-// Preprocess runs linguistic preprocessing over both schemata of a match
-// task and returns their views. The TF-IDF corpus covers the union of
-// both schemata's documentation so that IDF weights reflect the whole
-// task, plus each element's name tokens appended to its documentation —
-// elements without documentation still get a usable vector.
-//
-// This is now a thin composition of the compiled-profile layer: each
-// schema compiles independently (cacheable by fingerprint — see
-// Engine.Profile) and PairProfiles materializes the pair-dependent
-// TF-IDF vectors.
-func Preprocess(src, dst *schema.Schema) (*SchemaView, *SchemaView) {
-	return PairProfiles(CompileSchema(src), CompileSchema(dst))
-}
-
 func join(tokens []string) string {
 	n := 0
 	for _, t := range tokens {

@@ -19,7 +19,8 @@ import (
 // Profiles are immutable once built, keyed by schema.Fingerprint, safe
 // for concurrent use, and cheap to pair: PairProfiles only merges the
 // two vocabularies and materializes per-element TF-IDF weights under
-// the joint IDF, reproducing Preprocess' output bit for bit.
+// the joint IDF, bit for bit as a corpus built over both schemata from
+// scratch would weigh them.
 //
 // Per-element data lives in arena-style contiguous slices (one terms /
 // tf / weight arena per schema) so the hot loop walks dense memory.
@@ -310,8 +311,7 @@ func shapeOf(ids []uint32) int32 {
 // each element's TF-IDF weights are materialized under that IDF.
 // Term entries are walked in ascending string order throughout, so
 // weights, norms and cosine merge order — and therefore every score —
-// are bit-identical to what Preprocess produced by rebuilding the
-// corpus from scratch.
+// are bit-identical to rebuilding the joint corpus from scratch.
 func PairProfiles(pa, pb *CompiledProfile) (*SchemaView, *SchemaView) {
 	na, nb := len(pa.vocabTerms), len(pb.vocabTerms)
 	mapA := make([]int32, na)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestProfileCacheBitwiseEquality(t *testing.T) {
 		plain := PresetHarmony().WithOptions(tc.opts...)
 		cached := PresetHarmony().WithOptions(append(tc.opts, WithProfileCache(NewProfileCache(8)))...)
 
-		want := plain.Match(sa, sb)
+		want := plain.MatchProfiles(CompileSchema(sa), CompileSchema(sb))
 		if _, isSparse := want.Matrix.(*SparseMatrix); isSparse != (tc.opts != nil) {
 			t.Fatalf("%s: matrix is %T", tc.name, want.Matrix)
 		}
@@ -44,7 +46,7 @@ func TestProfileCacheBitwiseEquality(t *testing.T) {
 			for i := 0; i < sa.Len(); i++ {
 				for j := 0; j < sb.Len(); j++ {
 					if got.Matrix.At(i, j) != want.Matrix.At(i, j) {
-						t.Fatalf("%s pass %d: score (%d,%d) = %v through cache, %v without",
+						t.Fatalf("%s pass %d: score (%d,%d) = %v through cache, %v from a fresh compile",
 							tc.name, pass, i, j, got.Matrix.At(i, j), want.Matrix.At(i, j))
 					}
 				}
@@ -52,6 +54,78 @@ func TestProfileCacheBitwiseEquality(t *testing.T) {
 			got.Release()
 		}
 		want.Release()
+	}
+}
+
+// TestSharedCacheKeepsCallersElementOrder: equal fingerprints do not
+// imply equal element IDs. IDs follow insertion order while the
+// fingerprint walks the tree in pre-order, so x and y below share a
+// fingerprint but not Element(2). Scored through one shared profile
+// cache, each must select the same path pairs, read through the
+// caller's own schema, as on a fresh engine.
+func TestSharedCacheKeepsCallersElementOrder(t *testing.T) {
+	x := schema.New("X", schema.FormatRelational)
+	r := x.AddRoot("customer", schema.KindTable)
+	x.AddElement(r, "customer_id", schema.KindColumn, schema.TypeString)
+	x.AddElement(r, "customer_name", schema.KindColumn, schema.TypeString)
+	x.AddRoot("orders", schema.KindTable)
+	y := schema.New("Y", schema.FormatRelational)
+	r = y.AddRoot("customer", schema.KindTable)
+	y.AddElement(r, "customer_id", schema.KindColumn, schema.TypeString)
+	y.AddRoot("orders", schema.KindTable)
+	y.AddElement(r, "customer_name", schema.KindColumn, schema.TypeString)
+	if x.Fingerprint() != y.Fingerprint() || x.Element(2).Path() == y.Element(2).Path() {
+		t.Fatalf("fixture: want one fingerprint over two ID orders, got Element(2) %s and %s",
+			x.Element(2).Path(), y.Element(2).Path())
+	}
+	b := schema.New("B", schema.FormatRelational)
+	r = b.AddRoot("client", schema.KindTable)
+	b.AddElement(r, "client_name", schema.KindColumn, schema.TypeString)
+	b.AddElement(r, "client_id", schema.KindColumn, schema.TypeString)
+	b.AddRoot("order", schema.KindTable)
+
+	paths := func(eng *Engine, s *schema.Schema) []string {
+		res := eng.Match(s, b)
+		defer res.Release()
+		var out []string
+		for _, c := range SelectGreedyOneToOne(res.Matrix, 0.3) {
+			out = append(out, s.Element(c.Src).Path()+" -> "+b.Element(c.Dst).Path())
+		}
+		sort.Strings(out)
+		return out
+	}
+	shared := PresetHarmony().WithOptions(WithProfileCache(NewProfileCache(0)))
+	for _, s := range []*schema.Schema{x, y} {
+		got, want := paths(shared, s), paths(PresetHarmony(), s)
+		if len(want) == 0 {
+			t.Fatalf("%s: fresh engine selected nothing", s.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s through the shared cache selected %v, a fresh engine %v", s.Name, got, want)
+		}
+	}
+}
+
+// TestProfileCacheServesOnlyItsSchema: an entry serves the schema object
+// it was compiled from; another object with the same content misses,
+// compiles and takes the entry over.
+func TestProfileCacheServesOnlyItsSchema(t *testing.T) {
+	a, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 4, 3, 0)
+	a2, _ := synth.Custom("A2", schema.FormatRelational, synth.StyleRelational, 3, 4, 3, 0)
+	if a.Fingerprint() != a2.Fingerprint() {
+		t.Fatal("fixture: A and A2 must share a fingerprint")
+	}
+	pc := NewProfileCache(0)
+	for i, s := range []*schema.Schema{a, a, a2, a2, a} {
+		if p := pc.Profile(s); p.Schema != s {
+			t.Fatalf("lookup %d: profile of %q served for %q", i, p.Schema.Name, s.Name)
+		}
+	}
+	if st := pc.Stats(); st.Hits != 2 || st.Misses != 3 || st.Size != 1 {
+		t.Fatalf("stats %+v, want 2 hits, 3 misses, 1 entry", st)
+	}
+	if p, ok := pc.Get(a.Fingerprint()); !ok || p.Schema != a {
+		t.Fatal("Get does not return the newest compile")
 	}
 }
 

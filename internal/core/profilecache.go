@@ -14,12 +14,20 @@ import (
 const DefaultProfileCacheSize = 128
 
 // ProfileCache is a fingerprint-keyed LRU cache of compiled schema
-// profiles, shared by every engine (dense, sparse, corpus, evolve) that
-// serves the same registry. Entries are immutable CompiledProfiles, so
-// a cached profile can be handed to any number of concurrent matches.
-// It holds per-schema state only: each match pairs its two profiles
-// afresh (PairProfiles), which is cheap next to voting, so no pair-level
-// state outlives a match.
+// profiles. Every engine owns one (NewEngine), and WithProfileCache
+// swaps in a shared one: the daemon gives every engine preset serving
+// one registry the same cache. Entries are immutable CompiledProfiles,
+// so a cached profile can be handed to any number of concurrent
+// matches. It holds per-schema state only: each match pairs its two
+// profiles afresh (PairProfiles), which is cheap next to voting, so no
+// pair-level state outlives a match.
+//
+// A cached profile serves only the schema object it was compiled from.
+// Match results hand out the profile's schema and elements (Src.Schema,
+// Src.View(i).El), and two schemas with the same fingerprint can differ
+// in name and in element ID order, so a lookup by another object with
+// the same content compiles its own profile, counts a miss and takes
+// over the entry.
 //
 // The cache sits next to the service layer's match-result cache in the
 // invalidation path: when schema evolution retires a fingerprint, both
@@ -54,7 +62,7 @@ func NewProfileCache(capacity int) *ProfileCache {
 	return &ProfileCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
+		items:    make(map[string]*list.Element),
 	}
 }
 
@@ -70,17 +78,17 @@ func (c *ProfileCache) SetPersist(fn func(fp string, p *CompiledProfile)) {
 	c.mu.Unlock()
 }
 
-// Profile returns the compiled profile for s, compiling on miss. The
-// compile runs outside the lock — two concurrent misses on the same
-// fingerprint may both compile, and the loser's (identical) result is
-// discarded; profiles are content-addressed so this is only duplicated
-// work, never inconsistency.
+// Profile returns the compiled profile of s, compiling on a miss. A hit
+// needs an entry compiled from s itself; an entry compiled from another
+// schema object with the same fingerprint counts as a miss and is
+// replaced. The compile runs outside the lock: two concurrent misses on
+// the same schema may both compile, and the loser's (identical) result
+// is discarded, so this is only duplicated work, never inconsistency.
 func (c *ProfileCache) Profile(s *schema.Schema) *CompiledProfile {
 	fp := s.Fingerprint()
-	if p, ok := c.lookup(fp); ok {
+	if p, ok := c.lookup(fp, s); ok {
 		return p
 	}
-	profileCacheMiss.Inc()
 	t0 := time.Now()
 	p := CompileSchema(s)
 	phaseCompile.Observe(time.Since(t0).Seconds())
@@ -88,13 +96,10 @@ func (c *ProfileCache) Profile(s *schema.Schema) *CompiledProfile {
 	return p
 }
 
-// Get returns the cached profile for a fingerprint without compiling.
+// Get returns the cached profile for a fingerprint without compiling,
+// whichever schema object with that content it was compiled from.
 func (c *ProfileCache) Get(fp string) (*CompiledProfile, bool) {
-	if p, ok := c.lookup(fp); ok {
-		return p, true
-	}
-	profileCacheMiss.Inc()
-	return nil, false
+	return c.lookup(fp, nil)
 }
 
 // Put warm-loads a profile compiled outside the cache, without counting
@@ -103,9 +108,16 @@ func (c *ProfileCache) Put(fp string, p *CompiledProfile) {
 	c.add(fp, p, false)
 }
 
-func (c *ProfileCache) lookup(fp string) (*CompiledProfile, bool) {
+// lookup returns the entry for fp when it was compiled from s (from any
+// schema when s is nil), counting a hit or a miss.
+func (c *ProfileCache) lookup(fp string, s *schema.Schema) (*CompiledProfile, bool) {
+	var p *CompiledProfile
 	c.mu.Lock()
 	el, ok := c.items[fp]
+	if ok {
+		p = el.Value.(*profileCacheEntry).p
+		ok = s == nil || p.Schema == s
+	}
 	if ok {
 		c.ll.MoveToFront(el)
 		c.hits++
@@ -114,17 +126,23 @@ func (c *ProfileCache) lookup(fp string) (*CompiledProfile, bool) {
 	}
 	c.mu.Unlock()
 	if !ok {
+		profileCacheMiss.Inc()
 		return nil, false
 	}
 	profileCacheHit.Inc()
-	return el.Value.(*profileCacheEntry).p, true
+	return p, true
 }
 
+// add inserts p under fp. An entry compiled from the same schema object
+// is kept (p lost a compile race); an entry compiled from another object
+// with the same content is replaced.
 func (c *ProfileCache) add(fp string, p *CompiledProfile, persist bool) {
 	c.mu.Lock()
 	if el, ok := c.items[fp]; ok {
-		// Lost a compile race; keep the incumbent (identical content).
 		c.ll.MoveToFront(el)
+		if e := el.Value.(*profileCacheEntry); e.p.Schema != p.Schema {
+			e.p = p
+		}
 		c.mu.Unlock()
 		return
 	}

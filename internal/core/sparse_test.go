@@ -180,7 +180,7 @@ func TestSparseAcronymRetrieval(t *testing.T) {
 	b.AddElement(tb, "Zebra_Quark_Vortex", schema.KindXMLElement, schema.TypeString)
 	b.AddElement(tb, "ZQV", schema.KindXMLElement, schema.TypeString)
 
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 	cands, _ := sparseTestEngine(8).sparseCandidates(sv, dv, nil)
 	for _, pair := range [][2]string{
 		{"Records/ZQV", "Entries/Zebra_Quark_Vortex"}, // raw acronym → expansion
@@ -205,7 +205,7 @@ func TestSparseAcronymRetrieval(t *testing.T) {
 // matching concurrently with a multi-worker engine, results identical.
 func TestSparseMatchConcurrent(t *testing.T) {
 	a, b, _ := synth.Pair(11, 20, 18, 10, 6)
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 	eng := PresetHarmony().WithOptions(WithSparse(16), WithSparseCutoff(1), WithWorkers(4))
 	want := SelectThreshold(eng.MatchViews(sv, dv).Matrix, 0.4)
 
@@ -238,7 +238,7 @@ func TestMatchScopedRestrictsRows(t *testing.T) {
 	// blend against unscored zeros), so score parity with the full run is
 	// only defined pre-propagation.
 	eng := sparseTestEngine(8).WithOptions(WithPropagation(0, 0))
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 
 	scope := a.Roots()[2].Subtree()
 	inScope := make(map[int]bool, len(scope))
@@ -279,7 +279,7 @@ func TestMatchScopedRestrictsRows(t *testing.T) {
 func TestMatchCrossScoresOnlySubset(t *testing.T) {
 	a, b, _ := synth.Pair(19, 12, 10, 6, 5)
 	eng := PresetHarmony()
-	sv, dv := Preprocess(a, b)
+	sv, dv := pairViews(a, b)
 	srcEls := a.Roots()[0].Subtree()
 	dstEls := b.Roots()[1].Subtree()
 	res := eng.MatchCross(sv, dv, srcEls, dstEls)

@@ -7,11 +7,17 @@ import (
 	"harmony/internal/schema"
 )
 
+// pairViews compiles both schemata afresh and pairs their profiles: the
+// views a match over them scores.
+func pairViews(a, b *schema.Schema) (*SchemaView, *SchemaView) {
+	return PairProfiles(CompileSchema(a), CompileSchema(b))
+}
+
 // viewsFor builds preprocessed views for two tiny schemata whose elements
 // are handy voter inputs.
 func viewsFor(t *testing.T) (*SchemaView, *SchemaView) {
 	t.Helper()
-	return Preprocess(personSchemaA(), personSchemaB())
+	return pairViews(personSchemaA(), personSchemaB())
 }
 
 func viewOf(sv *SchemaView, path string) *ElementView {
@@ -104,7 +110,7 @@ func TestAcronymVoter(t *testing.T) {
 	ct := s2.AddRoot("Message", schema.KindComplexType)
 	s2.AddElement(ct, "Date_Time_Group", schema.KindXMLElement, schema.TypeString)
 	s2.AddElement(ct, "Priority", schema.KindXMLElement, schema.TypeString)
-	sv, dv := Preprocess(s1, s2)
+	sv, dv := pairViews(s1, s2)
 	v := AcronymVoter{}
 	hit := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Date_Time_Group"))
 	if hit.IsAbstention() || hit.Score() <= 0.3 {

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"harmony/internal/core"
 	"harmony/internal/registry"
@@ -242,31 +241,13 @@ type Cache interface {
 }
 
 // Pipeline answers corpus queries over one registry. Construct with
-// NewPipeline; safe for concurrent use.
+// NewPipeline; safe for concurrent use. It keeps no compiled profiles of
+// its own: candidates compile through the profile cache of the engine a
+// query runs on, so repeated queries on one engine (or on engines
+// sharing a cache, as in the daemon) compile each candidate once.
 type Pipeline struct {
 	reg   *registry.Registry
 	cache Cache
-
-	// fallbackProfiles backs engineWithProfiles for engines that arrive
-	// without a compiled-profile cache; built lazily on first use.
-	fallbackOnce     sync.Once
-	fallbackProfiles *core.ProfileCache
-}
-
-// engineWithProfiles ensures candidate scoring never recompiles schema
-// profiles from scratch on every query: engines that arrive without a
-// compiled-profile cache (CLI one-shots, tests, benchmarks) are handed a
-// pipeline-owned fallback so repeated queries over the same registry
-// reuse compiled candidate profiles, matching the daemon's serving
-// regime. Engines that already carry a cache are used as-is.
-func (p *Pipeline) engineWithProfiles(eng *core.Engine) *core.Engine {
-	if eng.HasProfileCache() {
-		return eng
-	}
-	p.fallbackOnce.Do(func() {
-		p.fallbackProfiles = core.NewProfileCache(0)
-	})
-	return eng.WithOptions(core.WithProfileCache(p.fallbackProfiles))
 }
 
 // NewPipeline builds a pipeline over the registry. cache may be nil.

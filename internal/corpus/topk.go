@@ -23,7 +23,7 @@ func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema,
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	eng = p.engineWithProfiles(cfg.engineFor(eng))
+	eng = cfg.engineFor(eng)
 	res := &Result{Query: q.Name}
 	qfp := q.Fingerprint()
 	// Compile the query schema once for the whole query: every candidate

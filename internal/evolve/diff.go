@@ -296,7 +296,7 @@ func Diff(old, new *schema.Schema, opts Options) *ChangeSet {
 	}
 	pairScore := make(map[int]float64) // old element ID -> engine confidence
 	if len(oldResidue) > 0 && len(newResidue) > 0 {
-		sv, dv := core.Preprocess(old, new)
+		sv, dv := core.PairProfiles(opts.Engine.Profile(old), opts.Engine.Profile(new))
 		res := opts.Engine.MatchCross(sv, dv, oldResidue, newResidue)
 		inPlaceThreshold := opts.RenameThreshold * 0.6
 		cands := core.SelectThreshold(res.Matrix, inPlaceThreshold) // descending score

@@ -158,7 +158,7 @@ func Rematch(reg *registry.Registry, eng *core.Engine, d *ChangeSet, rep *Upgrad
 		if !ok || counterName == name {
 			continue
 		}
-		sv, dv := core.Preprocess(cur.Schema, counter.Schema)
+		sv, dv := core.PairProfiles(eng.Profile(cur.Schema), eng.Profile(counter.Schema))
 		res := eng.MatchScoped(sv, dv, dirty)
 		if rep != nil {
 			rep.PairsScored += res.Scored

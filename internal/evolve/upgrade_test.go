@@ -94,6 +94,67 @@ func TestUpgradeMigratesArtifactsAndBumpsVersion(t *testing.T) {
 	}
 }
 
+// TestRematchReusesProfiles counts compiles: an upgrade plus its scoped
+// re-match over three artifacts, through an engine whose profile cache
+// already holds the current version and its counterparts, compiles the
+// evolved version once and serves every other lookup from the cache.
+func TestRematchReusesProfiles(t *testing.T) {
+	a, b, truth := synth.Pair(5, 20, 16, 12, 5)
+	c, _ := synth.Custom("C", schema.FormatRelational, synth.StyleRelational, 6, 10, 5, 0)
+	d, _ := synth.Custom("D", schema.FormatXML, synth.StyleXML, 7, 10, 5, 0)
+	reg := registry.New()
+	for _, s := range []*schema.Schema{a, b, c, d} {
+		if err := reg.AddSchema(s, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ma := truthArtifact(truth, a, b)
+	ma.ID = ""
+	artifacts := []registry.MatchArtifact{*ma}
+	for _, other := range []*schema.Schema{c, d} {
+		artifacts = append(artifacts, registry.MatchArtifact{
+			SchemaA: a.Name, SchemaB: other.Name,
+			Pairs: []registry.AssertedMatch{{
+				PathA: a.Roots()[0].Path(), PathB: other.Roots()[0].Path(),
+				Score: 0.6, Status: registry.StatusAccepted,
+			}},
+		})
+	}
+	for _, art := range artifacts {
+		if _, err := reg.AddMatch(art); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pc := core.NewProfileCache(0)
+	eng := core.PresetHarmony().WithOptions(core.WithProfileCache(pc))
+	for _, s := range []*schema.Schema{a, b, c, d} {
+		pc.Profile(s)
+	}
+	before := pc.Stats()
+
+	a2, _, _ := synth.Evolve(a, truth, 9, synth.ChurnMixed(0.12))
+	rep, cs, err := Upgrade(reg, a2, "", Options{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Rematch(reg, eng, cs, rep, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	after := pc.Stats()
+	if len(rep.Artifacts) != 3 || rep.PairsScored == 0 {
+		t.Fatalf("want 3 artifacts re-matched, got %d artifacts and %d pairs scored", len(rep.Artifacts), rep.PairsScored)
+	}
+	// Rematch looks up the evolved version and a counterpart once per
+	// artifact; only the first lookup of the evolved version compiles.
+	misses, hits := after.Misses-before.Misses, after.Hits-before.Hits
+	if misses != 1 || hits < 2*3-1 {
+		t.Fatalf("profile lookups: %d misses, %d hits; want 1 miss (the evolved version) and at least 5 hits", misses, hits)
+	}
+	if p, ok := pc.Get(rep.NewFingerprint); !ok || p.Schema != a2 {
+		t.Fatal("the evolved version's profile is not cached for the registered schema")
+	}
+}
+
 func TestUpgradeUnregisteredFails(t *testing.T) {
 	reg := registry.New()
 	a, _, _ := synth.Pair(5, 4, 4, 2, 3)

@@ -95,7 +95,7 @@ func TestTransitiveTermMerging(t *testing.T) {
 func TestBinaryEmptySchemas(t *testing.T) {
 	a := schema.New("A", schema.FormatRelational)
 	b := schema.New("B", schema.FormatXML)
-	sv, dv := core.Preprocess(a, b)
+	sv, dv := core.PairProfiles(core.CompileSchema(a), core.CompileSchema(b))
 	res := &core.Result{Src: sv, Dst: dv, Matrix: core.NewMatrix(0, 0)}
 	bp := FromResult(res, 0.5, true)
 	st := bp.Stats()

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,7 +23,7 @@ func tiny(name, prefix string, n int) *schema.Schema {
 func TestBinaryFromResult(t *testing.T) {
 	a := tiny("A", "x", 3) // 4 elements total
 	b := tiny("B", "y", 2) // 3 elements total
-	sv, dv := core.Preprocess(a, b)
+	sv, dv := core.PairProfiles(core.CompileSchema(a), core.CompileSchema(b))
 	m := core.NewMatrix(a.Len(), b.Len())
 	m.Set(1, 1, 0.9) // x_a ~ y_a
 	m.Set(2, 2, 0.8) // x_b ~ y_b
@@ -53,7 +54,7 @@ func TestBinaryFromResult(t *testing.T) {
 func TestBinaryStatsString(t *testing.T) {
 	a := tiny("A", "x", 3)
 	b := tiny("B", "y", 2)
-	sv, dv := core.Preprocess(a, b)
+	sv, dv := core.PairProfiles(core.CompileSchema(a), core.CompileSchema(b))
 	m := core.NewMatrix(a.Len(), b.Len())
 	m.Set(1, 1, 0.9)
 	res := &core.Result{Src: sv, Dst: dv, Matrix: m}
@@ -66,7 +67,7 @@ func TestBinaryStatsString(t *testing.T) {
 func TestOverlapCoefficient(t *testing.T) {
 	a := tiny("A", "x", 5) // 6 elements
 	b := tiny("B", "y", 2) // 3 elements (smaller)
-	sv, dv := core.Preprocess(a, b)
+	sv, dv := core.PairProfiles(core.CompileSchema(a), core.CompileSchema(b))
 	m := core.NewMatrix(a.Len(), b.Len())
 	m.Set(1, 1, 0.9)
 	m.Set(2, 2, 0.9)
@@ -233,7 +234,7 @@ func TestBuildFromEngine(t *testing.T) {
 	w := sc.AddRoot("Weather", schema.KindTable)
 	sc.AddElement(w, "TEMPERATURE", schema.KindColumn, schema.TypeDecimal)
 
-	v, err := BuildFromEngine(core.PresetHarmony(), []*schema.Schema{sa, sb, sc}, 0.25)
+	v, err := BuildFromEngine(context.Background(), core.PresetHarmony(), []*schema.Schema{sa, sb, sc}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,5 +249,51 @@ func TestBuildFromEngine(t *testing.T) {
 	}
 	if got := len(v.ExclusiveTo(2)); got != sc.Len() {
 		t.Errorf("SC-exclusive = %d, want all %d", got, sc.Len())
+	}
+}
+
+// TestResultDescribesCallersSchema: A and A2 share their content but not
+// their name. Matched after A on one engine, whether through its own
+// profile cache or one shared with other engines, A2's result must be
+// over A2 itself: its schema, its elements and its partition.
+func TestResultDescribesCallersSchema(t *testing.T) {
+	a, a2, b := tiny("A", "x", 3), tiny("A2", "x", 3), tiny("B", "x", 2)
+	if a.Fingerprint() != a2.Fingerprint() {
+		t.Fatal("fixture: A and A2 must share a fingerprint")
+	}
+	for name, eng := range map[string]*core.Engine{
+		"own cache":    core.PresetHarmony(),
+		"shared cache": core.PresetHarmony().WithOptions(core.WithProfileCache(core.NewProfileCache(0))),
+	} {
+		eng.Match(a, b).Release()
+		res := eng.Match(a2, b)
+		if res.Src.Schema != a2 {
+			t.Fatalf("%s: Src.Schema is %q, want A2", name, res.Src.Schema.Name)
+		}
+		for i := 0; i < res.Src.Len(); i++ {
+			if res.Src.View(i).El != a2.Element(i) {
+				t.Fatalf("%s: Src.View(%d).El is not A2's element %d", name, i, i)
+			}
+		}
+		if got := FromResult(res, 0.5, true).A.Name; got != "A2" {
+			t.Fatalf("%s: partition reports %q, want A2", name, got)
+		}
+		res.Release()
+	}
+}
+
+// TestBuildFromEngineCancelled: a context cancelled before the call
+// stops the N-way loop before its first match.
+func TestBuildFromEngineCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pc := core.NewProfileCache(0)
+	eng := core.PresetHarmony().WithOptions(core.WithProfileCache(pc))
+	schemas := []*schema.Schema{tiny("A", "x", 2), tiny("B", "y", 2), tiny("C", "z", 2)}
+	if _, err := BuildFromEngine(ctx, eng, schemas, 0.5); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := pc.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("a cancelled build looked up %d profiles", st.Hits+st.Misses)
 	}
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -125,16 +126,21 @@ func Build(schemas []*schema.Schema, pairs []Correspondences) (*Vocabulary, erro
 // BuildFromEngine runs the engine over every schema pair, selects
 // one-to-one correspondences at the threshold, and builds the vocabulary.
 // This is the N-way MATCH the paper calls for; it performs N(N-1)/2
-// pairwise matches.
-func BuildFromEngine(eng *core.Engine, schemas []*schema.Schema, threshold float64) (*Vocabulary, error) {
+// pairwise matches, checking ctx between them and returning its error
+// once it is done.
+func BuildFromEngine(ctx context.Context, eng *core.Engine, schemas []*schema.Schema, threshold float64) (*Vocabulary, error) {
 	var pairs []Correspondences
 	for i := 0; i < len(schemas); i++ {
 		for j := i + 1; j < len(schemas); j++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			res := eng.Match(schemas[i], schemas[j])
 			pairs = append(pairs, Correspondences{
 				I: i, J: j,
 				Pairs: core.SelectGreedyOneToOne(res.Matrix, threshold),
 			})
+			res.Release()
 		}
 	}
 	return Build(schemas, pairs)

@@ -6,8 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -50,19 +53,32 @@ func bulkIngest(t testing.TB, baseURL string, body []byte, query string) ([]bulk
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("Content-Type %q", ct)
 	}
+	return readBulkStream(t, resp.Body)
+}
+
+// readBulkStream decodes a bulk-ingest response body: the per-batch acks
+// and the final summary, the one line with a "done" key.
+func readBulkStream(t testing.TB, body io.Reader) ([]bulkAck, bulkSummary) {
+	t.Helper()
 	var (
 		acks    []bulkAck
 		summary bulkSummary
 		sawDone bool
 	)
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if bytes.Contains(line, []byte(`"done"`)) {
+		var kind struct {
+			Done *bool `json:"done"`
+		}
+		if err := json.Unmarshal(line, &kind); err != nil {
+			t.Fatalf("stream line %s: %v", line, err)
+		}
+		if kind.Done != nil {
 			if err := json.Unmarshal(line, &summary); err != nil {
 				t.Fatalf("summary line %s: %v", line, err)
 			}
@@ -82,6 +98,46 @@ func bulkIngest(t testing.TB, baseURL string, body []byte, query string) ([]bulk
 		t.Fatal("stream ended without a summary line")
 	}
 	return acks, summary
+}
+
+// FuzzBulkIngest is a robustness target for NDJSON bulk ingest: an
+// arbitrary body at ?batch=1..4 into an in-memory server. Whatever the
+// lines hold, every ack accounts for each of its lines (added or
+// rejected), the summary sums the acks, and the registry holds exactly
+// the schemata the summary reports added. The seed corpus lives in
+// testdata/fuzz.
+func FuzzBulkIngest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, batch uint8, body []byte) {
+		srv, err := New(Config{Preset: "name-only", Threshold: 0.5, IngestWorkers: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		url := "/v1/schemas/bulk?batch=" + strconv.Itoa(int(batch)%4+1)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		acks, summary := readBulkStream(t, rec.Body)
+		var sum bulkSummary
+		for _, a := range acks {
+			if a.Added+len(a.Errors) != a.Lines {
+				t.Fatalf("ack %+v: added + errors != lines", a)
+			}
+			sum.Batches++
+			sum.Lines += a.Lines
+			sum.Added += a.Added
+			sum.Failed += len(a.Errors)
+		}
+		if !summary.Done || summary.Batches != sum.Batches || summary.Lines != sum.Lines ||
+			summary.Added != sum.Added || summary.Failed != sum.Failed {
+			t.Fatalf("summary %+v does not sum the acks %+v", summary, sum)
+		}
+		if n := srv.Registry().Len(); n != summary.Added {
+			t.Fatalf("registry holds %d schemata, summary added %d", n, summary.Added)
+		}
+	})
 }
 
 // TestBulkIngestStream drives the streaming endpoint end to end: acked

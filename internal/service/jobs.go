@@ -124,23 +124,7 @@ func (s *Server) buildJob(req JobRequest) (JobFunc, error) {
 		}
 		eng := s.engines[preset]
 		return func(ctx context.Context) (any, error) {
-			// N(N-1)/2 pairwise matches with a cancellation point
-			// between each: the paper's N-way MATCH as a background job.
-			var pairs []partition.Correspondences
-			for i := 0; i < len(schemas); i++ {
-				for j := i + 1; j < len(schemas); j++ {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					res := eng.Match(schemas[i], schemas[j])
-					pairs = append(pairs, partition.Correspondences{
-						I: i, J: j,
-						Pairs: core.SelectGreedyOneToOne(res.Matrix, threshold),
-					})
-					res.Release()
-				}
-			}
-			v, err := partition.Build(schemas, pairs)
+			v, err := partition.BuildFromEngine(ctx, eng, schemas, threshold)
 			if err != nil {
 				return nil, err
 			}
@@ -169,24 +153,16 @@ func (s *Server) buildJob(req JobRequest) (JobFunc, error) {
 		}
 		eng := s.engines[preset]
 		return func(ctx context.Context) (any, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			var d *cluster.DistanceMatrix
 			if req.Exact {
-				d = cluster.NewDistanceMatrix(len(schemas))
-				for i := 0; i < len(schemas); i++ {
-					for j := i + 1; j < len(schemas); j++ {
-						if err := ctx.Err(); err != nil {
-							return nil, err
-						}
-						res := eng.Match(schemas[i], schemas[j])
-						ov := partition.FromResult(res, threshold, true).OverlapCoefficient()
-						res.Release()
-						d.Set(i, j, 1-ov)
-					}
-				}
-			} else {
-				if err := ctx.Err(); err != nil {
+				var err error
+				if d, err = cluster.Distances(ctx, eng, schemas, threshold); err != nil {
 					return nil, err
 				}
+			} else {
 				d = cluster.QuickDistances(schemas)
 			}
 			dg := cluster.Agglomerative(d, cluster.Average)

@@ -97,7 +97,7 @@ func NewSession(engine *core.Engine, src, dst *schema.Schema, srcSummary *summar
 	if srcSummary.Schema != src {
 		return nil, fmt.Errorf("workflow: summary is for schema %q, not %q", srcSummary.Schema.Name, src.Name)
 	}
-	sv, dv := core.Preprocess(src, dst)
+	sv, dv := core.PairProfiles(engine.Profile(src), engine.Profile(dst))
 	s := &Session{
 		engine:    engine,
 		srcView:   sv,
