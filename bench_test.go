@@ -454,29 +454,6 @@ func (acceptAllReviewer) Review(_, _ *schema.Element, _ float64) workflow.Decisi
 // ---------------------------------------------------------------------------
 // Engine micro-benchmarks.
 
-// BenchmarkPairScore measures the full per-pair cost: all six voters plus
-// the merger, the inner loop of every match.
-func BenchmarkPairScore(b *testing.B) {
-	f := caseFixture(b)
-	sv, dv := pairCompiled(f.sa, f.sb)
-	eng := core.PresetHarmony()
-	voters := eng.Voters()
-	weights := make([]float64, len(voters))
-	votes := make([]core.Vote, len(voters))
-	for i, wv := range voters {
-		weights[i] = wv.Weight
-	}
-	src, dst := sv.View(1), dv.View(1)
-	merger := eng.Merger()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k, wv := range voters {
-			votes[k] = wv.Voter.Vote(src, dst)
-		}
-		merger.Merge(votes, weights)
-	}
-}
-
 // BenchmarkPreprocess measures linguistic preprocessing of the full case
 // study (tokenization, stemming, TF-IDF vectors for 2162 elements).
 func BenchmarkPreprocess(b *testing.B) {

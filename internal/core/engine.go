@@ -24,11 +24,6 @@ type Engine struct {
 	merger  Merger
 	workers int
 
-	// ctxVoters caches, per voter slot, the contextVoter fast path (nil
-	// for voters that don't implement it); resolved once at construction
-	// so the inner pair loop pays no type assertions.
-	ctxVoters []contextVoter
-
 	// profiles caches compiled schema profiles, so repeated matches over
 	// the same schema objects skip linguistic preprocessing entirely.
 	profiles *ProfileCache
@@ -114,12 +109,6 @@ func NewEngine(voters []WeightedVoter, merger Merger, opts ...Option) *Engine {
 		workers:  runtime.GOMAXPROCS(0),
 		profiles: NewProfileCache(DefaultProfileCacheSize),
 	}
-	e.ctxVoters = make([]contextVoter, len(voters))
-	for i, wv := range voters {
-		if cv, ok := wv.Voter.(contextVoter); ok {
-			e.ctxVoters[i] = cv
-		}
-	}
 	for _, o := range opts {
 		o(e)
 	}
@@ -159,8 +148,8 @@ type Result struct {
 }
 
 // Match resolves both schemata to compiled profiles through the
-// engine's profile cache, materializes the pair views and scores every
-// element pair. This is the MATCH(S1, S2) operator of the literature;
+// engine's profile cache, pairs the profiles and scores every element
+// pair. This is the MATCH(S1, S2) operator of the literature;
 // with a warm profile cache only the pair-dependent work (joint IDF +
 // voting) runs.
 func (e *Engine) Match(src, dst *schema.Schema) *Result {
@@ -320,20 +309,25 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 	return &Result{Src: sv, Dst: dv, Matrix: sm, Scored: sm.Pairs()}
 }
 
-// pairScratch is per-worker scoring scratch: the hybrid name-similarity
-// memo keyed by name-shape pairs (see shapeOf), a flat open-addressed
-// table (nameMemo). Shapes intern exact name token sequences
-// process-wide, so the memoized metric is a pure function of the key,
-// and scratches are pooled WITHOUT clearing — a warm pool carries memo
-// hits across matches and schemas, until a GC empties the pool. Size is
-// bounded at put-back. (Path votes are not memoized: paths are nearly
-// unique per element, and their token signatures already prove most
-// pairs 0 without a scan.)
+// pairScratch is one worker's scoring state, handed to every Vote: the
+// pairing being scored, whose document vectors the voters read; the
+// hybrid name-similarity memo; and the recorded alignment total.
+//
+// The memo is keyed by name-shape pairs (see shapeOf), a flat
+// open-addressed table (nameMemo). Shapes intern exact name token
+// sequences process-wide, so the memoized metric is a pure function of
+// the key, and the memo is pooled WITHOUT clearing — a warm pool
+// carries memo hits across matches and schemas, until a GC empties the
+// pool. Size is bounded at put-back. (Path votes are not memoized:
+// paths are nearly unique per element, and their token signatures
+// already prove most pairs 0 without a scan.)
 //
 // aligned and alignTotal carry the children-alignment total that sparse
 // candidate generation recorded for the pair being scored to the
-// structure voter (see scoreSparse); putScratch clears aligned.
+// structure voter (see scoreSparse). putScratch clears all but the memo.
 type pairScratch struct {
+	src, dst *SchemaView // the pairing; bound by getScratch
+
 	hybrid nameMemo // name-shape pair -> hybrid name similarity
 
 	aligned    bool    // alignTotal holds the current container pair's total
@@ -346,6 +340,13 @@ func pairKey(a, b int32) uint64 {
 
 var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
 
+// getScratch takes a scratch from the pool, bound to the pairing (sv, dv).
+func getScratch(sv, dv *SchemaView) *pairScratch {
+	sc := scratchPool.Get().(*pairScratch)
+	sc.src, sc.dst = sv, dv
+	return sc
+}
+
 // putScratch returns sc to the pool, dropping a memo that reached its
 // entry bound.
 func putScratch(sc *pairScratch) {
@@ -353,22 +354,20 @@ func putScratch(sc *pairScratch) {
 	scratchPool.Put(sc)
 }
 
+// reset unbinds the pairing, so a pooled scratch keeps no profile
+// alive, and drops a memo at its entry bound.
 func (sc *pairScratch) reset() {
+	sc.src, sc.dst = nil, nil
 	sc.aligned = false
 	if sc.hybrid.n >= maxMemoEntries {
 		sc.hybrid = nameMemo{}
 	}
 }
 
-// voteAll runs every voter on one pair into votes, dispatching through
-// the contextVoter fast path where available.
+// voteAll runs every voter on one pair into votes.
 func (e *Engine) voteAll(srcView, dstView *ElementView, votes []Vote, sc *pairScratch) {
-	for k := range e.voters {
-		if cv := e.ctxVoters[k]; cv != nil {
-			votes[k] = cv.voteCtx(srcView, dstView, sc)
-		} else {
-			votes[k] = e.voters[k].Voter.Vote(srcView, dstView)
-		}
+	for k, wv := range e.voters {
+		votes[k] = wv.Voter.Vote(srcView, dstView, sc)
 	}
 }
 
@@ -381,7 +380,7 @@ func (e *Engine) score(sv, dv *SchemaView, m *Matrix, rows []int) {
 			rows[i] = i
 		}
 	}
-	e.forEachRowChunk(len(rows), func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
+	e.forEachRowChunk(sv, dv, len(rows), func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
 		for _, i := range rows[lo:hi] {
 			srcView := sv.View(i)
 			row := m.Row(i)
@@ -393,17 +392,18 @@ func (e *Engine) score(sv, dv *SchemaView, m *Matrix, rows []int) {
 	})
 }
 
-// forEachRowChunk is forEachChunk for the voting loops: each worker also
-// gets its own votes/weights buffers and a pooled pairScratch. Both the
-// dense and the sparse scorers fan out through here.
-func (e *Engine) forEachRowChunk(n int, fn func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch)) {
+// forEachRowChunk is forEachChunk for the voting loops over the pairing
+// (sv, dv): each worker also gets its own votes/weights buffers and a
+// pooled pairScratch bound to the pairing. Both the dense and the
+// sparse scorers fan out through here.
+func (e *Engine) forEachRowChunk(sv, dv *SchemaView, n int, fn func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch)) {
 	e.forEachChunk(n, func(chunks iter.Seq2[int, int]) {
 		votes := make([]Vote, len(e.voters))
 		weights := make([]float64, len(e.voters))
 		for i, wv := range e.voters {
 			weights[i] = wv.Weight
 		}
-		sc := scratchPool.Get().(*pairScratch)
+		sc := getScratch(sv, dv)
 		for lo, hi := range chunks {
 			fn(lo, hi, votes, weights, sc)
 		}
@@ -463,12 +463,14 @@ type VoteRecord struct {
 // displays and debugging. The merged score equals Matrix.At(src, dst) up to
 // any structural propagation applied afterwards.
 func (e *Engine) Explain(sv, dv *SchemaView, src, dst int) []VoteRecord {
+	sc := getScratch(sv, dv)
+	defer putScratch(sc)
 	out := make([]VoteRecord, 0, len(e.voters))
 	for _, wv := range e.voters {
 		out = append(out, VoteRecord{
 			Voter:  wv.Voter.Name(),
 			Weight: wv.Weight,
-			Vote:   wv.Voter.Vote(sv.View(src), dv.View(dst)),
+			Vote:   wv.Voter.Vote(sv.View(src), dv.View(dst), sc),
 		})
 	}
 	return out

@@ -81,20 +81,20 @@ func TestPreprocessCachesParentAndChildViews(t *testing.T) {
 	leaf := a.ByPath("Person/LAST_NAME")
 	rv := sv.View(root.ID)
 	lv := sv.View(leaf.ID)
-	if rv.Parent() != nil {
+	if rv.parent != nil {
 		t.Error("root should have no parent view")
 	}
-	if len(rv.Children()) != len(root.Children) {
-		t.Errorf("child views = %d, want %d", len(rv.Children()), len(root.Children))
+	if len(rv.children) != len(root.Children) {
+		t.Errorf("child views = %d, want %d", len(rv.children), len(root.Children))
 	}
-	if lv.Parent() == nil {
+	if lv.parent == nil {
 		t.Error("leaf missing parent view")
 	}
 	// cached child views must carry the child's own tokens
 	found := false
 	for ci, c := range root.Children {
 		if c == leaf {
-			if len(rv.Children()[ci].NameTokens) != len(lv.NameTokens) {
+			if len(rv.children[ci].NameTokens) != len(lv.NameTokens) {
 				t.Error("child view tokens differ from child's own view")
 			}
 			found = true

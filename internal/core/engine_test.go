@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"harmony/internal/schema"
+	"harmony/internal/synth"
 )
 
 // personSchemaA builds a small relational schema.
@@ -175,21 +176,39 @@ func TestExplainConsistentWithMatrix(t *testing.T) {
 		{Voter: NameVoter{}, Weight: 1},
 		{Voter: DocVoter{}, Weight: 1},
 	}, EvidenceWeighted{}) // no propagation, so Explain must reproduce scores
-	sv, dv := pairViews(a, b)
-	res := eng.MatchViews(sv, dv)
-	for i := 0; i < a.Len(); i++ {
-		for j := 0; j < b.Len(); j++ {
-			records := eng.Explain(sv, dv, i, j)
-			votes := make([]Vote, len(records))
-			weights := make([]float64, len(records))
-			for k, r := range records {
-				votes[k] = r.Vote
-				weights[k] = r.Weight
-			}
-			want := eng.Merger().Merge(votes, weights)
-			if got := res.Matrix.At(i, j); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("Explain mismatch at (%d,%d): %f vs %f", i, j, got, want)
-			}
+	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 5, 10, 6, 2)
+	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 5, 12, 6, 4)
+	sparse := NewEngine(PresetHarmony().Voters(), EvidenceWeighted{},
+		WithSparse(DefaultSparseBudget), WithSparseCutoff(1))
+	for _, in := range []struct {
+		name string
+		eng  *Engine
+		a, b *schema.Schema
+	}{
+		{"dense", eng, a, b},
+		{"sparse", sparse, sa, sb},
+	} {
+		eng := in.eng
+		sv, dv := pairViews(in.a, in.b)
+		res := eng.MatchViews(sv, dv)
+		if _, ok := res.Matrix.(*SparseMatrix); ok != (in.name == "sparse") {
+			t.Fatalf("%s: engine produced %T", in.name, res.Matrix)
+		}
+		for i := 0; i < in.a.Len(); i++ {
+			res.Matrix.ForRow(i, func(j int, got float64) bool {
+				records := eng.Explain(sv, dv, i, j)
+				votes := make([]Vote, len(records))
+				weights := make([]float64, len(records))
+				for k, r := range records {
+					votes[k] = r.Vote
+					weights[k] = r.Weight
+				}
+				want := eng.Merger().Merge(votes, weights)
+				if math.Abs(got-want) > 1e-12 {
+					t.Fatalf("%s: Explain mismatch at (%d,%d): %f vs %f", in.name, i, j, got, want)
+				}
+				return true
+			})
 		}
 	}
 }
@@ -247,5 +266,28 @@ func TestPresetsConstruct(t *testing.T) {
 		if eng == nil || len(eng.Voters()) == 0 || eng.Merger() == nil {
 			t.Errorf("preset %s incomplete", name)
 		}
+	}
+}
+
+// BenchmarkPairScore measures the full per-pair cost on the case study:
+// all six voters plus the merger on pair (1,1), through a pooled scratch
+// bound to the pairing — the inner loop of every match, name memo
+// included.
+func BenchmarkPairScore(b *testing.B) {
+	sa, sb, _ := synth.CaseStudy(42)
+	sv, dv := pairViews(sa, sb)
+	eng := PresetHarmony()
+	votes := make([]Vote, len(eng.voters))
+	weights := make([]float64, len(eng.voters))
+	for i, wv := range eng.voters {
+		weights[i] = wv.Weight
+	}
+	src, dst := sv.View(1), dv.View(1)
+	sc := getScratch(sv, dv)
+	defer putScratch(sc)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.voteAll(src, dst, votes, sc)
+		eng.merger.Merge(votes, weights)
 	}
 }

@@ -213,7 +213,8 @@ func TestSparseAlignmentTotalsMatchStructureVote(t *testing.T) {
 	sa, sb, _ := synth.CaseStudy(42)
 	sv, dv := pairViews(sa, sb)
 	cands, align := PresetHarmony().WithOptions(WithSparse(DefaultSparseBudget)).sparseCandidates(sv, dv, nil)
-	sc := &pairScratch{aligned: true}
+	sc := &pairScratch{src: sv, dst: dv, aligned: true}
+	direct := &pairScratch{src: sv, dst: dv}
 	checked := 0
 	for i, row := range cands {
 		av := sv.View(i)
@@ -229,8 +230,8 @@ func TestSparseAlignmentTotalsMatchStructureVote(t *testing.T) {
 				continue
 			}
 			sc.alignTotal = align[i][k]
-			got := StructureVoter{}.voteCtx(av, bv, sc)
-			want := StructureVoter{}.Vote(av, bv)
+			got := StructureVoter{}.Vote(av, bv, sc)
+			want := StructureVoter{}.Vote(av, bv, direct)
 			if math.Float64bits(got.Ratio) != math.Float64bits(want.Ratio) ||
 				math.Float64bits(got.Evidence) != math.Float64bits(want.Evidence) {
 				t.Fatalf("cell (%d,%d): recorded-total vote %+v, direct vote %+v", i, j, got, want)

@@ -55,7 +55,7 @@ func refSparseCandidates(sv, dv *SchemaView, budget int, scope []bool) [][]int32
 		if scope != nil && !scope[i] {
 			continue
 		}
-		keys = elementKeys(sv.View(i), keys[:0], true)
+		keys = elementKeys(sv.View(i), sv.docs[i], keys[:0], true)
 		sort.Strings(keys)
 		prev := ""
 		for _, k := range keys {
@@ -286,7 +286,7 @@ func refGreedyAlignChildren(av, bv *ElementView, fn func(ci, cj int, sim float64
 func refPathVote(src, dst *ElementView) Vote {
 	sim := 0.6*text.SynonymOverlapIDs(src.path.IDs, src.path.Masks, dst.path.IDs, dst.path.Masks) +
 		0.4*text.JaccardIDs(src.path.IDs, dst.path.IDs)
-	ev := float64(minInt(len(src.path.IDs), len(dst.path.IDs))) * 0.8
+	ev := float64(min(len(src.path.IDs), len(dst.path.IDs))) * 0.8
 	return Vote{Ratio: sim, Evidence: ev}
 }
 

@@ -5,13 +5,14 @@ import (
 	"harmony/internal/text"
 )
 
-// ElementView is the preprocessed form of one schema element: the token
-// streams, interned-ID sets and vectors every voter consumes. Views are
-// produced by schema compilation (CompileSchema + PairProfiles) — the
-// pair-independent fields are compiled once per schema content and
-// reused across matches; only DocVector is materialized per pairing.
-// Hand-built views (outside tests of the abstention paths) are not
-// supported: the voters read the compiled ID/rune/trigram fields.
+// ElementView is the compiled form of one schema element: the token
+// streams, interned-ID sets and structure links every voter consumes.
+// CompileSchema builds one view per element, once per schema content;
+// every pairing of the profile shares them, read-only. The one
+// pair-dependent input, the element's TF-IDF document vector, lives in
+// the SchemaView of the pairing (SchemaView.docs). Hand-built views
+// (outside tests of the abstention paths) are not supported: the voters
+// read the compiled ID/rune/trigram fields.
 type ElementView struct {
 	El *schema.Element
 	// NameTokens are the normalized (tokenized, abbreviation-expanded,
@@ -19,9 +20,6 @@ type ElementView struct {
 	NameTokens []string
 	// JoinedName is NameTokens concatenated, for character-level metrics.
 	JoinedName string
-	// DocVector is the TF-IDF vector of the element documentation in the
-	// shared corpus of the two schemata being matched.
-	DocVector text.Vector
 	// HasDoc reports whether the element carries real documentation; the
 	// documentation voter abstains on pairs where either side has none
 	// (the vector's name-token fallback is not independent evidence).
@@ -45,32 +43,31 @@ type ElementView struct {
 	trigrams  []uint64
 	acronym   string // Acronym(NameTokens), for the acronym voter
 	nameShape int32
-	parent    *ElementView   // template view of the parent (nil at roots)
-	children  []*ElementView // template views of the children, in order
+	parent    *ElementView   // the parent's view in the same profile (nil at roots)
+	children  []*ElementView // the children's views in the same profile, in order
 	// childSigs[k] is children[k].name.Sig, packed per container so the
 	// children alignment gates a container pair without touching the
 	// child views.
 	childSigs []text.TokenSig
 }
 
-// Parent returns the parent element's compiled view, or nil for
-// top-level elements.
-func (v *ElementView) Parent() *ElementView { return v.parent }
-
-// Children returns the child elements' compiled views in order.
-func (v *ElementView) Children() []*ElementView { return v.children }
-
-// SchemaView is the preprocessed form of a whole schema.
+// SchemaView is one side of a pairing: the compiled profile's element
+// views, shared with every other pairing of the profile, and this
+// pairing's document vectors, both indexed by element ID.
 type SchemaView struct {
 	Schema *schema.Schema
-	Views  []ElementView // indexed by element ID
+	views  []ElementView // the profile's views; read-only
+	docs   []text.Vector // TF-IDF vectors under the pairing's joint IDF
 }
 
 // Len returns the number of elements in the underlying schema.
-func (sv *SchemaView) Len() int { return len(sv.Views) }
+func (sv *SchemaView) Len() int { return len(sv.views) }
 
-// View returns the preprocessed view of the element with the given ID.
-func (sv *SchemaView) View(id int) *ElementView { return &sv.Views[id] }
+// View returns the compiled view of the element with the given ID. The
+// view belongs to the shared compiled profile, which every pairing and
+// every engine using the same ProfileCache reads, on any goroutine: the
+// caller must not modify it.
+func (sv *SchemaView) View(id int) *ElementView { return &sv.views[id] }
 
 func join(tokens []string) string {
 	n := 0

@@ -17,10 +17,10 @@ import (
 // and the schema's own TF-IDF document statistics — everything Match
 // needs that does not depend on which *other* schema it is paired with.
 // Profiles are immutable once built, keyed by schema.Fingerprint, safe
-// for concurrent use, and cheap to pair: PairProfiles only merges the
-// two vocabularies and materializes per-element TF-IDF weights under
-// the joint IDF, bit for bit as a corpus built over both schemata from
-// scratch would weigh them.
+// for concurrent use, and cheap to pair: PairProfiles hands out the
+// profile's own element views and only merges the two vocabularies and
+// computes per-element TF-IDF vectors under the joint IDF, bit for bit
+// as a corpus built over both schemata from scratch would weigh them.
 //
 // Per-element data lives in arena-style contiguous slices (one terms /
 // tf / weight arena per schema) so the hot loop walks dense memory.
@@ -28,8 +28,8 @@ type CompiledProfile struct {
 	// Schema is the compiled schema; element views index by element ID.
 	Schema *schema.Schema
 
-	fp   string // Schema.Fingerprint() at compile time
-	tmpl []ElementView
+	fp    string        // Schema.Fingerprint() at compile time
+	views []ElementView // by element ID; shared by every pairing
 
 	// Document model: the schema-side TF-IDF sufficient statistics.
 	// vocabTerms is sorted ascending; vocabDF[i] is the number of this
@@ -55,7 +55,7 @@ type CompiledProfile struct {
 func (p *CompiledProfile) Fingerprint() string { return p.fp }
 
 // Len returns the number of compiled element views.
-func (p *CompiledProfile) Len() int { return len(p.tmpl) }
+func (p *CompiledProfile) Len() int { return len(p.views) }
 
 // elemLex is the lexed form of one element — the output of the
 // text-processing stage of compilation and the unit of profile
@@ -76,6 +76,12 @@ type elemLex struct {
 // form — across a corpus the same element names recur constantly, so
 // most elements compile without touching the tokenizer or stemmer.
 func CompileSchema(s *schema.Schema) *CompiledProfile {
+	return compileFrom(s, s.Fingerprint(), lexSchema(s))
+}
+
+// lexSchema runs the text-processing stage of compilation over every
+// element of s.
+func lexSchema(s *schema.Schema) []elemLex {
 	lex := make([]elemLex, s.Len())
 	for i, e := range s.Elements() {
 		name, raw := text.LexName(e.Name)
@@ -98,15 +104,16 @@ func CompileSchema(s *schema.Schema) *CompiledProfile {
 		}
 		lex[i] = elemLex{name: name, raw: raw, docTerms: terms, docTF: tfs, docCount: len(doc) + len(name)}
 	}
-	return compileFrom(s, lex)
+	return lex
 }
 
-// compileFrom assembles a profile from lexed elements: builds the
-// schema-side vocabulary, packs the per-element document arena, interns
-// name and path tokens, and wires the template element views.
-func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
+// compileFrom assembles the profile of s, whose fingerprint is fp, from
+// lexed elements: builds the schema-side vocabulary, packs the
+// per-element document arena, interns name and path tokens, and wires
+// the element views.
+func compileFrom(s *schema.Schema, fp string, lex []elemLex) *CompiledProfile {
 	n := s.Len()
-	p := &CompiledProfile{Schema: s, fp: s.Fingerprint(), numDocs: n}
+	p := &CompiledProfile{Schema: s, fp: fp, numDocs: n}
 
 	// Vocabulary: document frequency over the schema's elements.
 	df := make(map[string]int32, 64)
@@ -165,11 +172,11 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 
 	var fullIDs, fullMasks []uint32
 	var pathBuf []string
-	p.tmpl = make([]ElementView, n)
+	p.views = make([]ElementView, n)
 	for i, e := range els {
 		name := lex[i].name
 		joined := join(name)
-		v := &p.tmpl[i]
+		v := &p.views[i]
 		*v = ElementView{
 			El:            e,
 			NameTokens:    name,
@@ -199,25 +206,23 @@ func compileFrom(s *schema.Schema, lex []elemLex) *CompiledProfile {
 		v.path = appendDistinct(&idArena, &maskArena, fullIDs, fullMasks)
 	}
 
-	// Wire parent/child template pointers for the structure voter. They
-	// point into the (stable) template array, not into per-match view
-	// copies: the structure voter reads only pair-independent fields.
-	// Each element is at most one container's child, so an arena of n
+	// Wire the parent/child view pointers for the structure voter. Each
+	// element is at most one container's child, so an arena of n
 	// signatures holds every container's childSigs without growing.
 	sigArena := make([]text.TokenSig, 0, n)
 	for i, e := range els {
 		if e.Parent != nil {
-			p.tmpl[i].parent = &p.tmpl[e.Parent.ID]
+			p.views[i].parent = &p.views[e.Parent.ID]
 		}
 		if len(e.Children) > 0 {
 			ch := make([]*ElementView, len(e.Children))
 			lo := len(sigArena)
 			for ci, c := range e.Children {
-				ch[ci] = &p.tmpl[c.ID]
-				sigArena = append(sigArena, p.tmpl[c.ID].name.Sig)
+				ch[ci] = &p.views[c.ID]
+				sigArena = append(sigArena, p.views[c.ID].name.Sig)
 			}
-			p.tmpl[i].children = ch
-			p.tmpl[i].childSigs = sigArena[lo:len(sigArena):len(sigArena)]
+			p.views[i].children = ch
+			p.views[i].childSigs = sigArena[lo:len(sigArena):len(sigArena)]
 		}
 	}
 	return p
@@ -265,8 +270,8 @@ func appendDistinct(idArena, maskArena *[]uint32, ids, masks []uint32) text.Toke
 // pair — which is what makes the per-worker memo in pairScratch valid
 // across matches and schemas. Only names are interned: they repeat
 // heavily across schemata, so the table grows with the distinct name
-// vocabulary, not with the element count. Shape 0 is reserved as "no
-// shape" (views not produced by compilation).
+// vocabulary, not with the element count. Shapes start at 1, so no
+// shape-pair key is 0, the memo's empty-slot marker.
 var shapes = struct {
 	mu   sync.RWMutex
 	m    map[string]int32
@@ -305,10 +310,11 @@ func shapeOf(ids []uint32) int32 {
 // --- pairing ---------------------------------------------------------------
 
 // PairProfiles combines two compiled profiles into the pair of
-// SchemaViews a match run consumes. Only the pair-dependent work runs
-// here: the two sorted vocabularies are merged into a joint vocabulary
-// with IDF over the union corpus (N = nA+nB documents, df summed), and
-// each element's TF-IDF weights are materialized under that IDF.
+// SchemaViews a match run consumes. Both sides hand out their profile's
+// own element views; only the pair-dependent work runs here: the two
+// sorted vocabularies are merged into a joint vocabulary with IDF over
+// the union corpus (N = nA+nB documents, df summed), and each element's
+// TF-IDF vector is computed under that IDF.
 // Term entries are walked in ascending string order throughout, so
 // weights, norms and cosine merge order — and therefore every score —
 // are bit-identical to rebuilding the joint corpus from scratch.
@@ -338,16 +344,15 @@ func PairProfiles(pa, pb *CompiledProfile) (*SchemaView, *SchemaView) {
 			j++
 		}
 	}
-	return materializeViews(pa, mapA, jointIDF), materializeViews(pb, mapB, jointIDF)
+	return pairView(pa, mapA, jointIDF), pairView(pb, mapB, jointIDF)
 }
 
-// materializeViews copies a profile's template views and fills in the
-// pair-dependent document vectors. Weight and joint-ID storage is one
-// arena per schema, sliced per element.
-func materializeViews(p *CompiledProfile, vmap []int32, jointIDF []float64) *SchemaView {
-	n := len(p.tmpl)
-	views := make([]ElementView, n)
-	copy(views, p.tmpl)
+// pairView is one side of a pairing: the profile's views plus each
+// element's document vector under the joint IDF. Weight and joint-ID
+// storage is one arena per schema, sliced per element.
+func pairView(p *CompiledProfile, vmap []int32, jointIDF []float64) *SchemaView {
+	n := len(p.views)
+	docs := make([]text.Vector, n)
 	total := int(p.elemStart[n])
 	weights := make([]float64, total)
 	ids := make([]int32, total)
@@ -370,9 +375,9 @@ func materializeViews(p *CompiledProfile, vmap []int32, jointIDF []float64) *Sch
 				weights[k] /= norm
 			}
 		}
-		views[e].DocVector = text.MakeVector(p.elemTerms[lo:hi], ids[lo:hi], weights[lo:hi])
+		docs[e] = text.MakeVector(p.elemTerms[lo:hi], ids[lo:hi], weights[lo:hi])
 	}
-	return &SchemaView{Schema: p.Schema, Views: views}
+	return &SchemaView{Schema: p.Schema, views: p.views, docs: docs}
 }
 
 // --- persistence -----------------------------------------------------------
@@ -402,9 +407,9 @@ type profileBlob struct {
 // longer persists profiles (decoding costs more than CompileSchema); the
 // blob format is kept for the benchmark's traced replay.
 func (p *CompiledProfile) Encode() []byte {
-	blob := profileBlob{V: profileBlobVersion, Fingerprint: p.fp, Elements: make([]profileBlobElem, len(p.tmpl))}
-	for i := range p.tmpl {
-		v := &p.tmpl[i]
+	blob := profileBlob{V: profileBlobVersion, Fingerprint: p.fp, Elements: make([]profileBlobElem, len(p.views))}
+	for i := range p.views {
+		v := &p.views[i]
 		lo, hi := p.elemStart[i], p.elemStart[i+1]
 		blob.Elements[i] = profileBlobElem{
 			Name:  v.NameTokens,
@@ -437,7 +442,8 @@ func DecodeProfile(s *schema.Schema, data []byte) (*CompiledProfile, error) {
 	if blob.V != profileBlobVersion {
 		return nil, fmt.Errorf("profile blob version %d, want %d", blob.V, profileBlobVersion)
 	}
-	if fp := s.Fingerprint(); blob.Fingerprint != fp {
+	fp := s.Fingerprint()
+	if blob.Fingerprint != fp {
 		return nil, fmt.Errorf("profile blob fingerprint %s does not match schema %s", blob.Fingerprint, fp)
 	}
 	if len(blob.Elements) != s.Len() {
@@ -458,5 +464,5 @@ func DecodeProfile(s *schema.Schema, data []byte) (*CompiledProfile, error) {
 		}
 		lex[i] = elemLex{name: be.Name, raw: be.Raw, docTerms: be.Terms, docTF: be.TF, docCount: be.Count}
 	}
-	return compileFrom(s, lex), nil
+	return compileFrom(s, fp, lex), nil
 }

@@ -129,6 +129,26 @@ func TestProfileCacheServesOnlyItsSchema(t *testing.T) {
 	}
 }
 
+// TestPairingsShareProfileViews: a pairing hands out its profile's own
+// element views, so two pairings of one profile return the same view
+// pointers, and the parent a leaf's view links to is the view the
+// pairing returns for the parent element.
+func TestPairingsShareProfileViews(t *testing.T) {
+	a, b := personSchemaA(), personSchemaB()
+	pa := CompileSchema(a)
+	sv1, _ := PairProfiles(pa, CompileSchema(b))
+	sv2, _ := PairProfiles(pa, CompileSchema(a))
+	for i := 0; i < a.Len(); i++ {
+		if sv1.View(i) != sv2.View(i) {
+			t.Fatalf("element %d: two pairings of one profile return different views", i)
+		}
+	}
+	leaf := a.ByPath("Person/LAST_NAME")
+	if got, want := sv1.View(leaf.ID).parent, sv1.View(leaf.Parent.ID); got != want {
+		t.Fatal("a leaf's parent link is not the pairing's view of its parent")
+	}
+}
+
 // TestProfileEncodeDecodeRoundTrip verifies that a profile decoded from
 // its store-artifact blob scores identically to a freshly compiled one.
 func TestProfileEncodeDecodeRoundTrip(t *testing.T) {
@@ -225,9 +245,9 @@ func TestHybridSimCachedMatchesDirectCompute(t *testing.T) {
 
 	sc := &pairScratch{}
 	for _, memo := range []string{"cold", "warm"} {
-		for i := range pa.tmpl {
-			for j := range pb.tmpl {
-				a, b := &pa.tmpl[i], &pb.tmpl[j]
+		for i := range pa.views {
+			for j := range pb.views {
+				a, b := &pa.views[i], &pb.views[j]
 				want := hybridNameSimFlat(a, b)
 				if got := hybridSimCached(a, b, sc); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s memo: (%d,%d) = %v, direct compute %v", memo, i, j, got, want)
@@ -284,8 +304,8 @@ func TestShapeTableGrowsWithNamesOnly(t *testing.T) {
 			p.Len(), grown, distinctNames)
 	}
 	names := make(map[int32]bool)
-	for i := range p.tmpl {
-		names[p.tmpl[i].nameShape] = true
+	for i := range p.views {
+		names[p.views[i].nameShape] = true
 	}
 	if len(names) != distinctNames {
 		t.Fatalf("profile has %d distinct name shapes, want %d", len(names), distinctNames)

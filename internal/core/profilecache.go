@@ -90,7 +90,7 @@ func (c *ProfileCache) Profile(s *schema.Schema) *CompiledProfile {
 		return p
 	}
 	t0 := time.Now()
-	p := CompileSchema(s)
+	p := compileFrom(s, fp, lexSchema(s))
 	phaseCompile.Observe(time.Since(t0).Seconds())
 	c.add(fp, p, true)
 	return p

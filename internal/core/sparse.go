@@ -175,14 +175,15 @@ func (ix *sparseIndex) idf(key string) float64 {
 }
 
 // elementKeys appends every posting key of one element view to dst: name
-// tokens, prefixes of longer name tokens, top documentation terms, and the
-// two acronym forms the acronym voter recognizes. The acronym families
-// cross on the query side, mirroring acronymOf's two directions: a target
-// is indexed under the acronym of its own tokens (keyAcronym) and its raw
-// compressed name (keyRaw), while a query element asks for targets whose
-// token acronym equals its raw name and targets whose raw name equals its
-// token acronym — so DTG retrieves Date_Time_Group and vice versa.
-func elementKeys(v *ElementView, dst []string, query bool) []string {
+// tokens, prefixes of longer name tokens, the top terms of doc (its
+// document vector in the pairing), and the two acronym forms the acronym
+// voter recognizes. The acronym families cross on the query side,
+// mirroring acronymOf's two directions: a target is indexed under the
+// acronym of its own tokens (keyAcronym) and its raw compressed name
+// (keyRaw), while a query element asks for targets whose token acronym
+// equals its raw name and targets whose raw name equals its token
+// acronym — so DTG retrieves Date_Time_Group and vice versa.
+func elementKeys(v *ElementView, doc text.Vector, dst []string, query bool) []string {
 	for _, t := range v.NameTokens {
 		dst = append(dst, keyName+t)
 		if len(t) >= prefixMinLen {
@@ -190,7 +191,7 @@ func elementKeys(v *ElementView, dst []string, query bool) []string {
 		}
 	}
 	if v.HasDoc {
-		dst = append(dst, topDocTerms(v.DocVector, maxDocTerms)...)
+		dst = append(dst, topDocTerms(doc, maxDocTerms)...)
 	}
 	acrKey, rawKey := keyAcronym, keyRaw
 	if query {
@@ -247,7 +248,7 @@ func buildSparseIndex(dv *SchemaView) *sparseIndex {
 	ix := &sparseIndex{postings: make(map[string][]int32), cols: dv.Len()}
 	var keys []string
 	for j := 0; j < dv.Len(); j++ {
-		keys = elementKeys(dv.View(j), keys[:0], false)
+		keys = elementKeys(dv.View(j), dv.docs[j], keys[:0], false)
 		sort.Strings(keys)
 		prev := ""
 		for _, k := range keys {
@@ -303,7 +304,7 @@ func (e *Engine) sparseCandidates(sv, dv *SchemaView, scope []bool) (cands [][]i
 		for lo, hi := range chunks {
 			for i := lo; i < hi; i++ {
 				if scope == nil || scope[i] {
-					sets[i] = r.retrieve(sv.View(i), e.sparseBudget)
+					sets[i] = r.retrieve(sv.View(i), sv.docs[i], e.sparseBudget)
 				}
 			}
 		}
@@ -411,13 +412,13 @@ type retriever struct {
 	keys    []string
 }
 
-// retrieve returns the budget-best targets of one source element by
-// accumulated family-weighted IDF over its posting keys; ties go to the
-// lower target ID. The set is returned in no particular order: the
-// alignment sorts each row.
-func (r *retriever) retrieve(v *ElementView, budget int) []int32 {
+// retrieve returns the budget-best targets of one source element (doc is
+// its document vector) by accumulated family-weighted IDF over its
+// posting keys; ties go to the lower target ID. The set is returned in
+// no particular order: the alignment sorts each row.
+func (r *retriever) retrieve(v *ElementView, doc text.Vector, budget int) []int32 {
 	acc := r.acc
-	r.keys = elementKeys(v, r.keys[:0], true)
+	r.keys = elementKeys(v, doc, r.keys[:0], true)
 	sort.Strings(r.keys)
 	prev := ""
 	for _, k := range r.keys {
@@ -500,7 +501,7 @@ func selectTop(ids []int32, k int, acc []float64) {
 // voter, which then does not align the pair again. MatchCross has no
 // recorded totals and passes nil, so its structure votes align directly.
 func (e *Engine) scoreSparse(sv, dv *SchemaView, m *SparseMatrix, align [][]float64) {
-	e.forEachRowChunk(m.rows, func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
+	e.forEachRowChunk(sv, dv, m.rows, func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
 		for i := lo; i < hi; i++ {
 			srcView := sv.View(i)
 			var totals []float64

@@ -9,22 +9,16 @@ import (
 
 // Voter scores one [source, target] element pair using a single strategy.
 // Implementations must be safe for concurrent use: Vote is called from
-// multiple goroutines during a match.
+// multiple goroutines during a match, each with its own scratch.
 type Voter interface {
 	// Name identifies the voter in explanations and reports.
 	Name() string
-	// Vote returns the voter's opinion about the pair. A voter that has no
-	// applicable evidence returns Abstain.
-	Vote(src, dst *ElementView) Vote
-}
-
-// contextVoter is the engine-internal fast path: voters that can reuse
-// a per-worker pairScratch (the name-similarity memo keyed by name
-// shape) implement it, and the scoring loops dispatch through it. Vote
-// and voteCtx return identical results — voteCtx(src, dst, nil) is the
-// definition of Vote — so Explain and external callers lose nothing.
-type contextVoter interface {
-	voteCtx(src, dst *ElementView, sc *pairScratch) Vote
+	// Vote returns the voter's opinion about the pair: src is a view of
+	// sc.src, dst one of sc.dst. sc is the calling worker's scratch,
+	// bound to that pairing (it holds the pairing's document vectors and
+	// the name-similarity memo). A voter that has no applicable evidence
+	// returns Abstain.
+	Vote(src, dst *ElementView, sc *pairScratch) Vote
 }
 
 // WeightedVoter pairs a voter with its merge weight.
@@ -47,17 +41,15 @@ func (NameVoter) Name() string { return "name" }
 // Vote implements Voter. Evidence grows with the number of distinct tokens
 // compared, so a 4-token name agreeing with a 4-token name yields a score
 // much closer to +1 than two single-token names agreeing.
-func (v NameVoter) Vote(src, dst *ElementView) Vote { return v.voteCtx(src, dst, nil) }
-
-func (NameVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
+func (NameVoter) Vote(src, dst *ElementView, sc *pairScratch) Vote {
 	if len(src.NameTokens) == 0 || len(dst.NameTokens) == 0 {
 		return Abstain
 	}
 	sim := hybridSimCached(src, dst, sc)
-	ev := float64(minInt(len(src.name.IDs), len(dst.name.IDs)))
+	ev := float64(min(len(src.name.IDs), len(dst.name.IDs)))
 	// Character-level length adds a little evidence: longer names that
 	// agree are less likely to agree by chance.
-	ev += float64(minInt(len(src.JoinedName), len(dst.JoinedName))) / 12.0
+	ev += float64(min(len(src.JoinedName), len(dst.JoinedName))) / 12.0
 	// Exact (normalized) name equality is qualitatively stronger evidence
 	// than fuzzy similarity — identical names rarely collide by accident.
 	if src.JoinedName == dst.JoinedName && src.JoinedName != "" {
@@ -104,9 +96,6 @@ func hybridNameSimFlat(a, b *ElementView) float64 {
 // sequences, which the shapes intern process-wide, so memo entries stay
 // valid across matches and schemas.
 func hybridSimCached(a, b *ElementView, sc *pairScratch) float64 {
-	if sc == nil || a.nameShape == 0 || b.nameShape == 0 {
-		return hybridNameSimFlat(a, b)
-	}
 	key := pairKey(a.nameShape, b.nameShape)
 	if v, ok := sc.hybrid.get(key); ok {
 		return v
@@ -131,15 +120,16 @@ func (DocVoter) Name() string { return "documentation" }
 // Vote implements Voter. The evidence is the size of the smaller document:
 // two rich documentation strings that disagree push the score firmly
 // negative, while two near-empty ones barely move it.
-func (DocVoter) Vote(src, dst *ElementView) Vote {
-	if !src.HasDoc || !dst.HasDoc || src.DocVector.IsZero() || dst.DocVector.IsZero() {
+func (DocVoter) Vote(src, dst *ElementView, sc *pairScratch) Vote {
+	if !src.HasDoc || !dst.HasDoc {
 		return Abstain
 	}
-	cos := text.Cosine(src.DocVector, dst.DocVector)
-	ev := float64(minInt(src.DocTokenCount, dst.DocTokenCount)) / 2.0
-	if ev > 12 {
-		ev = 12
+	a, b := sc.src.docs[src.El.ID], sc.dst.docs[dst.El.ID]
+	if a.IsZero() || b.IsZero() {
+		return Abstain
 	}
+	cos := text.Cosine(a, b)
+	ev := min(float64(min(src.DocTokenCount, dst.DocTokenCount))/2.0, 12)
 	return Vote{Ratio: cos, Evidence: ev}
 }
 
@@ -155,7 +145,7 @@ type PathVoter struct{}
 func (PathVoter) Name() string { return "path" }
 
 // Vote implements Voter.
-func (PathVoter) Vote(src, dst *ElementView) Vote {
+func (PathVoter) Vote(src, dst *ElementView, _ *pairScratch) Vote {
 	if len(src.path.IDs) == 0 || len(dst.path.IDs) == 0 {
 		return Abstain
 	}
@@ -168,7 +158,7 @@ func (PathVoter) Vote(src, dst *ElementView) Vote {
 func pathVote(src, dst *ElementView) Vote {
 	syn, jac := src.path.OverlapJaccard(&dst.path)
 	sim := 0.6*syn + 0.4*jac
-	ev := float64(minInt(len(src.path.IDs), len(dst.path.IDs))) * 0.8
+	ev := float64(min(len(src.path.IDs), len(dst.path.IDs))) * 0.8
 	return Vote{Ratio: sim, Evidence: ev}
 }
 
@@ -185,7 +175,7 @@ type TypeVoter struct{}
 func (TypeVoter) Name() string { return "type" }
 
 // Vote implements Voter.
-func (TypeVoter) Vote(src, dst *ElementView) Vote {
+func (TypeVoter) Vote(src, dst *ElementView, _ *pairScratch) Vote {
 	ta, tb := src.El.Type, dst.El.Type
 	if ta == schema.TypeNone || tb == schema.TypeNone {
 		return Abstain
@@ -227,14 +217,14 @@ type StructureVoter struct{}
 // Name implements Voter.
 func (StructureVoter) Name() string { return "structure" }
 
-// Vote implements Voter.
-func (v StructureVoter) Vote(src, dst *ElementView) Vote { return v.voteCtx(src, dst, nil) }
-
-func (StructureVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
+// Vote implements Voter. A container pair scores the children-alignment
+// total sparse candidate generation recorded in sc when there is one,
+// and aligns the children itself otherwise.
+func (StructureVoter) Vote(src, dst *ElementView, sc *pairScratch) Vote {
 	a, b := src.El, dst.El
 	switch {
 	case !a.IsLeaf() && !b.IsLeaf():
-		if sc != nil && sc.aligned {
+		if sc.aligned {
 			return alignmentVote(src, dst, sc.alignTotal)
 		}
 		return containerVote(src, dst)
@@ -250,10 +240,12 @@ func (StructureVoter) voteCtx(src, dst *ElementView, sc *pairScratch) Vote {
 	}
 }
 
-// containerVote greedily aligns children by hybrid name similarity and
-// scores the alignment quality over the smaller child set. The sparse
-// scorer reuses the totals candidate generation recorded instead
-// (alignmentVote); Vote, Explain and MatchCross align here.
+// containerVote greedily aligns the children of a container pair by
+// synonym-aware token overlap and scores the alignment over the smaller
+// child set. The structure voter calls it when its scratch carries no
+// recorded total: in dense scoring, MatchCross and Explain. Sparse
+// scoring reuses the totals candidate generation recorded instead
+// (alignmentVote).
 func containerVote(src, dst *ElementView) Vote {
 	var total float64
 	greedyAlignChildren(src, dst, func(_, _ int, sim float64) {
@@ -269,10 +261,7 @@ func alignmentVote(src, dst *ElementView, total float64) Vote {
 	if len(src.children) == 0 || len(dst.children) == 0 {
 		return Abstain
 	}
-	n := minInt(len(src.children), len(dst.children))
-	if n > maxAlignChildren {
-		n = maxAlignChildren
-	}
+	n := min(len(src.children), len(dst.children), maxAlignChildren)
 	return Vote{Ratio: total / float64(n), Evidence: float64(n) * 0.9}
 }
 
@@ -282,11 +271,12 @@ const maxAlignChildren = 64
 
 // greedyAlignChildren greedily aligns two containers' children by
 // synonym-aware token overlap, calling fn for every aligned (ci, cj)
-// child-index pair with its similarity. In sparse mode it runs once per
-// candidate container pair, in candidate generation: the aligned pairs
-// become candidates and the summed similarity is the total the structure
-// voter scores (alignmentVote). Dense scoring, Vote, Explain and
-// MatchCross run it from containerVote.
+// child-index pair with its similarity. av and bv are compiled views;
+// their children are views of the same profiles. In sparse mode it runs
+// once per candidate container pair, in candidate generation: the
+// aligned pairs become candidates and the summed similarity is the
+// total the structure voter scores (alignmentVote). Every other
+// structure vote runs it from containerVote.
 //
 // Most child pairs share no token. The containers' packed child
 // signatures (childSigs) skip those pairs without touching a child view:
@@ -331,7 +321,7 @@ type AcronymVoter struct{}
 func (AcronymVoter) Name() string { return "acronym" }
 
 // Vote implements Voter.
-func (AcronymVoter) Vote(src, dst *ElementView) Vote {
+func (AcronymVoter) Vote(src, dst *ElementView, _ *pairScratch) Vote {
 	if acronymOf(src, dst) || acronymOf(dst, src) {
 		return Vote{Ratio: 0.95, Evidence: 2}
 	}
@@ -348,13 +338,4 @@ func acronymOf(a, b *ElementView) bool {
 		return false
 	}
 	return raw == b.acronym
-}
-
-// ---------------------------------------------------------------------------
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

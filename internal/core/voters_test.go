@@ -14,10 +14,11 @@ func pairViews(a, b *schema.Schema) (*SchemaView, *SchemaView) {
 }
 
 // viewsFor builds preprocessed views for two tiny schemata whose elements
-// are handy voter inputs.
-func viewsFor(t *testing.T) (*SchemaView, *SchemaView) {
+// are handy voter inputs, and a voting scratch bound to their pairing.
+func viewsFor(t *testing.T) (*SchemaView, *SchemaView, *pairScratch) {
 	t.Helper()
-	return pairViews(personSchemaA(), personSchemaB())
+	sv, dv := pairViews(personSchemaA(), personSchemaB())
+	return sv, dv, &pairScratch{src: sv, dst: dv}
 }
 
 func viewOf(sv *SchemaView, path string) *ElementView {
@@ -29,10 +30,10 @@ func viewOf(sv *SchemaView, path string) *ElementView {
 }
 
 func TestNameVoter(t *testing.T) {
-	sv, dv := viewsFor(t)
+	sv, dv, sc := viewsFor(t)
 	v := NameVoter{}
-	good := v.Vote(viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "IndividualType/familyName"))
-	bad := v.Vote(viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "WeatherReport/temperature"))
+	good := v.Vote(viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "IndividualType/familyName"), sc)
+	bad := v.Vote(viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "WeatherReport/temperature"), sc)
 	if good.Score() <= bad.Score() {
 		t.Errorf("name voter: good %f <= bad %f", good.Score(), bad.Score())
 	}
@@ -45,9 +46,9 @@ func TestNameVoter(t *testing.T) {
 }
 
 func TestDocVoter(t *testing.T) {
-	sv, dv := viewsFor(t)
+	sv, dv, sc := viewsFor(t)
 	v := DocVoter{}
-	good := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"))
+	good := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"), sc)
 	if good.Score() <= 0 {
 		t.Errorf("doc voter on 'date of birth' docs = %f, want positive", good.Score())
 	}
@@ -55,48 +56,48 @@ func TestDocVoter(t *testing.T) {
 	// include name tokens, so the voter still has something. Check abstention
 	// on truly empty views instead.
 	empty := ElementView{}
-	if got := v.Vote(&empty, viewOf(dv, "IndividualType/dateOfBirth")); !got.IsAbstention() {
+	if got := v.Vote(&empty, viewOf(dv, "IndividualType/dateOfBirth"), sc); !got.IsAbstention() {
 		t.Errorf("doc voter should abstain without a vector, got %+v", got)
 	}
 }
 
 func TestPathVoter(t *testing.T) {
-	sv, dv := viewsFor(t)
+	sv, dv, sc := viewsFor(t)
 	v := PathVoter{}
-	same := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/individualId"))
-	cross := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "WeatherReport/windSpeed"))
+	same := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/individualId"), sc)
+	cross := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "WeatherReport/windSpeed"), sc)
 	if same.Score() <= cross.Score() {
 		t.Errorf("path voter: same-concept %f <= cross-concept %f", same.Score(), cross.Score())
 	}
 }
 
 func TestTypeVoter(t *testing.T) {
-	sv, dv := viewsFor(t)
+	sv, dv, sc := viewsFor(t)
 	v := TypeVoter{}
-	sameType := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"))   // date vs date
-	classMatch := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/familyName")) // identifier vs string: textual class
-	conflict := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "WeatherReport/temperature"))    // date vs decimal
+	sameType := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"), sc)   // date vs date
+	classMatch := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/familyName"), sc) // identifier vs string: textual class
+	conflict := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "WeatherReport/temperature"), sc)    // date vs decimal
 	if !(sameType.Score() > classMatch.Score()) {
 		t.Errorf("exact type %f should beat class match %f", sameType.Score(), classMatch.Score())
 	}
 	if conflict.Score() >= 0 {
 		t.Errorf("type conflict should be negative, got %f", conflict.Score())
 	}
-	containers := v.Vote(viewOf(sv, "Person"), viewOf(dv, "IndividualType"))
+	containers := v.Vote(viewOf(sv, "Person"), viewOf(dv, "IndividualType"), sc)
 	if !containers.IsAbstention() {
 		t.Errorf("type voter should abstain on containers, got %+v", containers)
 	}
 }
 
 func TestStructureVoter(t *testing.T) {
-	sv, dv := viewsFor(t)
+	sv, dv, sc := viewsFor(t)
 	v := StructureVoter{}
-	tables := v.Vote(viewOf(sv, "Person"), viewOf(dv, "IndividualType"))
-	unrelated := v.Vote(viewOf(sv, "Vehicle"), viewOf(dv, "WeatherReport"))
+	tables := v.Vote(viewOf(sv, "Person"), viewOf(dv, "IndividualType"), sc)
+	unrelated := v.Vote(viewOf(sv, "Vehicle"), viewOf(dv, "WeatherReport"), sc)
 	if tables.Score() <= unrelated.Score() {
 		t.Errorf("structure voter: aligned tables %f <= unrelated %f", tables.Score(), unrelated.Score())
 	}
-	mixed := v.Vote(viewOf(sv, "Person"), viewOf(dv, "WeatherReport/temperature"))
+	mixed := v.Vote(viewOf(sv, "Person"), viewOf(dv, "WeatherReport/temperature"), sc)
 	if mixed.Score() >= 0 {
 		t.Errorf("container-vs-leaf should lean negative, got %f", mixed.Score())
 	}
@@ -111,12 +112,13 @@ func TestAcronymVoter(t *testing.T) {
 	s2.AddElement(ct, "Date_Time_Group", schema.KindXMLElement, schema.TypeString)
 	s2.AddElement(ct, "Priority", schema.KindXMLElement, schema.TypeString)
 	sv, dv := pairViews(s1, s2)
+	sc := &pairScratch{src: sv, dst: dv}
 	v := AcronymVoter{}
-	hit := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Date_Time_Group"))
+	hit := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Date_Time_Group"), sc)
 	if hit.IsAbstention() || hit.Score() <= 0.3 {
 		t.Errorf("DTG should match Date_Time_Group strongly, got %+v", hit)
 	}
-	miss := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Priority"))
+	miss := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Priority"), sc)
 	if !miss.IsAbstention() {
 		t.Errorf("acronym voter should abstain on non-acronym pair, got %+v", miss)
 	}
@@ -131,16 +133,18 @@ func TestVoterNamesUniqueAndConcurrentSafe(t *testing.T) {
 		}
 		seen[v.Name()] = true
 	}
-	// concurrent use smoke test (run with -race)
-	sv, dv := viewsFor(t)
+	// concurrent use smoke test (run with -race): the voters and views
+	// are shared, each goroutine votes with its own scratch.
+	sv, dv := pairViews(personSchemaA(), personSchemaB())
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
+			sc := &pairScratch{src: sv, dst: dv}
 			for i := 0; i < sv.Len(); i++ {
 				for j := 0; j < dv.Len(); j++ {
 					for _, v := range voters {
-						v.Vote(sv.View(i), dv.View(j))
+						v.Vote(sv.View(i), dv.View(j), sc)
 					}
 				}
 			}

@@ -25,11 +25,11 @@ func (p *Pipeline) TopK(ctx context.Context, eng *core.Engine, q *schema.Schema,
 	cfg = cfg.withDefaults()
 	eng = cfg.engineFor(eng)
 	res := &Result{Query: q.Name}
-	qfp := q.Fingerprint()
 	// Compile the query schema once for the whole query: every candidate
 	// scoring below reuses the profile instead of re-deriving the query's
 	// views and TF-IDF statistics per candidate.
 	qprof := eng.Profile(q)
+	qfp := qprof.Fingerprint()
 
 	cands := p.block(q, qfp, cfg, &res.Stats)
 
