@@ -52,6 +52,12 @@ func TestSparseKernelMatchesReference(t *testing.T) {
 		}
 		sa, sb, _ := synth.CaseStudy(42)
 		pairs = append(pairs, pair{"case-study", sa, sb, DefaultSparseBudget})
+		// Two documented schemata of the match workload's generator,
+		// relational against XML: they exercise the doc and acronym
+		// families the synth.Pair inputs barely reach.
+		rel, _ := synth.Custom("M01_REL", schema.FormatRelational, synth.StyleRelational, 100, 30, 10, 0)
+		xml, _ := synth.Custom("M02_XML", schema.FormatXML, synth.StyleXML, 101, 36, 10, 0)
+		pairs = append(pairs, pair{"custom-rel-xml", rel, xml, DefaultSparseBudget})
 	}
 	for _, p := range pairs {
 		sv, dv := pairViews(p.a, p.b)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"harmony/internal/schema"
@@ -9,7 +10,9 @@ import (
 
 // The reference sparse kernel: the serial, search-based form of candidate
 // generation, voting and propagation that the production kernel must
-// reproduce bit for bit. Candidate sets are maps filled in row order, the
+// reproduce bit for bit. Retrieval reads one string-keyed postings map
+// whose keys are each token prefixed by its family and are summed in
+// sorted order, candidate sets are maps filled in row order, the
 // structure voter re-aligns every container pair itself (scoreSparse with
 // no recorded alignment totals), and propagation reads every neighbour
 // through ScoreMatrix.At and writes through Set.
@@ -44,7 +47,7 @@ func refMatchScoped(e *Engine, sv, dv *SchemaView, elements []*schema.Element) *
 // ID is below its children's, so a row's set is complete before its own
 // alignment runs).
 func refSparseCandidates(sv, dv *SchemaView, budget int, scope []bool) [][]int32 {
-	ix := buildSparseIndex(dv)
+	ix := refBuildSparseIndex(dv)
 	rows, cols := sv.Len(), dv.Len()
 	sets := make([]map[int32]struct{}, rows)
 
@@ -55,36 +58,7 @@ func refSparseCandidates(sv, dv *SchemaView, budget int, scope []bool) [][]int32
 		if scope != nil && !scope[i] {
 			continue
 		}
-		keys = elementKeys(sv.View(i), sv.docs[i], keys[:0], true)
-		sort.Strings(keys)
-		prev := ""
-		for _, k := range keys {
-			if k == prev {
-				continue
-			}
-			prev = k
-			post := ix.postings[k]
-			if len(post) == 0 {
-				continue
-			}
-			w := ix.idf(k)
-			switch k[0] {
-			case 'n':
-				w *= weightName
-			case 'd':
-				w *= weightDoc
-			case 'p':
-				w *= weightPrefix
-			default:
-				w *= weightAcronym
-			}
-			for _, j := range post {
-				if acc[j] == 0 {
-					touched = append(touched, j)
-				}
-				acc[j] += w
-			}
-		}
+		touched, keys = refAccumulate(ix, sv.View(i), sv.docs[i], acc, touched, keys)
 		all := touched
 		if len(touched) > budget {
 			sort.Slice(touched, func(a, b int) bool {
@@ -167,6 +141,144 @@ func refSparseCandidates(sv, dv *SchemaView, budget int, scope []bool) [][]int32
 		out[i] = lst
 	}
 	return out
+}
+
+// The reference retrieval index: one string-keyed postings map over
+// every token family, each key its family prefix plus the token.
+const (
+	refKeyName    = "n:" // normalized name tokens
+	refKeyPrefix  = "p:" // 4-byte prefixes of longer name tokens
+	refKeyDoc     = "d:" // top TF-IDF documentation terms
+	refKeyAcronym = "a:" // acronym of a multi-token name
+	refKeyRaw     = "r:" // raw delimiter-stripped name
+)
+
+// refSparseIndex is the string-keyed inverted index over target-element
+// tokens.
+type refSparseIndex struct {
+	postings map[string][]int32
+	cols     int
+}
+
+// idf returns the inverse-document-frequency weight of a posting key.
+func (ix *refSparseIndex) idf(key string) float64 {
+	df := len(ix.postings[key])
+	if df == 0 {
+		return 0
+	}
+	return math.Log(1 + float64(ix.cols)/float64(1+df))
+}
+
+// refBuildSparseIndex indexes every target element under its sorted,
+// deduplicated string keys, in ascending target order.
+func refBuildSparseIndex(dv *SchemaView) *refSparseIndex {
+	ix := &refSparseIndex{postings: make(map[string][]int32), cols: dv.Len()}
+	var keys []string
+	for j := 0; j < dv.Len(); j++ {
+		keys = refElementKeys(dv.View(j), dv.docs[j], keys[:0], false)
+		sort.Strings(keys)
+		prev := ""
+		for _, k := range keys {
+			if k == prev {
+				continue
+			}
+			prev = k
+			ix.postings[k] = append(ix.postings[k], int32(j))
+		}
+	}
+	return ix
+}
+
+// refElementKeys appends every posting key of one element view: name
+// tokens, 4-byte prefixes of name tokens of at least 5 bytes, the top
+// documentation terms, and the two acronym forms, crossed on the query
+// side (a query's token acronym asks for raw names, its raw name for
+// token acronyms).
+func refElementKeys(v *ElementView, doc text.Vector, dst []string, query bool) []string {
+	for _, t := range v.NameTokens {
+		dst = append(dst, refKeyName+t)
+		if len(t) >= 5 {
+			dst = append(dst, refKeyPrefix+t[:4])
+		}
+	}
+	if v.HasDoc {
+		dst = append(dst, refTopDocTerms(doc, maxDocTerms)...)
+	}
+	acrKey, rawKey := refKeyAcronym, refKeyRaw
+	if query {
+		acrKey, rawKey = refKeyRaw, refKeyAcronym
+	}
+	if len(v.NameTokens) >= 2 {
+		dst = append(dst, acrKey+v.acronym)
+	}
+	if n := len(v.RawAcronym); n >= 2 && n <= 8 {
+		dst = append(dst, rawKey+v.RawAcronym)
+	}
+	return dst
+}
+
+// refTopDocTerms returns the prefixed top-k terms of a TF-IDF vector by
+// weight, ties to the lower term.
+func refTopDocTerms(v text.Vector, k int) []string {
+	type tw struct {
+		term   string
+		weight float64
+	}
+	terms := make([]tw, 0, v.Len())
+	v.ForEach(func(term string, _ int32, weight float64) {
+		terms = append(terms, tw{term, weight})
+	})
+	sort.Slice(terms, func(a, b int) bool {
+		if terms[a].weight != terms[b].weight {
+			return terms[a].weight > terms[b].weight
+		}
+		return terms[a].term < terms[b].term
+	})
+	if len(terms) > k {
+		terms = terms[:k]
+	}
+	out := make([]string, len(terms))
+	for i, t := range terms {
+		out[i] = refKeyDoc + t.term
+	}
+	return out
+}
+
+// refAccumulate adds one query element's key weights (doc is its
+// document vector) into acc over its sorted, deduplicated string keys,
+// appending each target it touches first to touched. keys is scratch.
+func refAccumulate(ix *refSparseIndex, v *ElementView, doc text.Vector, acc []float64, touched []int32, keys []string) ([]int32, []string) {
+	keys = refElementKeys(v, doc, keys[:0], true)
+	sort.Strings(keys)
+	prev := ""
+	for _, k := range keys {
+		if k == prev {
+			continue
+		}
+		prev = k
+		post := ix.postings[k]
+		if len(post) == 0 {
+			continue
+		}
+		w := ix.idf(k)
+		switch k[0] {
+		case 'n':
+			w *= weightName
+		case 'd':
+			w *= weightDoc
+		case 'p':
+			w *= weightPrefix
+		default:
+			w *= weightAcronym
+		}
+		for _, j := range post {
+			if acc[j] == 0 {
+				touched = append(touched, j)
+			}
+			acc[j] += w
+		}
+	}
+	return touched, keys
 }
 
 // refPropagate is one serial propagation round over the ScoreMatrix

@@ -55,9 +55,10 @@ type ElementView struct {
 // views, shared with every other pairing of the profile, and this
 // pairing's document vectors, both indexed by element ID.
 type SchemaView struct {
-	Schema *schema.Schema
-	views  []ElementView // the profile's views; read-only
-	docs   []text.Vector // TF-IDF vectors under the pairing's joint IDF
+	Schema  *schema.Schema
+	profile *CompiledProfile
+	views   []ElementView // the profile's views; read-only
+	docs    []text.Vector // TF-IDF vectors under the pairing's joint IDF
 }
 
 // Len returns the number of elements in the underlying schema.

@@ -16,11 +16,13 @@ import (
 // masks, rune and trigram forms for character metrics, path token sets,
 // and the schema's own TF-IDF document statistics — everything Match
 // needs that does not depend on which *other* schema it is paired with.
-// Profiles are immutable once built, keyed by schema.Fingerprint, safe
-// for concurrent use, and cheap to pair: PairProfiles hands out the
-// profile's own element views and only merges the two vocabularies and
-// computes per-element TF-IDF vectors under the joint IDF, bit for bit
-// as a corpus built over both schemata from scratch would weigh them.
+// Profiles are immutable once built (apart from the sparse-retrieval
+// keys, built once on the first sparse match), keyed by
+// schema.Fingerprint, safe for concurrent use, and cheap to pair:
+// PairProfiles hands out the profile's own element views and only
+// merges the two vocabularies and computes per-element TF-IDF vectors
+// under the joint IDF, bit for bit as a corpus built over both schemata
+// from scratch would weigh them.
 //
 // Per-element data lives in arena-style contiguous slices (one terms /
 // tf / weight arena per schema) so the hot loop walks dense memory.
@@ -48,6 +50,11 @@ type CompiledProfile struct {
 	elemTF    []int32
 	elemTFW   []float64
 	elemVocab []int32
+
+	// The sparse-retrieval keys, built by sparseKeys on the profile's
+	// first sparse match.
+	sparseOnce sync.Once
+	sparse     *profileKeys
 }
 
 // Fingerprint returns the schema fingerprint the profile was compiled
@@ -56,6 +63,15 @@ func (p *CompiledProfile) Fingerprint() string { return p.fp }
 
 // Len returns the number of compiled element views.
 func (p *CompiledProfile) Len() int { return len(p.views) }
+
+// sparseKeys returns the profile's sparse-retrieval keys, building them
+// on the first call. Only sparse matches read them; the corpus compiles
+// and scores its many candidate profiles dense, so compilation does not
+// build them.
+func (p *CompiledProfile) sparseKeys() *profileKeys {
+	p.sparseOnce.Do(func() { p.sparse = buildProfileKeys(p) })
+	return p.sparse
+}
 
 // elemLex is the lexed form of one element — the output of the
 // text-processing stage of compilation and the unit of profile
@@ -377,7 +393,7 @@ func pairView(p *CompiledProfile, vmap []int32, jointIDF []float64) *SchemaView 
 		}
 		docs[e] = text.MakeVector(p.elemTerms[lo:hi], ids[lo:hi], weights[lo:hi])
 	}
-	return &SchemaView{Schema: p.Schema, views: p.views, docs: docs}
+	return &SchemaView{Schema: p.Schema, profile: p, views: p.views, docs: docs}
 }
 
 // --- persistence -----------------------------------------------------------

@@ -107,8 +107,9 @@ func TestSharedCacheKeepsCallersElementOrder(t *testing.T) {
 }
 
 // TestProfileCacheServesOnlyItsSchema: an entry serves the schema object
-// it was compiled from; another object with the same content misses,
-// compiles and takes the entry over.
+// it was compiled from; another object with the same content misses and
+// compiles its own entry, and the two then hit side by side. Get serves
+// the more recently used of the two.
 func TestProfileCacheServesOnlyItsSchema(t *testing.T) {
 	a, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 4, 3, 0)
 	a2, _ := synth.Custom("A2", schema.FormatRelational, synth.StyleRelational, 3, 4, 3, 0)
@@ -121,11 +122,45 @@ func TestProfileCacheServesOnlyItsSchema(t *testing.T) {
 			t.Fatalf("lookup %d: profile of %q served for %q", i, p.Schema.Name, s.Name)
 		}
 	}
-	if st := pc.Stats(); st.Hits != 2 || st.Misses != 3 || st.Size != 1 {
-		t.Fatalf("stats %+v, want 2 hits, 3 misses, 1 entry", st)
+	if st := pc.Stats(); st.Hits != 3 || st.Misses != 2 || st.Size != 2 {
+		t.Fatalf("stats %+v, want 3 hits, 2 misses, 2 entries", st)
 	}
 	if p, ok := pc.Get(a.Fingerprint()); !ok || p.Schema != a {
-		t.Fatal("Get does not return the newest compile")
+		t.Fatal("Get does not return the most recently used entry")
+	}
+	pc.Profile(a2)
+	if p, ok := pc.Get(a.Fingerprint()); !ok || p.Schema != a2 {
+		t.Fatal("Get does not follow the most recent use")
+	}
+	if !pc.InvalidateFingerprint(a.Fingerprint()) || pc.Len() != 0 {
+		t.Fatalf("invalidating the shared fingerprint left %d entries", pc.Len())
+	}
+	if st := pc.Stats(); st.Invalidations != 2 {
+		t.Fatalf("stats %+v, want 2 invalidations", st)
+	}
+}
+
+// TestProfileCacheMissesOnChangedSchema: a schema changed in place after
+// compiling no longer hits its entry; the recompile replaces the entry,
+// and the old fingerprint no longer finds it.
+func TestProfileCacheMissesOnChangedSchema(t *testing.T) {
+	s, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 4, 3, 0)
+	pc := NewProfileCache(0)
+	old := pc.Profile(s)
+	oldFP := s.Fingerprint()
+	s.Elements()[1].Name = "renamed_in_place"
+	p := pc.Profile(s)
+	if p == old || p.Fingerprint() != s.Fingerprint() {
+		t.Fatal("a schema changed in place was served its stale profile")
+	}
+	if st := pc.Stats(); st.Misses != 2 || st.Size != 1 {
+		t.Fatalf("stats %+v, want 2 misses, 1 entry", st)
+	}
+	if _, ok := pc.Get(oldFP); ok {
+		t.Fatal("the replaced entry is still found by its old fingerprint")
+	}
+	if got := pc.Profile(s); got != p {
+		t.Fatal("the recompiled entry does not hit")
 	}
 }
 

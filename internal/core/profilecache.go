@@ -13,21 +13,23 @@ import (
 // hundred corpus schemas while keeping worst-case memory modest.
 const DefaultProfileCacheSize = 128
 
-// ProfileCache is a fingerprint-keyed LRU cache of compiled schema
-// profiles. Every engine owns one (NewEngine), and WithProfileCache
-// swaps in a shared one: the daemon gives every engine preset serving
-// one registry the same cache. Entries are immutable CompiledProfiles,
-// so a cached profile can be handed to any number of concurrent
-// matches. It holds per-schema state only: each match pairs its two
-// profiles afresh (PairProfiles), which is cheap next to voting, so no
-// pair-level state outlives a match.
+// ProfileCache is an LRU cache of compiled schema profiles, one entry
+// per schema object. Every engine owns one (NewEngine), and
+// WithProfileCache swaps in a shared one: the daemon gives every engine
+// preset serving one registry the same cache. Entries are immutable
+// CompiledProfiles, so a cached profile can be handed to any number of
+// concurrent matches. It holds per-schema state only: each match pairs
+// its two profiles afresh (PairProfiles), which is cheap next to
+// voting, so no pair-level state outlives a match.
 //
-// A cached profile serves only the schema object it was compiled from.
-// Match results hand out the profile's schema and elements (Src.Schema,
+// A cached profile serves only the schema object it was compiled from,
+// and only while that schema still has the fingerprint it was compiled
+// at: element fields are exported and can be changed in place, and a
+// hit on the object alone could then serve a stale profile. Match
+// results hand out the profile's schema and elements (Src.Schema,
 // Src.View(i).El), and two schemas with the same fingerprint can differ
-// in name and in element ID order, so a lookup by another object with
-// the same content compiles its own profile, counts a miss and takes
-// over the entry.
+// in name and in element ID order, so each keeps its own entry; Get
+// looks entries up by fingerprint.
 //
 // The cache sits next to the service layer's match-result cache in the
 // invalidation path: when schema evolution retires a fingerprint, both
@@ -41,7 +43,7 @@ type ProfileCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    map[*schema.Schema]*list.Element
 
 	hits, misses, evictions, invalidations uint64
 
@@ -62,7 +64,7 @@ func NewProfileCache(capacity int) *ProfileCache {
 	return &ProfileCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[*schema.Schema]*list.Element),
 	}
 }
 
@@ -79,27 +81,39 @@ func (c *ProfileCache) SetPersist(fn func(fp string, p *CompiledProfile)) {
 }
 
 // Profile returns the compiled profile of s, compiling on a miss. A hit
-// needs an entry compiled from s itself; an entry compiled from another
-// schema object with the same fingerprint counts as a miss and is
-// replaced. The compile runs outside the lock: two concurrent misses on
-// the same schema may both compile, and the loser's (identical) result
-// is discarded, so this is only duplicated work, never inconsistency.
+// needs the entry of s itself, compiled at s's current fingerprint. The
+// compile runs outside the lock: two concurrent misses on the same
+// schema may both compile, and the loser's (identical) result is
+// discarded, so this is only duplicated work, never inconsistency.
 func (c *ProfileCache) Profile(s *schema.Schema) *CompiledProfile {
 	fp := s.Fingerprint()
-	if p, ok := c.lookup(fp, s); ok {
+	c.mu.Lock()
+	el, ok := c.items[s]
+	ok = ok && el.Value.(*profileCacheEntry).fp == fp
+	p := c.touch(el, ok)
+	c.mu.Unlock()
+	if ok {
 		return p
 	}
 	t0 := time.Now()
-	p := compileFrom(s, fp, lexSchema(s))
+	p = compileFrom(s, fp, lexSchema(s))
 	phaseCompile.Observe(time.Since(t0).Seconds())
 	c.add(fp, p, true)
 	return p
 }
 
-// Get returns the cached profile for a fingerprint without compiling,
-// whichever schema object with that content it was compiled from.
+// Get returns a cached profile of the given content without compiling:
+// the most recently used entry with that fingerprint, whichever schema
+// object it was compiled from.
 func (c *ProfileCache) Get(fp string) (*CompiledProfile, bool) {
-	return c.lookup(fp, nil)
+	c.mu.Lock()
+	el := c.ll.Front()
+	for el != nil && el.Value.(*profileCacheEntry).fp != fp {
+		el = el.Next()
+	}
+	p := c.touch(el, el != nil)
+	c.mu.Unlock()
+	return p, el != nil
 }
 
 // Put warm-loads a profile compiled outside the cache, without counting
@@ -108,50 +122,36 @@ func (c *ProfileCache) Put(fp string, p *CompiledProfile) {
 	c.add(fp, p, false)
 }
 
-// lookup returns the entry for fp when it was compiled from s (from any
-// schema when s is nil), counting a hit or a miss.
-func (c *ProfileCache) lookup(fp string, s *schema.Schema) (*CompiledProfile, bool) {
-	var p *CompiledProfile
-	c.mu.Lock()
-	el, ok := c.items[fp]
-	if ok {
-		p = el.Value.(*profileCacheEntry).p
-		ok = s == nil || p.Schema == s
-	}
-	if ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
+// touch counts a hit on el (ok) or a miss, moves a hit to the front and
+// returns its profile. c.mu is held.
+func (c *ProfileCache) touch(el *list.Element, ok bool) *CompiledProfile {
 	if !ok {
+		c.misses++
 		profileCacheMiss.Inc()
-		return nil, false
+		return nil
 	}
+	c.hits++
 	profileCacheHit.Inc()
-	return p, true
+	c.ll.MoveToFront(el)
+	return el.Value.(*profileCacheEntry).p
 }
 
-// add inserts p under fp. An entry compiled from the same schema object
-// is kept (p lost a compile race); an entry compiled from another object
-// with the same content is replaced.
+// add inserts p as the entry of its schema object. An entry compiled at
+// the same fingerprint is kept (p lost a compile race); one compiled at
+// another fingerprint (the schema changed in place) is replaced.
 func (c *ProfileCache) add(fp string, p *CompiledProfile, persist bool) {
 	c.mu.Lock()
-	if el, ok := c.items[fp]; ok {
+	if el, ok := c.items[p.Schema]; ok {
 		c.ll.MoveToFront(el)
-		if e := el.Value.(*profileCacheEntry); e.p.Schema != p.Schema {
-			e.p = p
+		if e := el.Value.(*profileCacheEntry); e.fp != fp {
+			e.fp, e.p = fp, p
 		}
 		c.mu.Unlock()
 		return
 	}
-	c.items[fp] = c.ll.PushFront(&profileCacheEntry{fp: fp, p: p})
+	c.items[p.Schema] = c.ll.PushFront(&profileCacheEntry{fp: fp, p: p})
 	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		ent := back.Value.(*profileCacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, ent.fp)
+		c.remove(c.ll.Back())
 		c.evictions++
 		profileCacheEvict.Inc()
 	}
@@ -162,22 +162,30 @@ func (c *ProfileCache) add(fp string, p *CompiledProfile, persist bool) {
 	}
 }
 
-// InvalidateFingerprint drops the profile compiled from the given
-// schema content, reporting whether an entry existed. Called from the
+// remove drops entry el. c.mu is held.
+func (c *ProfileCache) remove(el *list.Element) {
+	c.ll.Remove(el)
+	delete(c.items, el.Value.(*profileCacheEntry).p.Schema)
+}
+
+// InvalidateFingerprint drops every profile compiled from the given
+// schema content, reporting whether any existed. Called from the
 // schema-evolution path alongside the match-cache sweep.
 func (c *ProfileCache) InvalidateFingerprint(fp string) bool {
 	c.mu.Lock()
-	el, ok := c.items[fp]
-	if ok {
-		c.ll.Remove(el)
-		delete(c.items, fp)
-		c.invalidations++
+	dropped := false
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*profileCacheEntry).fp == fp {
+			c.remove(el)
+			c.invalidations++
+			profileCacheInvalidate.Inc()
+			dropped = true
+		}
+		el = next
 	}
 	c.mu.Unlock()
-	if ok {
-		profileCacheInvalidate.Inc()
-	}
-	return ok
+	return dropped
 }
 
 // Len returns the number of cached profiles.

@@ -3,6 +3,7 @@ package core
 import (
 	"iter"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -11,8 +12,8 @@ import (
 
 // Sparse candidate-pair matching: instead of scoring every [source, target]
 // pair (the dense O(n·m) MATCH the paper prices at 10.2 s for ~10^6 pairs),
-// the engine builds a per-match inverted index over target-element tokens,
-// retrieves a bounded candidate set per source element, and runs the voters
+// the engine indexes the target elements' token keys, retrieves a bounded
+// candidate set per source element, and runs the voters
 // only on candidate pairs. Retrieval-style pruning before pair scoring is
 // the same move the corpus layer makes at schema granularity (BM25
 // blocking) pushed down to element granularity, and — like LLMatch's and
@@ -127,16 +128,35 @@ func (m *SparseMatrix) Clone() ScoreMatrix {
 
 // --- candidate generation -------------------------------------------------
 
-// Posting-key prefixes of the target-element inverted index. One postings
-// map holds several token families; the prefix keeps them from colliding
-// (a name token "a" and an acronym "a" are different evidence).
-const (
-	keyName    = "n:" // normalized name tokens
-	keyPrefix  = "p:" // 4-char prefixes of longer name tokens (stem drift)
-	keyDoc     = "d:" // top TF-IDF documentation terms
-	keyAcronym = "a:" // acronym of a multi-token name (finds DTG for Date_Time_Group)
-	keyRaw     = "r:" // raw delimiter-stripped name (finds Date_Time_Group for DTG)
-)
+// The target index holds five token families, each in its own posting
+// table keyed by the family's compiled form, so no key is ever built as
+// a string. Four depend on the target profile alone and are compiled
+// once per profile, on its first sparse match (profileKeys); the doc
+// family depends on the pairing's joint vocabulary and is indexed per
+// pairing (buildSparseIndex):
+//
+//   - acronym: the acronym of a multi-token name (finds DTG for
+//     Date_Time_Group);
+//   - doc: the pair-local term IDs of an element's top TF-IDF
+//     documentation terms;
+//   - name: interned name-token IDs (ElementView.name);
+//   - prefix: the first 4 bytes of name tokens of at least 5 bytes,
+//     packed big-endian into a uint32 (stem drift);
+//   - raw: the raw delimiter-stripped name (finds Date_Time_Group for
+//     DTG).
+//
+// Separate tables keep the families apart: a name token "a" and an
+// acronym "a" are different evidence.
+//
+// Retrieval adds a target's weights in one fixed key order, because
+// float addition is not associative and the order is part of every
+// score: the families in the order listed, and within a family by key
+// text. Name tokens are sorted by their text per element; packed
+// prefixes compare as integers in text order; pair-local doc IDs ascend
+// with the term. This is the sorted order of the family-prefixed string
+// keys ("a:dtg", "d:date", "n:date", …) of the reference kernel
+// (kernel_ref_test.go), which FuzzSparseCandidates and
+// TestSparseKernelMatchesReference hold the index to.
 
 // maxDocTerms bounds how many top-weight documentation terms per element
 // enter the index and the query: documentation is long-tailed and the tail
@@ -147,91 +167,11 @@ const maxDocTerms = 8
 // added; shorter tokens are their own prefix.
 const prefixMinLen = 5
 
-// sparseIndex is the per-match inverted index over target-element tokens.
-type sparseIndex struct {
-	postings map[string][]int32
-	cols     int
-}
-
-// add appends target j to a key's posting list, deduplicating consecutive
-// inserts (callers index one element at a time in ascending ID order).
-func (ix *sparseIndex) add(key string, j int32) {
-	lst := ix.postings[key]
-	if n := len(lst); n > 0 && lst[n-1] == j {
-		return
-	}
-	ix.postings[key] = append(lst, j)
-}
-
-// idf returns the inverse-document-frequency weight of a posting key over
-// the target side, favoring rare tokens during retrieval just as TF-IDF
-// does during doc-voter scoring.
-func (ix *sparseIndex) idf(key string) float64 {
-	df := len(ix.postings[key])
-	if df == 0 {
-		return 0
-	}
-	return math.Log(1 + float64(ix.cols)/float64(1+df))
-}
-
-// elementKeys appends every posting key of one element view to dst: name
-// tokens, prefixes of longer name tokens, the top terms of doc (its
-// document vector in the pairing), and the two acronym forms the acronym
-// voter recognizes. The acronym families cross on the query side,
-// mirroring acronymOf's two directions: a target is indexed under the
-// acronym of its own tokens (keyAcronym) and its raw compressed name
-// (keyRaw), while a query element asks for targets whose token acronym
-// equals its raw name and targets whose raw name equals its token
-// acronym — so DTG retrieves Date_Time_Group and vice versa.
-func elementKeys(v *ElementView, doc text.Vector, dst []string, query bool) []string {
-	for _, t := range v.NameTokens {
-		dst = append(dst, keyName+t)
-		if len(t) >= prefixMinLen {
-			dst = append(dst, keyPrefix+t[:prefixMinLen-1])
-		}
-	}
-	if v.HasDoc {
-		dst = append(dst, topDocTerms(doc, maxDocTerms)...)
-	}
-	acrKey, rawKey := keyAcronym, keyRaw
-	if query {
-		acrKey, rawKey = keyRaw, keyAcronym
-	}
-	if len(v.NameTokens) >= 2 {
-		dst = append(dst, acrKey+v.acronym)
-	}
-	if n := len(v.RawAcronym); n >= 2 && n <= 8 {
-		dst = append(dst, rawKey+v.RawAcronym)
-	}
-	return dst
-}
-
-// topDocTerms returns the keyDoc-prefixed top-k terms of a TF-IDF vector
-// by weight.
-func topDocTerms(v text.Vector, k int) []string {
-	type tw struct {
-		term   string
-		weight float64
-	}
-	terms := make([]tw, 0, v.Len())
-	v.ForEach(func(term string, weight float64) {
-		terms = append(terms, tw{term, weight})
-	})
-	sort.Slice(terms, func(a, b int) bool {
-		if terms[a].weight != terms[b].weight {
-			return terms[a].weight > terms[b].weight
-		}
-		return terms[a].term < terms[b].term
-	})
-	if len(terms) > k {
-		terms = terms[:k]
-	}
-	out := make([]string, len(terms))
-	for i, t := range terms {
-		out[i] = keyDoc + t.term
-	}
-	return out
-}
+// maxAcronymLen bounds the acronym families: a raw name is an acronym
+// form only at 2 to 8 bytes, and the crossed families meet only on equal
+// strings, so a token acronym outside that range can never be found and
+// is not indexed or queried either.
+const maxAcronymLen = 8
 
 // Retrieval weights per token family. Names dominate (they carry most
 // matchable signal), acronym hits are near-certain evidence when present,
@@ -243,23 +183,200 @@ const (
 	weightPrefix  = 0.5
 )
 
-// buildSparseIndex indexes every target element of a preprocessed schema.
-func buildSparseIndex(dv *SchemaView) *sparseIndex {
-	ix := &sparseIndex{postings: make(map[string][]int32), cols: dv.Len()}
-	var keys []string
-	for j := 0; j < dv.Len(); j++ {
-		keys = elementKeys(dv.View(j), dv.docs[j], keys[:0], false)
-		sort.Strings(keys)
-		prev := ""
-		for _, k := range keys {
-			if k == prev {
-				continue
-			}
-			prev = k
-			ix.add(k, int32(j))
+// acronymKeys returns v's token acronym and raw name as keys of the
+// acronym families, "" where v has none.
+func acronymKeys(v *ElementView) (acronym, raw string) {
+	if len(v.NameTokens) >= 2 && acronymKey(v.acronym) {
+		acronym = v.acronym
+	}
+	if acronymKey(v.RawAcronym) {
+		raw = v.RawAcronym
+	}
+	return acronym, raw
+}
+
+// acronymKey reports whether s can be a key of the acronym families.
+func acronymKey(s string) bool { return len(s) >= 2 && len(s) <= maxAcronymLen }
+
+// appendNameKeys appends v's name keys (its distinct token IDs, by token
+// text) to name and its distinct prefix keys (ascending) to prefix. toks
+// is scratch.
+func appendNameKeys(v *ElementView, toks []string, name, prefix []uint32) ([]string, []uint32, []uint32) {
+	// The distinct tokens in first-occurrence order pair up with the
+	// distinct IDs of v.name; an insertion sort by text carries the IDs
+	// along (names have a handful of tokens).
+	toks, lo := toks[:0], len(name)
+	for _, t := range v.NameTokens {
+		if !slices.Contains(toks, t) {
+			toks = append(toks, t)
 		}
 	}
-	return ix
+	name = append(name, v.name.IDs...)
+	ids := name[lo:]
+	for a := 1; a < len(toks); a++ {
+		for b := a; b > 0 && toks[b] < toks[b-1]; b-- {
+			toks[b], toks[b-1] = toks[b-1], toks[b]
+			ids[b], ids[b-1] = ids[b-1], ids[b]
+		}
+	}
+	// Prefixes of tokens in text order are in order themselves; only
+	// neighbours can repeat.
+	lo = len(prefix)
+	for _, t := range toks {
+		if len(t) < prefixMinLen {
+			continue
+		}
+		p := uint32(t[0])<<24 | uint32(t[1])<<16 | uint32(t[2])<<8 | uint32(t[3])
+		if n := len(prefix); n == lo || prefix[n-1] != p {
+			prefix = append(prefix, p)
+		}
+	}
+	return toks, name, prefix
+}
+
+// topDocTerms appends to dst the pair-local IDs of doc's maxDocTerms
+// heaviest terms (ties to the lower term, which has the lower ID) in
+// ascending ID order. The entries arrive in ascending ID order, so a
+// later entry of equal weight always ranks below the kept ones.
+func topDocTerms(doc text.Vector, dst []int32) []int32 {
+	type entry struct {
+		id int32
+		w  float64
+	}
+	var top [maxDocTerms]entry // by rank
+	n := 0
+	doc.ForEach(func(_ string, id int32, w float64) {
+		if n == maxDocTerms && w <= top[n-1].w {
+			return
+		}
+		if n < maxDocTerms {
+			n++
+		}
+		k := n - 1
+		for ; k > 0 && top[k-1].w < w; k-- {
+			top[k] = top[k-1]
+		}
+		top[k] = entry{id, w}
+	})
+	lo := len(dst)
+	for _, e := range top[:n] {
+		dst = append(dst, e.id)
+	}
+	slices.Sort(dst[lo:])
+	return dst
+}
+
+// profileKeys are a compiled profile's pairing-independent retrieval
+// keys: every element's name and prefix keys, and the postings of the
+// four families that depend on the profile alone, with its elements as
+// targets (each list ascending). The doc family depends on the
+// pairing's joint vocabulary and is indexed per pairing
+// (buildSparseIndex).
+type profileKeys struct {
+	// Element e's name keys are name[nameAt[e]:nameAt[e+1]], its prefix
+	// keys prefix[prefixAt[e]:prefixAt[e+1]].
+	nameAt, prefixAt []int32
+	name, prefix     []uint32
+
+	byAcronym, byRaw map[string][]int32
+	byName, byPrefix map[uint32][]int32
+}
+
+// names returns element e's name keys.
+func (k *profileKeys) names(e int) []uint32 { return k.name[k.nameAt[e]:k.nameAt[e+1]] }
+
+// prefixes returns element e's prefix keys.
+func (k *profileKeys) prefixes(e int) []uint32 { return k.prefix[k.prefixAt[e]:k.prefixAt[e+1]] }
+
+// buildProfileKeys compiles the retrieval keys of p. Target acronyms go
+// into the acronym family and raw names into the raw family; a query
+// crosses them (retrieve).
+func buildProfileKeys(p *CompiledProfile) *profileKeys {
+	n := len(p.views)
+	k := &profileKeys{
+		nameAt:    make([]int32, n+1),
+		prefixAt:  make([]int32, n+1),
+		byAcronym: make(map[string][]int32),
+		byRaw:     make(map[string][]int32),
+		byName:    make(map[uint32][]int32, n),
+		byPrefix:  make(map[uint32][]int32, n),
+	}
+	var toks []string
+	for e := range p.views {
+		v, t := &p.views[e], int32(e)
+		toks, k.name, k.prefix = appendNameKeys(v, toks, k.name, k.prefix)
+		k.nameAt[e+1], k.prefixAt[e+1] = int32(len(k.name)), int32(len(k.prefix))
+		a, r := acronymKeys(v)
+		if a != "" {
+			k.byAcronym[a] = append(k.byAcronym[a], t)
+		}
+		if r != "" {
+			k.byRaw[r] = append(k.byRaw[r], t)
+		}
+		for _, id := range k.names(e) {
+			k.byName[id] = append(k.byName[id], t)
+		}
+		for _, x := range k.prefixes(e) {
+			k.byPrefix[x] = append(k.byPrefix[x], t)
+		}
+	}
+	return k
+}
+
+// sparseIndex is a pairing's inverted index over the target elements:
+// the target profile's postings and this pairing's doc family, in
+// compressed form with the pair-local term IDs as slots: the targets of
+// term s are docIDs[docStart[s]:docStart[s+1]], ascending.
+type sparseIndex struct {
+	cols     int
+	keys     *profileKeys
+	docStart []int32
+	docIDs   []int32
+}
+
+// buildSparseIndex indexes the target side dv of a pairing.
+func buildSparseIndex(dv *SchemaView) *sparseIndex {
+	type posting struct{ term, target int32 }
+	var ents []posting
+	var terms []int32
+	slots := 0
+	for j := 0; j < dv.Len(); j++ {
+		if !dv.View(j).HasDoc {
+			continue
+		}
+		terms = topDocTerms(dv.docs[j], terms[:0])
+		for _, id := range terms {
+			ents = append(ents, posting{id, int32(j)})
+		}
+		if m := len(terms); m > 0 {
+			slots = max(slots, int(terms[m-1])+1)
+		}
+	}
+	start := make([]int32, slots+1)
+	for _, e := range ents {
+		start[e.term+1]++
+	}
+	for s := 1; s <= slots; s++ {
+		start[s] += start[s-1]
+	}
+	// start[s] is term s's fill cursor, which leaves it at the term's
+	// end; shifting by one restores the starts.
+	ids := make([]int32, len(ents))
+	for _, e := range ents {
+		ids[start[e.term]] = e.target
+		start[e.term]++
+	}
+	copy(start[1:], start[:slots])
+	start[0] = 0
+	return &sparseIndex{cols: dv.Len(), keys: dv.profile.sparseKeys(), docStart: start, docIDs: ids}
+}
+
+// docTargets returns the targets indexed under pair-local term ID s.
+func (ix *sparseIndex) docTargets(s int32) []int32 {
+	if int(s) >= len(ix.docStart)-1 {
+		return nil
+	}
+	return ix.docIDs[ix.docStart[s]:ix.docStart[s+1]]
 }
 
 // sparseCandidates generates the bounded candidate sets of the given
@@ -293,48 +410,53 @@ func buildSparseIndex(dv *SchemaView) *sparseIndex {
 // runs one tree depth at a time, fanned out over the rows of that depth:
 // only a row's parent writes to its set, so the rows of one depth are
 // independent, and a row's set is complete when its depth comes. Each row
-// is sorted and deduplicated there, so the output does not depend on
-// which worker finishes first. The upward expansion is serial.
+// is sorted and deduplicated there, through the worker's bitmap over the
+// target IDs, so the output does not depend on which worker finishes
+// first. The upward expansion is serial.
 func (e *Engine) sparseCandidates(sv, dv *SchemaView, scope []bool) (cands [][]int32, align [][]float64) {
-	ix := buildSparseIndex(dv)
+	ix, src := buildSparseIndex(dv), sv.profile.sparseKeys()
 	rows := sv.Len()
 	sets := make([][]int32, rows)
 	e.forEachChunk(rows, func(chunks iter.Seq2[int, int]) {
-		r := retriever{ix: ix, acc: make([]float64, dv.Len())}
+		r := retriever{ix: ix, src: src, acc: make([]float64, dv.Len())}
 		for lo, hi := range chunks {
 			for i := lo; i < hi; i++ {
 				if scope == nil || scope[i] {
-					sets[i] = r.retrieve(sv.View(i), sv.docs[i], e.sparseBudget)
+					sets[i] = r.retrieve(i, sv.View(i), sv.docs[i], e.sparseBudget)
 				}
 			}
 		}
 	})
 
 	// A parent's ID is below its children's, so when row i's turn comes
-	// its set still holds only what retrieval put there. last[pj] is the
-	// row pj was last promoted into: siblings promote the same parents,
-	// and skipping the repeats keeps the rows short until they are
+	// its set still holds only what retrieval put there. parent[j] is
+	// target j's parent ID (-1 at a root), read from one flat array
+	// rather than through the element pointers. last[pj] is the row pj
+	// was last promoted into: siblings promote the same parents, and
+	// skipping the repeats keeps the rows short until they are
 	// deduplicated.
+	parent := make([]int32, dv.Len())
 	last := make([]int32, dv.Len())
-	for j := range last {
-		last[j] = -1
+	for j := range parent {
+		parent[j], last[j] = -1, -1
+		if p := dv.View(j).El.Parent; p != nil {
+			parent[j] = int32(p.ID)
+		}
 	}
 	for i := 0; i < rows; i++ {
 		a := sv.View(i).El
 		if a.Parent == nil {
 			continue
 		}
-		pi := a.Parent.ID
+		pi := int32(a.Parent.ID)
 		if scope != nil && !scope[pi] {
 			continue
 		}
 		for _, j := range sets[i] {
-			b := dv.View(int(j)).El
-			if b.Parent == nil || last[b.Parent.ID] == int32(pi) {
-				continue
+			if pj := parent[j]; pj >= 0 && last[pj] != pi {
+				last[pj] = pi
+				sets[pi] = append(sets[pi], pj)
 			}
-			last[b.Parent.ID] = int32(pi)
-			sets[pi] = append(sets[pi], int32(b.Parent.ID))
 		}
 	}
 
@@ -348,9 +470,10 @@ func (e *Engine) sparseCandidates(sv, dv *SchemaView, scope []bool) (cands [][]i
 			}
 		}
 		e.forEachChunk(len(active), func(chunks iter.Seq2[int, int]) {
+			seen := make([]uint64, (dv.Len()+63)/64)
 			for lo, hi := range chunks {
 				for _, i := range active[lo:hi] {
-					align[i] = alignRow(sv.View(int(i)), dv, sets, scope)
+					align[i] = alignRow(sv.View(int(i)), dv, sets, scope, seen)
 				}
 			}
 		})
@@ -375,11 +498,11 @@ func depthLevels(sv *SchemaView) [][]int32 {
 // when av is a container, admits the greedy children alignment of every
 // candidate container into its children's sets (children outside a
 // scoped run's scope are skipped). It returns the alignment totals,
-// parallel to the row, or nil for a leaf row.
-func alignRow(av *ElementView, dv *SchemaView, sets [][]int32, scope []bool) []float64 {
+// parallel to the row, or nil for a leaf row. seen is the worker's
+// all-zero bitmap over the target IDs; it is all zero again on return.
+func alignRow(av *ElementView, dv *SchemaView, sets [][]int32, scope []bool, seen []uint64) []float64 {
 	i := av.El.ID
-	slices.Sort(sets[i])
-	sets[i] = slices.Compact(sets[i])
+	sets[i] = sortDistinct(sets[i], seen)
 	if len(av.children) == 0 {
 		return nil
 	}
@@ -402,63 +525,100 @@ func alignRow(av *ElementView, dv *SchemaView, sets [][]int32, scope []bool) []f
 	return totals
 }
 
-// retriever is one worker's retrieval scratch: the per-target score
-// accumulator (all zero between queries), the targets a query touched,
-// and the query's posting keys.
-type retriever struct {
-	ix      *sparseIndex
-	acc     []float64
-	touched []int32
-	keys    []string
+// sortDistinct rewrites row in place as its sorted, distinct targets:
+// it marks each in the all-zero bitmap seen, then walks the marked words
+// in order, clearing them.
+func sortDistinct(row []int32, seen []uint64) []int32 {
+	lo, hi := len(seen), -1
+	for _, j := range row {
+		w := int(j >> 6)
+		seen[w] |= 1 << (j & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	row = row[:0]
+	for w := lo; w <= hi; w++ {
+		for x := seen[w]; x != 0; x &= x - 1 {
+			row = append(row, int32(w<<6|bits.TrailingZeros64(x)))
+		}
+		seen[w] = 0
+	}
+	return row
 }
 
-// retrieve returns the budget-best targets of one source element (doc is
-// its document vector) by accumulated family-weighted IDF over its
-// posting keys; ties go to the lower target ID. The set is returned in
-// no particular order: the alignment sorts each row.
-func (r *retriever) retrieve(v *ElementView, doc text.Vector, budget int) []int32 {
-	acc := r.acc
-	r.keys = elementKeys(v, doc, r.keys[:0], true)
-	sort.Strings(r.keys)
-	prev := ""
-	for _, k := range r.keys {
-		if k == prev {
-			continue
-		}
-		prev = k
-		post := r.ix.postings[k]
-		if len(post) == 0 {
-			continue
-		}
-		w := r.ix.idf(k)
-		switch k[0] {
-		case 'n':
-			w *= weightName
-		case 'd':
-			w *= weightDoc
-		case 'p':
-			w *= weightPrefix
-		default: // acronym families
-			w *= weightAcronym
-		}
-		for _, j := range post {
-			if acc[j] == 0 {
-				r.touched = append(r.touched, j)
-			}
-			acc[j] += w
-		}
-	}
+// retriever is one worker's retrieval scratch: the per-target score
+// accumulator (all zero between queries), the targets a query touched,
+// and a query's doc keys.
+type retriever struct {
+	ix      *sparseIndex
+	src     *profileKeys // the query side's keys
+	acc     []float64
+	touched []int32
+	doc     []int32
+}
+
+// retrieve returns the budget-best targets of source element i (doc is
+// its document vector) by accumulated family-weighted IDF over its keys;
+// ties go to the lower target ID. The query crosses the acronym
+// families, mirroring acronymOf's two directions: its raw name asks for
+// targets with that token acronym, and its token acronym for targets
+// with that raw name, so DTG retrieves Date_Time_Group and vice versa.
+// The set is returned in no particular order: the alignment sorts each
+// row.
+func (r *retriever) retrieve(i int, v *ElementView, doc text.Vector, budget int) []int32 {
+	r.accumulate(i, v, doc)
 	kept := r.touched
 	if len(kept) > budget {
-		selectTop(kept, budget, acc)
+		selectTop(kept, budget, r.acc)
 		kept = kept[:budget]
 	}
 	out := slices.Clone(kept)
 	for _, j := range r.touched {
-		acc[j] = 0
+		r.acc[j] = 0
 	}
 	r.touched = r.touched[:0]
 	return out
+}
+
+// accumulate adds source element i's key weights into r.acc, family by
+// family in retrieval order, and records each target it touches first.
+func (r *retriever) accumulate(i int, v *ElementView, doc text.Vector) {
+	t := r.ix.keys
+	acronym, raw := acronymKeys(v)
+	if raw != "" {
+		r.add(t.byAcronym[raw], weightAcronym)
+	}
+	if v.HasDoc {
+		r.doc = topDocTerms(doc, r.doc[:0])
+		for _, id := range r.doc {
+			r.add(r.ix.docTargets(id), weightDoc)
+		}
+	}
+	for _, id := range r.src.names(i) {
+		r.add(t.byName[id], weightName)
+	}
+	for _, p := range r.src.prefixes(i) {
+		r.add(t.byPrefix[p], weightPrefix)
+	}
+	if acronym != "" {
+		r.add(t.byRaw[acronym], weightAcronym)
+	}
+}
+
+// add accumulates one key's weight, the inverse document frequency of
+// its posting list over the target side times the family weight, into
+// every target of the list.
+func (r *retriever) add(post []int32, family float64) {
+	if len(post) == 0 {
+		return
+	}
+	w := math.Log(1 + float64(r.ix.cols)/float64(1+len(post)))
+	w *= family
+	for _, j := range post {
+		if r.acc[j] == 0 {
+			r.touched = append(r.touched, j)
+		}
+		r.acc[j] += w
+	}
 }
 
 // selectTop reorders ids so that ids[:k] holds the k best by acc —
@@ -466,17 +626,15 @@ func (r *retriever) retrieve(v *ElementView, doc text.Vector, budget int) []int3
 // quickselect; 0 < k < len(ids)). The order is total, so the kept set is
 // exactly the first k of a full sort.
 func selectTop(ids []int32, k int, acc []float64) {
-	better := func(a, b int32) bool {
-		return acc[a] > acc[b] || (acc[a] == acc[b] && a < b)
-	}
 	lo, hi := 0, len(ids)-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		ids[mid], ids[hi] = ids[hi], ids[mid]
 		pivot, store := ids[hi], lo
+		ps := acc[pivot]
 		for i := lo; i < hi; i++ {
-			if better(ids[i], pivot) {
-				ids[i], ids[store] = ids[store], ids[i]
+			if j := ids[i]; acc[j] > ps || (acc[j] == ps && j < pivot) {
+				ids[i], ids[store] = ids[store], j
 				store++
 			}
 		}

@@ -203,11 +203,13 @@ func TestSparseAcronymRetrieval(t *testing.T) {
 // TestSparseMatchConcurrent exercises the sparse scoring path under the
 // race detector: one shared preprocessed view pair, several goroutines
 // matching concurrently with a multi-worker engine, results identical.
+// The expected result comes from another pairing, so the shared
+// profiles build their retrieval keys under the concurrent matches.
 func TestSparseMatchConcurrent(t *testing.T) {
 	a, b, _ := synth.Pair(11, 20, 18, 10, 6)
 	sv, dv := pairViews(a, b)
 	eng := PresetHarmony().WithOptions(WithSparse(16), WithSparseCutoff(1), WithWorkers(4))
-	want := SelectThreshold(eng.MatchViews(sv, dv).Matrix, 0.4)
+	want := SelectThreshold(eng.MatchViews(pairViews(a, b)).Matrix, 0.4)
 
 	const goroutines = 4
 	results := make([][]Correspondence, goroutines)
@@ -347,4 +349,25 @@ func TestSelectTopKeepsSortedPrefix(t *testing.T) {
 			t.Fatalf("trial %d (n=%d k=%d): kept %v, want %v", trial, n, k, got, want)
 		}
 	}
+}
+
+// BenchmarkSparseCandidates times candidate generation alone — the
+// target index, retrieval, both structural expansions and the children
+// alignment — on the case-study pair, compiled and paired once outside
+// the timer, at the engine's default worker count.
+func BenchmarkSparseCandidates(b *testing.B) {
+	sa, sb, _ := synth.CaseStudy(42)
+	sv, dv := pairViews(sa, sb)
+	eng := PresetHarmony().WithOptions(WithSparse(DefaultSparseBudget))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pairs int
+	for i := 0; i < b.N; i++ {
+		cands, _ := eng.sparseCandidates(sv, dv, nil)
+		pairs = 0
+		for _, row := range cands {
+			pairs += len(row)
+		}
+	}
+	b.ReportMetric(float64(pairs), "pairs/op")
 }

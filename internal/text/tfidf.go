@@ -106,11 +106,16 @@ func (c *Corpus) Vector(tokens []string) Vector {
 }
 
 // ForEach calls f for every non-zero entry of the vector in ascending term
-// order. Candidate-generation indexes use it to enumerate a document's
-// weighted terms without materializing intermediate maps.
-func (v Vector) ForEach(f func(term string, weight float64)) {
+// order, with the entry's pair-local term id (-1 in a vector built without
+// ids, such as Corpus.Vector's). Sparse candidate generation uses it to
+// pick a document's top terms by weight and key them by id.
+func (v Vector) ForEach(f func(term string, id int32, weight float64)) {
 	for i, t := range v.terms {
-		f(t, v.weights[i])
+		id := int32(-1)
+		if v.ids != nil {
+			id = v.ids[i]
+		}
+		f(t, id, v.weights[i])
 	}
 }
 
