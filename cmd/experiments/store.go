@@ -62,10 +62,10 @@ func runE14(cfg config) {
 		for i := 0; i < mutations; i++ {
 			_, err := reg.AddMatch(artifact(i))
 			must(err)
-			must(reg.Save(path))
-			if st, err := os.Stat(path); err == nil {
-				bytesWritten += st.Size()
-			}
+			data, err := reg.SnapshotView(nil).Encode()
+			must(err)
+			must(registry.WriteFileAtomic(path, data))
+			bytesWritten += int64(len(data))
 		}
 		per := time.Since(start) / time.Duration(mutations)
 		fmt.Printf("%-28s %14s %14d\n", "snapshot-per-mutation", per.Round(time.Microsecond), bytesWritten/int64(mutations))

@@ -70,7 +70,6 @@ func runDiff(args []string) {
 func runEvolve(args []string) {
 	fs := flag.NewFlagSet("evolve", flag.ExitOnError)
 	storeDir := fs.String("store-dir", "", "durable store directory (as written by harmonyd -store-dir)")
-	db := fs.String("db", "", "legacy registry JSON file an empty -store-dir imports one-shot")
 	schemaPath := fs.String("schema", "", "next schema version file")
 	name := fs.String("name", "", "registered schema name (default: derived from the file name)")
 	steward := fs.String("steward", "", "steward recorded on the new version")
@@ -88,25 +87,16 @@ func runEvolve(args []string) {
 	}
 	// The upgrade batch is journaled durably (one atomic WAL record) as
 	// it happens. A dry run must leave no trace: an existing store is
-	// opened read-style with the journal detached, and an absent/empty
-	// one is never created (the -db migration snapshot is an on-disk side
-	// effect) — the legacy file is read directly instead.
-	var st *harmony.Store
-	var reg *harmony.Registry
-	var err error
+	// opened read-style with the journal detached, and an absent or empty
+	// one is never created — it holds no schema to preview against.
 	if *dryRun && storeDirEmpty(*storeDir) {
-		if *db == "" {
-			exitOn(fmt.Errorf("dry run: store %s is empty and no -db to preview from", *storeDir))
-		}
-		reg, err = harmony.LoadRegistry(*db)
-		exitOn(err)
-	} else {
-		st, err = harmony.OpenStore(harmony.StoreOptions{Dir: *storeDir, MigrateFrom: *db})
-		exitOn(err)
-		reg = st.Registry()
-		if *dryRun {
-			reg.SetJournal(nil)
-		}
+		exitOn(fmt.Errorf("dry run: store %s is empty", *storeDir))
+	}
+	st, err := harmony.OpenStore(harmony.StoreOptions{Dir: *storeDir})
+	exitOn(err)
+	reg := st.Registry()
+	if *dryRun {
+		reg.SetJournal(nil)
 	}
 	next, err := loadSchema(*schemaPath)
 	exitOn(err)
@@ -140,12 +130,9 @@ func runEvolve(args []string) {
 }
 
 // storeDirEmpty reports whether a store directory holds no durable state
-// yet — the state in which opening it would initialize it (and run the
-// one-shot -db migration). It must match store.Open's own predicate: no
-// snapshot and no WAL segment; bookkeeping files like the single-writer
-// LOCK don't count. Any read failure other than absence aborts: silently
-// previewing against the legacy file when the store exists but cannot be
-// read would show stale state.
+// yet — the state in which opening it would initialize it: no snapshot
+// and no WAL segment; bookkeeping files like the single-writer LOCK
+// don't count. Any read failure other than absence aborts.
 func storeDirEmpty(dir string) bool {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

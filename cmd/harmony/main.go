@@ -7,7 +7,7 @@
 //	harmony -a schemaA.ddl -b schemaB.xsd [flags]
 //	harmony corpus -query schemaA.ddl -dir schemas/ [flags]
 //	harmony diff -old v1.ddl -new v2.ddl [flags]
-//	harmony evolve -store-dir store/ -schema v2.ddl [-db registry.json] [flags]
+//	harmony evolve -store-dir store/ -schema v2.ddl [flags]
 //	harmony ingest -addr http://localhost:8071 <dir|file.ndjson> [flags]
 //
 // Schema format is inferred from the extension: .ddl/.sql relational,
@@ -46,7 +46,8 @@
 // rename detection by the match engine on the changed residue. The evolve
 // subcommand applies a version bump to a schema inside a durable store
 // directory (harmonyd -store-dir; the upgrade commits as one atomic WAL
-// record, and an empty store imports a legacy -db JSON file one-shot):
+// record, and a dry run against an empty or absent store fails without
+// creating it):
 // the version chain is extended, every stored match artifact is migrated
 // through the diff — unchanged elements keep their validated decisions,
 // renamed/moved elements are re-pathed with migrated-from provenance —

@@ -20,9 +20,6 @@
 //	-snapshot-interval D background compaction check cadence (default 1m)
 //	-snapshot-every N    WAL records that trigger snapshot + truncation
 //	                     (default 1024)
-//	-db PATH             legacy registry JSON file that an empty -store-dir
-//	                     imports one-shot; it requires -store-dir and is
-//	                     never written
 //	-preset NAME         default matcher preset (default harmony)
 //	-threshold F         default confidence filter (default 0.4)
 //	-workers N           job worker-pool size (default 2)
@@ -157,7 +154,6 @@ func main() {
 	fsync := flag.String("fsync", "commit", "WAL durability policy with -store-dir: commit, interval or off")
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "background compaction check cadence")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records that trigger snapshot + log truncation")
-	db := flag.String("db", "", "legacy registry JSON file an empty -store-dir imports once (requires -store-dir)")
 	preset := flag.String("preset", "harmony", "default matcher preset")
 	threshold := flag.Float64("threshold", 0.4, "default confidence filter")
 	workers := flag.Int("workers", 2, "job worker-pool size")
@@ -241,7 +237,6 @@ func main() {
 		CacheSize:         *cacheSize,
 		ProfileCache:      *profileCache,
 		StoreDir:          *storeDir,
-		MigrateFrom:       *db,
 		Fsync:             *fsync,
 		SnapshotInterval:  *snapshotInterval,
 		SnapshotEvery:     *snapshotEvery,

@@ -10,9 +10,6 @@
 //	registry -store-dir DIR search "blood test"
 //	registry -store-dir DIR search-schema query.xsd
 //	registry -store-dir DIR cluster
-//
-// An empty store imports a legacy registry JSON file named by -db
-// one-shot; afterwards the store owns the data.
 package main
 
 import (
@@ -27,7 +24,6 @@ import (
 
 func main() {
 	storeDir := flag.String("store-dir", "registry-store", "repository store directory")
-	db := flag.String("db", "", "legacy registry JSON file an empty store imports one-shot")
 	k := flag.Int("k", 10, "search results / example terms")
 	flag.Parse()
 	args := flag.Args()
@@ -44,7 +40,7 @@ func main() {
 		usage()
 	}
 
-	st, err := harmony.OpenStore(harmony.StoreOptions{Dir: *storeDir, MigrateFrom: *db})
+	st, err := harmony.OpenStore(harmony.StoreOptions{Dir: *storeDir})
 	exitOn(err)
 	defer func() { exitOn(st.Close()) }()
 	reg := st.Registry()
@@ -111,7 +107,7 @@ func load(path string) (*harmony.Schema, error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: registry [-store-dir DIR] [-db FILE] {add FILES... | list | search TEXT | search-schema FILE | cluster}")
+	fmt.Fprintln(os.Stderr, "usage: registry [-store-dir DIR] {add FILES... | list | search TEXT | search-schema FILE | cluster}")
 	os.Exit(2)
 }
 

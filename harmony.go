@@ -13,7 +13,6 @@ import (
 	"harmony/internal/export"
 	"harmony/internal/partition"
 	"harmony/internal/registry"
-	"harmony/internal/repl"
 	"harmony/internal/schema"
 	"harmony/internal/search"
 	"harmony/internal/service"
@@ -301,22 +300,19 @@ func NewIndex() *Index { return search.NewIndex() }
 // NewRegistry returns an empty metadata repository.
 func NewRegistry() *Registry { return registry.New() }
 
-// LoadRegistry reads a repository saved with Registry.Save.
-func LoadRegistry(path string) (*Registry, error) { return registry.Load(path) }
-
 // Durable storage: the registry's event-sourced persistence engine. A
 // Store recovers a registry from snapshot + write-ahead-log replay and
 // journals every subsequent mutation (schema add/version/delete, match
-// add/update, atomic upgrade batches) under a configurable fsync policy,
-// replacing save-on-a-timer JSON dumps. Registries without a store keep
-// their in-memory behavior.
+// add/update, atomic upgrade batches) under a configurable fsync policy;
+// its snapshots and WAL are the only way a registry is saved or loaded.
+// Registries without a store keep their in-memory behavior.
 
 type (
 	// Store is the durable WAL + snapshot storage engine bound to one
 	// registry; open with OpenStore.
 	Store = store.Store
 	// StoreOptions configures OpenStore (directory, fsync policy,
-	// snapshot cadence, legacy migration source).
+	// snapshot cadence).
 	StoreOptions = store.Options
 	// StoreStats is the store's operational snapshot (log position,
 	// replay debt, commit counters, last persistence error).
@@ -343,41 +339,8 @@ const (
 )
 
 // OpenStore recovers (or initializes) a durable store directory and
-// returns the engine with its registry attached (Store.Registry). With
-// StoreOptions.MigrateFrom set and an empty directory, a legacy
-// Registry.Save JSON file seeds the first snapshot.
+// returns the engine with its registry attached (Store.Registry).
 var OpenStore = store.Open
-
-// Replication: WAL-shipping leader/follower clusters over the durable
-// store. A leader's store serves snapshot bootstrap plus LSN-ordered
-// record streaming (ReplSource); followers mirror it byte-for-byte by
-// appending the shipped records through the same replay path
-// (ReplFollower); a ReplRouter fans corpus top-k queries across the
-// replica set and merges the partials exactly. The service layer wires
-// all three behind harmonyd's -role/-peer/-replicas flags.
-
-type (
-	// ReplSource serves one store's replication surface (snapshot, WAL
-	// tail with long-poll, status); mount its handlers on the leader.
-	ReplSource = repl.Source
-	// ReplFollower tails a leader's WAL into a local registry (and
-	// store, when present); start with StartReplFollower.
-	ReplFollower = repl.Follower
-	// ReplFollowerOptions configures StartReplFollower (peer URL,
-	// replica ID, target store/registry, poll and retry cadence).
-	ReplFollowerOptions = repl.Options
-	// ReplRouter scatter-gathers corpus top-k queries across replicas.
-	ReplRouter = repl.Router
-)
-
-// NewReplSource wraps a store in its replication serving surface.
-var NewReplSource = repl.NewSource
-
-// StartReplFollower begins tailing the peer's WAL; Stop it to halt.
-var StartReplFollower = repl.StartFollower
-
-// NewReplRouter builds a scatter-gather router over replica base URLs.
-var NewReplRouter = repl.NewRouter
 
 // Workflow entry points.
 

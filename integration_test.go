@@ -6,7 +6,6 @@ package harmony
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -100,8 +99,13 @@ func TestIntegrationPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// --- Step 5: store in the registry with provenance ---
-	reg := NewRegistry()
+	// --- Step 5: store in a durable registry with provenance ---
+	dir := t.TempDir()
+	store, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := store.Registry()
 	if err := reg.AddSchema(a, "org-a"); err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +119,16 @@ func TestIntegrationPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// --- Step 6: persistence round trip preserves everything ---
-	path := filepath.Join(t.TempDir(), "reg.json")
-	if err := reg.Save(path); err != nil {
+	// --- Step 6: a restart of the store preserves everything ---
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadRegistry(path)
+	store, err = OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
+	back := store.Registry()
 	ma, ok := back.Match(id)
 	if !ok {
 		t.Fatal("artifact lost")

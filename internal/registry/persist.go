@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"harmony/internal/schema"
+	"harmony/internal/search"
 )
 
-// persisted is the serialized form of a registry — both the legacy
-// Save/Load JSON file and the payload of a store snapshot.
+// persisted is the serialized form of a registry: the payload of a
+// store snapshot.
 type persisted struct {
 	Schemas []persistedEntry    `json:"schemas"`
 	Matches []persistedArtifact `json:"matches"`
@@ -127,20 +128,6 @@ func (v *SnapshotView) Encode() ([]byte, error) {
 	return data, nil
 }
 
-// Save writes the registry to path as JSON, atomically (temp file, fsync,
-// rename). The registry lock is held only for the pointer copy of the
-// state, never across serialization or disk I/O.
-func (r *Registry) Save(path string) error {
-	data, err := r.SnapshotView(nil).Encode()
-	if err != nil {
-		return fmt.Errorf("registry save: %w", err)
-	}
-	if err := WriteFileAtomic(path, data); err != nil {
-		return fmt.Errorf("registry save: %w", err)
-	}
-	return nil
-}
-
 // WriteFileAtomic writes data to path via a temp file + fsync + rename,
 // so a crash mid-write leaves either the old content or the new, never a
 // torn file.
@@ -165,16 +152,15 @@ func WriteFileAtomic(path string, data []byte) error {
 }
 
 // DecodeSnapshot reconstructs a registry from bytes produced by
-// SnapshotView.Encode (or a legacy Save file — same format). It admits
-// the snapshot the way bulk ingest admits a stream: the envelope is read
-// as a stream, and each schema is parsed once and prepared (stats,
-// fingerprint, index documents) on GOMAXPROCS workers as it arrives;
-// then every current version is admitted in one batch, keeping its
-// recorded registration time and version. Superseded versions rejoin
-// their chains and artifacts are restored verbatim (IDs preserved). The
-// index holds every document in its tail with merges deferred: call
-// CompactIndex once the registry is complete (store.Open does, after
-// replaying its log). The returned registry has no journal attached.
+// SnapshotView.Encode. It admits the snapshot the way bulk ingest admits
+// a stream: the envelope is read as a stream, and each schema is parsed
+// once and prepared (stats, fingerprint, index documents) on GOMAXPROCS
+// workers as it arrives; then every current version is admitted in one
+// batch, keeping its recorded registration time and version. Superseded
+// versions rejoin their chains and artifacts are restored verbatim (IDs
+// preserved). The search index is built from the snapshot's documents
+// at once, both posting spaces fully merged. The returned registry has
+// no journal attached.
 func DecodeSnapshot(data []byte) (*Registry, error) {
 	r := New()
 	if err := r.load(data); err != nil {
@@ -185,43 +171,42 @@ func DecodeSnapshot(data []byte) (*Registry, error) {
 
 // ResetTo replaces the registry's entire contents with a snapshot's —
 // the follower-side write half of replication re-bootstrap. The snapshot
-// is decoded and prepared as DecodeSnapshot does, outside the lock; a
-// snapshot that fails to decode leaves the registry untouched. Its
-// documents then replace the live index's in one batch (the index object
-// stays the same: searches hold it without the registry lock), and the
-// index is built once before ResetTo returns. The attached journal (if
-// any) is kept but NOT notified: like Apply, a reset mirrors state that
-// is already durable elsewhere. Concurrent readers see either the old
-// state or the new, never a mix.
+// is decoded and prepared as DecodeSnapshot does, and its index segments
+// built, outside the registry lock; a snapshot that fails to decode
+// leaves the registry untouched. The new segments then replace the live
+// index's (the index object stays the same: searches hold it without the
+// registry lock). The attached journal (if any) is kept but NOT
+// notified: like Apply, a reset mirrors state that is already durable
+// elsewhere. Concurrent readers see either the old state or the new,
+// never a mix.
 func (r *Registry) ResetTo(data []byte) error {
-	if err := r.load(data); err != nil {
-		return err
-	}
-	r.CompactIndex()
-	return nil
+	return r.load(data)
 }
 
-// load decodes a snapshot outside the lock, then replaces the registry's
-// contents with it: the current versions go through batch admission and
-// their documents to the index in one batch. decodeSnapshot has rejected
-// duplicate names, so every schema is admitted.
+// load decodes a snapshot and builds its index segments outside the
+// lock, then replaces the registry's contents with it: the current
+// versions go through batch admission and the index swaps in the new
+// segments. decodeSnapshot has rejected duplicate names, so every schema
+// is admitted.
 func (r *Registry) load(data []byte) error {
 	c, err := r.decodeSnapshot(data)
 	if err != nil {
 		return err
 	}
+	batch := make([]*PreparedSchema, len(c.current))
+	docs := make([]*search.PreparedDoc, len(c.current))
+	for i, d := range c.current {
+		batch[i], docs[i] = d.ps, d.ps.pd
+	}
+	swapIndex := r.index.Reset(docs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.entries = make(map[string]*Entry, len(c.current))
 	r.history = make(map[string][]*Entry)
 	r.matches = make(map[string]*MatchArtifact, len(c.matches))
 	r.involving = make(map[string]map[string]*MatchArtifact)
-	batch := make([]*PreparedSchema, len(c.current))
-	for i, d := range c.current {
-		batch[i] = d.ps
-	}
-	_, docs := r.admitLocked(batch, make([]error, len(batch)))
-	r.index.Reset(docs)
+	r.admitLocked(batch, make([]error, len(batch)))
+	swapIndex()
 	for _, d := range c.current {
 		e := r.entries[d.ps.Schema.Name]
 		e.Registered = d.pe.Registered
@@ -353,18 +338,4 @@ func unmarshalEnvelope(data []byte, emit func(bool, *decodedEntry), c *snapshotC
 	}
 	c.matches, c.nextID = p.Matches, p.NextID
 	return nil
-}
-
-// Load reads a registry previously written by Save.
-func Load(path string) (*Registry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("registry load: %w", err)
-	}
-	r, err := DecodeSnapshot(data)
-	if err != nil {
-		return nil, fmt.Errorf("registry load: %w", err)
-	}
-	r.CompactIndex()
-	return r, nil
 }

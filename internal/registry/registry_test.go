@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -262,10 +261,23 @@ func TestUpdateMatchValidatesAndPreservesID(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "registry.json")
+// roundTrip is what a store restart does to a registry: encode a
+// snapshot, decode it and compact the index, as store.Open does.
+func roundTrip(t *testing.T, r *Registry) *Registry {
+	t.Helper()
+	data, err := r.SnapshotView(nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back.CompactIndex()
+	return back
+}
 
+func TestSaveLoadRoundTrip(t *testing.T) {
 	r := New()
 	_ = r.AddSchema(personSchema(), "G-6", "personnel")
 	_ = r.AddSchema(individualSchema(), "G-2")
@@ -277,13 +289,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := roundTrip(t, r)
 	if back.Len() != 2 {
 		t.Fatalf("loaded %d schemas", back.Len())
 	}
@@ -322,14 +328,7 @@ func TestSaveLoadPreservesVersionChain(t *testing.T) {
 	if _, err := r.AddVersion(v2, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "reg.json")
-	if err := r.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := roundTrip(t, r)
 	chain := r2.Versions("PersonSys")
 	if len(chain) != 2 || chain[0].Version != 1 || chain[1].Version != 2 {
 		t.Fatalf("chain after reload: %+v", chain)
@@ -343,9 +342,62 @@ func TestSaveLoadPreservesVersionChain(t *testing.T) {
 	}
 }
 
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("expected error for missing file")
+// TestDecodeSnapshotBuildsFlatIndex: a decoded snapshot's documents go
+// straight into the index's flat segments, one build per posting space,
+// with no CompactIndex, and a ResetTo over a populated registry does the
+// same; either way searches rank as on the registry that was encoded.
+func TestDecodeSnapshotBuildsFlatIndex(t *testing.T) {
+	schemas, _, _ := synth.Collection(5, 4, 30)
+	src := New()
+	if _, errs := src.AddSchemas(schemas, "steward"); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	src.CompactIndex()
+	data, err := src.SnapshotView(nil).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fragments := 0
+	for _, s := range schemas {
+		fragments += len(s.Roots())
+	}
+	decoded, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset := New()
+	if err := reset.AddSchema(personSchema(), "G-6"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reset.ResetTo(data); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Registry{"decode": decoded, "reset": reset} {
+		is := r.IndexStats()
+		if is.Merges != 2 {
+			t.Errorf("%s: %d segment builds, want 2 (one per posting space)", name, is.Merges)
+		}
+		if is.TailSchemas != 0 || is.TailFragments != 0 {
+			t.Errorf("%s: %d schemata and %d fragments in the tails, want none", name, is.TailSchemas, is.TailFragments)
+		}
+		if is.FlatSchemas != len(schemas) || is.FlatFragments != fragments || is.Schemas != len(schemas) {
+			t.Errorf("%s: flat segments hold %d schemata (%d live) and %d fragments, want %d and %d",
+				name, is.FlatSchemas, is.Schemas, is.FlatFragments, len(schemas), fragments)
+		}
+		for _, q := range schemas[:8] {
+			want, got := src.SearchSchema(q, 5), r.SearchSchema(q, 5)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d results for %s, want %d", name, len(got), q.Name, len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s: result %d for %s = %+v, want %+v", name, i, q.Name, got[i], want[i])
+				}
+			}
+		}
+	}
+	if _, ok := reset.Schema("PersonSys"); ok {
+		t.Error("ResetTo kept a schema the snapshot does not hold")
 	}
 }
 

@@ -2,12 +2,11 @@ package schema
 
 import (
 	"bytes"
-	"hash/maphash"
-	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 
 	"harmony/internal/jsonlex"
+	"harmony/internal/text"
 )
 
 // Fast path for ParseJSON.
@@ -36,57 +35,25 @@ import (
 // Bailing is never wrong — only slower — so the fast path stays
 // conservative.
 
-// byteIntern is a bounded canonical-string table. Element names and doc
+// strIntern is a bounded canonical-string table. Element names and doc
 // strings repeat massively across a schema corpus; returning one shared
 // string per distinct value makes parsing allocation-free for repeated
-// content (the map lookup on a []byte key does not allocate).
-//
-// Restart parses snapshot schemas on every core at once, so the table
-// is split into internShards shards by key hash: parsers looking up
-// different names take different read locks instead of all bumping one
-// mutex's reader count.
-type byteIntern struct {
-	seed   maphash.Seed
-	shards [internShards]internShard
-}
+// content. Restart parses snapshot schemas on every core at once, and a
+// hit takes no lock: it reads the table's published map by the []byte
+// key, which does not allocate either.
+var strIntern text.Memo[string]
 
-type internShard struct {
-	mu sync.RWMutex
-	m  map[string]string
-	_  [64]byte // keeps neighbouring shards' locks off one cache line
-}
+// internMaxKeyLen bounds the strings worth interning.
+const internMaxKeyLen = 256
 
-const (
-	internShards    = 16
-	internEntryCap  = 1 << 17 // over all shards
-	internMaxKeyLen = 256
-)
-
-var strIntern = newByteIntern()
-
-func newByteIntern() *byteIntern {
-	bi := &byteIntern{seed: maphash.MakeSeed()}
-	for i := range bi.shards {
-		bi.shards[i].m = make(map[string]string, 4096/internShards)
-	}
-	return bi
-}
-
-func (bi *byteIntern) get(b []byte) string {
-	sh := &bi.shards[maphash.Bytes(bi.seed, b)%internShards]
-	sh.mu.RLock()
-	s, ok := sh.m[string(b)]
-	sh.mu.RUnlock()
-	if ok {
+// internBytes returns the canonical string equal to b.
+func internBytes(b []byte) string {
+	if s, ok := strIntern.LoadBytes(b); ok {
 		return s
 	}
-	s = string(b)
+	s := string(b)
 	if len(b) <= internMaxKeyLen {
-		sh.mu.Lock()
-		if len(sh.m) < internEntryCap/internShards {
-			sh.m[s] = s
-		}
-		sh.mu.Unlock()
+		strIntern.Store(s, s)
 	}
 	return s
 }
@@ -144,7 +111,7 @@ func (p *fastParser) parseStringValue(prev string, intern bool) (string, bool) {
 		return "", false
 	}
 	if intern {
-		return strIntern.get(b), true
+		return internBytes(b), true
 	}
 	return string(b), true
 }

@@ -163,7 +163,7 @@ func TestParseJSONFastUsesFastPath(t *testing.T) {
 
 // TestParseJSONFastConcurrent parses overlapping schemas from several
 // goroutines at once, as restart workers do, so the race detector sees
-// the sharded intern table under concurrent inserts and lookups. Every
+// the intern table under concurrent inserts and lookups. Every
 // parse must give the serial parse's marshal form, and repeated names
 // must come back as one canonical string.
 func TestParseJSONFastConcurrent(t *testing.T) {
@@ -210,8 +210,22 @@ func TestParseJSONFastConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	name := []byte("shared_column_0")
-	if a, b := strIntern.get(name), strIntern.get(name); unsafe.StringData(a) != unsafe.StringData(b) {
+	if a, b := internBytes(name), internBytes(name); unsafe.StringData(a) != unsafe.StringData(b) {
 		t.Fatal("a repeated name was not interned to one string")
+	}
+}
+
+// TestInternHitAllocationFree: looking up an interned string by its
+// bytes allocates nothing.
+func TestInternHitAllocationFree(t *testing.T) {
+	name := []byte("intern_hit_column")
+	want := internBytes(name)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if internBytes(name) != want {
+			t.Fatal("intern hit returned another string")
+		}
+	}); allocs != 0 {
+		t.Fatalf("an intern hit allocated %.1f times", allocs)
 	}
 }
 

@@ -147,7 +147,7 @@ func TestBlockMaxMatchesExhaustive(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			schemas, _, _ := synth.Collection(seed, 5, 8) // 40 schemas
 			ix := NewIndex()
-			ix.Tune(8) // tiny merge floor: every few ops crosses a merge
+			ix.tailMerge = 8 // tiny merge floor: every few ops crosses a merge
 			ref := newNaiveRef()
 
 			live := make(map[string]*schema.Schema)
@@ -196,7 +196,7 @@ func TestBlockMaxMatchesExhaustive(t *testing.T) {
 func TestBlockMaxExactUnderConcurrentChurn(t *testing.T) {
 	schemas, _, _ := synth.Collection(11, 4, 6)
 	ix := NewIndex()
-	ix.Tune(16)
+	ix.tailMerge = 16
 	for _, s := range schemas {
 		ix.Add(s)
 	}
@@ -260,7 +260,7 @@ func TestBlockMaxExactUnderConcurrentChurn(t *testing.T) {
 func TestFragmentSearchExact(t *testing.T) {
 	schemas, _, _ := synth.Collection(23, 4, 10)
 	ix := NewIndex()
-	ix.Tune(8)
+	ix.tailMerge = 8
 	for _, s := range schemas {
 		ix.Add(s)
 	}

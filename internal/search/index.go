@@ -232,7 +232,10 @@ type Index struct {
 	frags   space
 	// byName maps a schema name to its documents in both spaces.
 	byName map[string]*nameDocs
-	// tailMerge overrides the merge floor (0 = default); see Tune.
+	// tailMerge overrides the merge floor (0 = the default mergeFloor): a
+	// space merges its tail into the flat segment once the tail reaches
+	// max(tailMerge, flatDocs/8) documents. Tests set a small floor to
+	// merge every few operations.
 	tailMerge int
 
 	// Lifetime counters, read via IndexStats.
@@ -256,16 +259,6 @@ func NewIndex() *Index {
 		frags:   newSpace(true),
 		byName:  make(map[string]*nameDocs),
 	}
-}
-
-// Tune overrides the tail-merge floor: a space merges its tail into the
-// flat segment once the tail reaches max(tailMerge, flatDocs/8)
-// documents. 0 restores the default (512). Smaller floors keep more of
-// the corpus in the block-max tier at the cost of more frequent merges.
-func (ix *Index) Tune(tailMerge int) {
-	ix.mu.Lock()
-	ix.tailMerge = tailMerge
-	ix.mu.Unlock()
 }
 
 // handleFromIDs compiles pre-interned token IDs into a document handle:
@@ -447,27 +440,69 @@ func (ix *Index) AddPrepared(docs []*PreparedDoc) {
 	ix.mu.Unlock()
 }
 
-// Reset replaces the index's entire contents with docs under one lock
-// acquisition, with merge checks deferred like AddPrepared: the previous
-// documents and segments are dropped outright, and docs wait in the tails
-// for the next merge (Compact builds them once). Lifetime counters and
-// the merge floor are kept. A registry re-bootstrapping from a snapshot
-// uses it, because searches hold the index pointer without the
-// registry's lock, so the index object itself must not be swapped.
-func (ix *Index) Reset(docs []*PreparedDoc) {
-	ix.mu.Lock()
-	// An in-flight merge would install into the space being dropped.
-	for ix.schemas.merging || ix.frags.merging {
-		ix.mu.Unlock()
-		ix.quiesce()
-		ix.mu.Lock()
-	}
-	ix.schemas, ix.frags = newSpace(false), newSpace(true)
-	ix.byName = make(map[string]*nameDocs, len(docs))
+// Reset builds a replacement of the index's entire contents from docs,
+// which must name distinct schemata, and returns swap, which installs it.
+// Both flat segments are built at once, concurrently and without the
+// index lock; swap takes the lock only to drop the previous documents
+// and segments and put the new ones in place, with empty tails. A
+// registry loading a snapshot calls swap under its own lock, so readers
+// see its old state or its new one, never a mix; the index object itself
+// stays, because searches hold it without the registry's lock. Lifetime
+// counters and the merge floor are kept.
+func (ix *Index) Reset(docs []*PreparedDoc) (swap func()) {
+	byName := make(map[string]*nameDocs, len(docs))
+	var schemaDocs, fragDocs []*docHandle
 	for _, pd := range docs {
-		ix.addPreparedLocked(pd)
+		byName[pd.name] = &nameDocs{doc: pd.doc, frags: pd.frags}
+		schemaDocs = append(schemaDocs, pd.doc)
+		fragDocs = append(fragDocs, pd.frags...)
 	}
-	ix.mu.Unlock()
+	t0 := time.Now()
+	var frags space
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		frags = flatSpace(true, fragDocs)
+	}()
+	schemas := flatSpace(false, schemaDocs)
+	wg.Wait()
+	elapsed := time.Since(t0).Nanoseconds()
+	return func() {
+		ix.mu.Lock()
+		// An in-flight merge would install into the space being dropped.
+		for ix.schemas.merging || ix.frags.merging {
+			ix.mu.Unlock()
+			ix.quiesce()
+			ix.mu.Lock()
+		}
+		ix.schemas, ix.frags, ix.byName = schemas, frags, byName
+		for _, sp := range []*space{&ix.schemas, &ix.frags} {
+			if sp.flat != nil {
+				ix.merges++
+				ix.lastMergeNanos = elapsed
+			}
+		}
+		ix.mu.Unlock()
+	}
+}
+
+// flatSpace returns a space whose flat segment holds handles, in order,
+// and whose tail is empty.
+func flatSpace(frag bool, handles []*docHandle) space {
+	sp := newSpace(frag)
+	if len(handles) == 0 {
+		return sp
+	}
+	t0 := time.Now()
+	sp.flat = buildSegment(handles)
+	for i, h := range handles {
+		h.flatID, h.inFlat = int32(i), true
+		sp.alive++
+		sp.totalLen += int64(h.length)
+	}
+	obsMergeDone(time.Since(t0))
+	return sp
 }
 
 func (ix *Index) addPreparedLocked(pd *PreparedDoc) {

@@ -97,8 +97,7 @@ type Server struct {
 // New builds a server from the config.
 //
 // With cfg.StoreDir set, the durable storage engine owns persistence:
-// the registry is recovered from snapshot + WAL replay (importing the
-// legacy cfg.MigrateFrom file one-shot if the store is empty), every
+// the registry is recovered from snapshot + WAL replay, every
 // mutation commits to the WAL per-op under cfg.Fsync, and a background
 // loop snapshots + truncates the log once it outgrows cfg.SnapshotEvery.
 // Without a store the registry lives in memory only.
@@ -130,7 +129,6 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 			Dir:           cfg.StoreDir,
 			Fsync:         store.FsyncPolicy(cfg.Fsync),
 			SnapshotEvery: cfg.SnapshotEvery,
-			MigrateFrom:   cfg.MigrateFrom,
 			Logf:          logf,
 		})
 		if err != nil {

@@ -71,11 +71,6 @@ type Config struct {
 	// snapshots bound crash-recovery replay. Empty keeps the registry in
 	// memory only.
 	StoreDir string
-	// MigrateFrom names a legacy registry JSON file (as written by
-	// Registry.Save) that an empty store imports one-shot; afterwards the
-	// store owns the data and the file is no longer read. It requires
-	// StoreDir.
-	MigrateFrom string
 	// Fsync is the WAL durability policy when StoreDir is set: "commit"
 	// (default; a returned mutation is durable), "interval" (amortized
 	// background syncs) or "off".
@@ -173,9 +168,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ProfileCache == 0 {
 		c.ProfileCache = core.DefaultProfileCacheSize
-	}
-	if c.MigrateFrom != "" && c.StoreDir == "" {
-		return c, fmt.Errorf("service: migrating %s needs a store directory", c.MigrateFrom)
 	}
 	if _, err := store.ParseFsyncPolicy(c.Fsync); err != nil {
 		return c, fmt.Errorf("service: %w", err)

@@ -13,7 +13,6 @@ func TestConfigRejectsInvalid(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"migrate without store", Config{MigrateFrom: "registry.json"}, "needs a store directory"},
 		{"negative profile cache", Config{ProfileCache: -1}, "negative profile cache"},
 		{"unknown preset", Config{Preset: "nope"}, "unknown preset"},
 		{"threshold above one", Config{Threshold: 1.5}, "out of [0,1]"},

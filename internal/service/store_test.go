@@ -201,56 +201,6 @@ func TestKill9UnderConcurrentCorpusTraffic(t *testing.T) {
 	}
 }
 
-// TestServerStoreMigratesLegacyDB: StoreDir + MigrateFrom imports the legacy
-// JSON once, and the store owns the data afterwards.
-func TestServerStoreMigratesLegacyDB(t *testing.T) {
-	legacyPath := filepath.Join(t.TempDir(), "registry.json")
-	legacy := registry.New()
-	if err := legacy.AddSchema(testSchema("alpha", "id"), "ops"); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.AddSchema(testSchema("beta", "id"), "ops"); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Save(legacyPath); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	cfg := Config{StoreDir: dir, MigrateFrom: legacyPath, Fsync: "commit"}
-	srv, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Registry().Len() != 2 {
-		t.Fatalf("migration loaded %d schemata, want 2", srv.Registry().Len())
-	}
-	if err := srv.Registry().AddSchema(testSchema("gamma", "id"), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with the same config: the legacy file must not clobber the
-	// newer store contents, and the legacy file itself must be untouched.
-	srv2, err := New(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	if srv2.Registry().Len() != 3 {
-		t.Fatalf("reopen lost store mutations: %d schemata, want 3", srv2.Registry().Len())
-	}
-	reloaded, err := registry.Load(legacyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.Len() != 2 {
-		t.Fatalf("legacy file was modified: %d schemata, want 2", reloaded.Len())
-	}
-}
-
 // TestServerStoreStatsServed: /v1/stats carries the store block when the
 // engine is on, and omits it for an in-memory server.
 func TestServerStoreStatsServed(t *testing.T) {

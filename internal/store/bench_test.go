@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -65,11 +64,26 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// writeFullSnapshot re-marshals the whole registry and rewrites path
+// atomically (fsync + rename), returning the bytes written: per-op
+// durability without a log.
+func writeFullSnapshot(tb testing.TB, reg *registry.Registry, path string) int {
+	tb.Helper()
+	data, err := reg.SnapshotView(nil).Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := registry.WriteFileAtomic(path, data); err != nil {
+		tb.Fatal(err)
+	}
+	return len(data)
+}
+
 // BenchmarkSnapshotPerMutation prices the pre-store strategy at its
 // honest per-mutation cost: every mutation re-marshals and rewrites the
 // whole 200-schema registry (what "durability" meant when the only
-// mechanism was Registry.Save on a timer — per-op durability would have
-// required exactly this).
+// mechanism was a full JSON dump on a timer — per-op durability would
+// have required exactly this).
 func BenchmarkSnapshotPerMutation(b *testing.B) {
 	reg := registry.New()
 	sa, sb := corpus200(b, reg)
@@ -79,9 +93,7 @@ func BenchmarkSnapshotPerMutation(b *testing.B) {
 		if _, err := reg.AddMatch(benchArtifact(sa, sb, i)); err != nil {
 			b.Fatal(err)
 		}
-		if err := reg.Save(path); err != nil {
-			b.Fatal(err)
-		}
+		writeFullSnapshot(b, reg, path)
 	}
 }
 
@@ -124,7 +136,7 @@ func BenchmarkStoreRecover(b *testing.B) {
 // on the 200-schema registry, the bytes the WAL writes per mutation must
 // undercut a full snapshot per mutation by at least 10x. The WAL side is
 // the growth of Stats.AppendedBytes per AddMatch; the snapshot side is the
-// size of the file Registry.Save rewrites after every mutation. Wall
+// size of the full snapshot rewritten after every mutation. Wall
 // times are logged, not gated.
 func TestWALCheaperThanSnapshotPerMutation(t *testing.T) {
 	if testing.Short() {
@@ -159,8 +171,8 @@ func TestWALCheaperThanSnapshotPerMutation(t *testing.T) {
 	walBytes := st.Stats().AppendedBytes - walBefore
 	st.Close()
 
-	// Snapshot-per-mutation path: same mutations, Registry.Save each time;
-	// every Save rewrites the whole file.
+	// Snapshot-per-mutation path: same mutations, each followed by a
+	// rewrite of the whole registry file.
 	regSnap := registry.New()
 	sa, sb := corpus200(t, regSnap)
 	path := filepath.Join(t.TempDir(), "registry.json")
@@ -170,14 +182,7 @@ func TestWALCheaperThanSnapshotPerMutation(t *testing.T) {
 		if _, err := regSnap.AddMatch(benchArtifact(sa, sb, i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := regSnap.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapBytes += uint64(fi.Size())
+		snapBytes += uint64(writeFullSnapshot(t, regSnap, path))
 	}
 	snapTotal := time.Since(startSnap)
 

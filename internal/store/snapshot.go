@@ -11,8 +11,8 @@ import (
 	"harmony/internal/registry"
 )
 
-// Snapshots are full registry serializations (the same JSON the legacy
-// Registry.Save wrote) named for the highest LSN they cover:
+// Snapshots are full registry serializations (registry.SnapshotView's
+// Encode) named for the highest LSN they cover:
 //
 //	snap-<lsn hex>.json
 //

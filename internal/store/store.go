@@ -1,11 +1,11 @@
 // Package store is the registry's durable storage engine: an
-// event-sourced write-ahead log plus snapshot store that replaces the
-// timer-based JSON dump the service layer used to rely on. The paper's
-// durable enterprise asset is the repository of schemas and
-// human-validated mappings — so every accepted mutation is appended to a
-// segmented, CRC-checksummed WAL (O(delta) per mutation) before the next
-// crash can see it, snapshots bound replay time, and recovery is
-// snapshot-load + WAL replay tolerating a torn tail record.
+// event-sourced write-ahead log plus snapshot store, the only way a
+// registry is saved or loaded. The paper's durable enterprise asset is
+// the repository of schemas and human-validated mappings — so every
+// accepted mutation is appended to a segmented, CRC-checksummed WAL
+// (O(delta) per mutation) before the next crash can see it, snapshots
+// bound replay time, and recovery is snapshot-load + WAL replay
+// tolerating a torn tail record.
 //
 // The store plugs into the registry through its journal interface: Open
 // recovers the registry from disk and attaches itself, after which every
@@ -67,11 +67,6 @@ type Options struct {
 	// SnapshotEvery is the record-count threshold ShouldSnapshot uses to
 	// suggest compaction (default 1024).
 	SnapshotEvery int
-	// MigrateFrom names a legacy Registry.Save JSON file. When the store
-	// directory holds no snapshot and no WAL and this file exists, its
-	// contents become the store's first snapshot — the one-shot migration
-	// path off timer-based dumps. The legacy file itself is not touched.
-	MigrateFrom string
 	// Logf receives operational messages (nil for silence).
 	Logf func(format string, args ...any)
 }
@@ -131,7 +126,6 @@ type Stats struct {
 	// Replayed / RecoveredTornTail describe the last Open.
 	Replayed          int  `json:"replayed"`
 	RecoveredTornTail bool `json:"recoveredTornTail"`
-	Migrated          bool `json:"migrated,omitempty"`
 	// LastError is the most recent persistence failure ("" when healthy);
 	// /healthz degrades on it.
 	LastError string `json:"lastError,omitempty"`
@@ -159,7 +153,6 @@ type Store struct {
 	lastSnapAt   time.Time
 	replayed     int
 	tornTail     bool
-	migrated     bool
 	lastErr      error
 	stopInterval chan struct{}
 	intervalDone chan struct{}
@@ -169,16 +162,17 @@ type Store struct {
 // Open recovers (or initializes) a store directory and returns the engine
 // with its registry journal attached: load the newest decodable snapshot,
 // replay every later WAL record — tolerating a torn tail — and continue
-// the log from there. With MigrateFrom set and an empty directory, the
-// legacy JSON file seeds the first snapshot.
+// the log from there. The snapshot and the WAL are the only way a
+// registry is saved or loaded.
 //
 // Recovery is a bulk ingest. The snapshot's schemas are parsed and
 // prepared on every core as its envelope streams by, and admitted in
-// one batch (registry.DecodeSnapshot); each WAL record's schemas are
-// prepared in parallel outside the registry lock (registry.Apply).
-// Both defer the search index's merges, and Open builds each posting
-// space once before it returns, so the first query after a restart
-// meets a fully merged index.
+// one batch (registry.DecodeSnapshot), which builds the search index's
+// flat segments straight from their documents. Each WAL record's
+// schemas are prepared in parallel outside the registry lock
+// (registry.Apply), with the index's merges deferred; Open folds the
+// replayed documents in once before it returns, so the first query
+// after a restart meets a fully merged index.
 func Open(opts Options) (*Store, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
@@ -204,45 +198,13 @@ func Open(opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	segs, err := listSegments(opts.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 
 	s := &Store{opts: opts}
 
-	// One-shot migration off a legacy timer-dumped JSON file. The loaded
-	// registry is used directly (no decode round trip of the snapshot we
-	// just wrote).
+	// Newest decodable snapshot wins; a corrupt one falls back to its
+	// predecessor (the WAL still holds the delta, so nothing is lost).
 	var reg *registry.Registry
-	if len(snaps) == 0 && len(segs) == 0 && opts.MigrateFrom != "" {
-		if _, statErr := os.Stat(opts.MigrateFrom); statErr == nil {
-			legacy, err := registry.Load(opts.MigrateFrom)
-			if err != nil {
-				return nil, fmt.Errorf("store: migrating %s: %w", opts.MigrateFrom, err)
-			}
-			data, err := legacy.SnapshotView(nil).Encode()
-			if err != nil {
-				return nil, fmt.Errorf("store: migrating %s: %w", opts.MigrateFrom, err)
-			}
-			if err := writeSnapshot(opts.Dir, 0, data); err != nil {
-				return nil, fmt.Errorf("store: migrating %s: %w", opts.MigrateFrom, err)
-			}
-			reg = legacy
-			s.migrated = true
-			opts.Logf("store: migrated legacy registry %s into %s (%d schemata, %d artifacts)",
-				opts.MigrateFrom, opts.Dir, legacy.Len(), legacy.MatchCount())
-		}
-	}
-
-	// Newest decodable snapshot wins (unless migration already produced
-	// the state); a corrupt one falls back to its predecessor (the WAL
-	// still holds the delta, so nothing is lost).
 	for _, lsn := range snaps {
-		if reg != nil {
-			break
-		}
-
 		data, err := os.ReadFile(filepath.Join(opts.Dir, snapshotName(lsn)))
 		if err == nil {
 			if r, derr := registry.DecodeSnapshot(data); derr == nil {
@@ -356,7 +318,7 @@ func (s *Store) Snapshot() error {
 	var lsn uint64
 	view := s.reg.SnapshotView(func() { lsn = s.wal.LastLSN() })
 	s.mu.Lock()
-	already := lsn == s.snapshotLSN && (s.snapshots > 0 || s.migrated || lsn > 0)
+	already := lsn == s.snapshotLSN && (s.snapshots > 0 || lsn > 0)
 	s.mu.Unlock()
 	if already {
 		return nil
@@ -447,7 +409,6 @@ func (s *Store) Stats() Stats {
 		SegmentBytes:      segBytes,
 		Replayed:          s.replayed,
 		RecoveredTornTail: s.tornTail,
-		Migrated:          s.migrated,
 		Pins:              len(s.pins),
 	}
 	for _, lsn := range s.pins {

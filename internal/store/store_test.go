@@ -145,54 +145,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreMigratesLegacyJSON seeds a store from a Registry.Save file —
-// the one-shot path off timer-based dumps — and checks it happens once.
-func TestStoreMigratesLegacyJSON(t *testing.T) {
-	legacy := registry.New()
-	if err := legacy.AddSchema(testSchema("legacy", "id", "name"), "ops"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.AddMatch(registry.MatchArtifact{
-		SchemaA: "legacy", SchemaB: "legacy",
-		Pairs: []registry.AssertedMatch{{PathA: "legacy_root/id", PathB: "legacy_root/name", Score: 0.5, Status: registry.StatusAccepted}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	dbPath := filepath.Join(t.TempDir(), "registry.json")
-	if err := legacy.Save(dbPath); err != nil {
-		t.Fatal(err)
-	}
-	legacyBytes, _ := os.ReadFile(dbPath)
-
-	dir := t.TempDir()
-	st := mustOpen(t, Options{Dir: dir, MigrateFrom: dbPath})
-	if !st.Stats().Migrated {
-		t.Fatal("expected Migrated stat")
-	}
-	if got, want := encode(t, st.Registry()), encode(t, legacy); !bytes.Equal(got, want) {
-		t.Fatalf("migrated state diverged from legacy file")
-	}
-	// Mutate the store, close, reopen with the same MigrateFrom: the
-	// legacy file must NOT be re-imported over the newer store state.
-	if err := st.Registry().AddSchema(testSchema("fresh", "x"), ""); err != nil {
-		t.Fatal(err)
-	}
-	want := encode(t, st.Registry())
-	st.Close()
-	st2 := mustOpen(t, Options{Dir: dir, MigrateFrom: dbPath})
-	defer st2.Close()
-	if st2.Stats().Migrated {
-		t.Fatal("second open re-ran the migration")
-	}
-	if got := encode(t, st2.Registry()); !bytes.Equal(want, got) {
-		t.Fatalf("reopen lost post-migration mutations")
-	}
-	// And the legacy file is untouched.
-	if now, _ := os.ReadFile(dbPath); !bytes.Equal(now, legacyBytes) {
-		t.Fatal("migration modified the legacy file")
-	}
-}
-
 // TestStoreSegmentRotationAndCompaction forces tiny segments, checks the
 // log rotates, then snapshots and checks covered segments are deleted
 // while recovery still works.

@@ -34,22 +34,23 @@ const memoEntryCap = 1 << 17
 // documentation blobs — where a cache entry costs more than re-lexing.
 const memoMaxKeyLen = 1 << 10
 
-// lexMemo is one bounded concurrent memo table, tuned for the
-// read-heavy steady state: loads hit an immutable published snapshot —
-// a plain map read behind one atomic pointer load, no locks, several
-// times cheaper than sync.Map — and at bulk-ingest rates the memo
-// lookup itself was the profile's hottest line. Stores go to a
-// mutex-guarded superset map that is republished as the snapshot when
-// it outgrows the published one by ~25%, so the copy cost amortizes
-// geometrically and recently stored keys are visible (via the slow
-// path) even before republication.
-type lexMemo[V any] struct {
+// Memo is one bounded concurrent memo table, tuned for the read-heavy
+// steady state: loads hit an immutable published snapshot — a plain map
+// read behind one atomic pointer load, no locks, several times cheaper
+// than sync.Map — and at bulk-ingest rates the memo lookup itself was
+// the profile's hottest line. Stores go to a mutex-guarded superset map
+// that is republished as the snapshot when it outgrows the published
+// one by ~25%, so the copy cost amortizes geometrically and recently
+// stored keys are visible (via the slow path) even before
+// republication. The zero value is an empty table.
+type Memo[V any] struct {
 	snap atomic.Pointer[map[string]V]
 	mu   sync.Mutex
 	all  map[string]V
 }
 
-func (c *lexMemo[V]) load(key string) (V, bool) {
+// Load looks key up.
+func (c *Memo[V]) Load(key string) (V, bool) {
 	if m := c.snap.Load(); m != nil {
 		if v, ok := (*m)[key]; ok {
 			return v, true
@@ -61,8 +62,22 @@ func (c *lexMemo[V]) load(key string) (V, bool) {
 	return v, ok
 }
 
-// store inserts v unless the table is at capacity.
-func (c *lexMemo[V]) store(key string, v V) {
+// LoadBytes is Load for a key held as bytes; it does not allocate.
+func (c *Memo[V]) LoadBytes(key []byte) (V, bool) {
+	if m := c.snap.Load(); m != nil {
+		if v, ok := (*m)[string(key)]; ok {
+			return v, true
+		}
+	}
+	c.mu.Lock()
+	v, ok := c.all[string(key)]
+	c.mu.Unlock()
+	return v, ok
+}
+
+// Store inserts v unless the table is at capacity (1<<17 entries) or
+// key is longer than 1 KiB.
+func (c *Memo[V]) Store(key string, v V) {
 	if len(key) > memoMaxKeyLen {
 		return
 	}
@@ -91,10 +106,10 @@ type lexedName struct {
 }
 
 var (
-	nameMemo   lexMemo[lexedName] // element names -> lexical forms
-	docMemo    lexMemo[[]string]  // documentation strings -> token stream
-	nameIDMemo lexMemo[[]uint32]  // element names -> interned IDs
-	docIDMemo  lexMemo[[]uint32]  // documentation strings -> interned IDs
+	nameMemo   Memo[lexedName] // element names -> lexical forms
+	docMemo    Memo[[]string]  // documentation strings -> token stream
+	nameIDMemo Memo[[]uint32]  // element names -> interned IDs
+	docIDMemo  Memo[[]uint32]  // documentation strings -> interned IDs
 )
 
 // clip removes spare capacity so appends by callers copy instead of
@@ -107,7 +122,7 @@ func clip(s []string) []string { return s[:len(s):len(s)] }
 // for acronym detection. The returned slice is shared — treat it as
 // read-only; appending to it is safe, writing through it is not.
 func LexName(name string) ([]string, string) {
-	if ln, ok := nameMemo.load(name); ok {
+	if ln, ok := nameMemo.Load(name); ok {
 		return ln.norm, ln.raw
 	}
 	rawToks := Tokenize(name)
@@ -115,7 +130,7 @@ func LexName(name string) ([]string, string) {
 		norm: clip(NormalizeTokens(rawToks, DefaultNormalize)),
 		raw:  strings.Join(NormalizeTokens(rawToks, NormalizeOptions{DropNumeric: true}), ""),
 	}
-	nameMemo.store(name, ln)
+	nameMemo.Store(name, ln)
 	return ln.norm, ln.raw
 }
 
@@ -130,11 +145,11 @@ func clipIDs(s []uint32) []uint32 { return s[:len(s):len(s)] }
 // content being indexed, never for throwaway queries. The returned slice
 // is shared — read-only; appending is safe, writing through is not.
 func NormalizeNameIDs(name string) []uint32 {
-	if ids, ok := nameIDMemo.load(name); ok {
+	if ids, ok := nameIDMemo.Load(name); ok {
 		return ids
 	}
 	ids := clipIDs(InternAll(nil, NormalizeName(name)))
-	nameIDMemo.store(name, ids)
+	nameIDMemo.Store(name, ids)
 	return ids
 }
 
@@ -144,11 +159,11 @@ func NormalizeDocIDs(doc string) []uint32 {
 	if doc == "" {
 		return nil
 	}
-	if ids, ok := docIDMemo.load(doc); ok {
+	if ids, ok := docIDMemo.Load(doc); ok {
 		return ids
 	}
 	ids := clipIDs(InternAll(nil, NormalizeDoc(doc)))
-	docIDMemo.store(doc, ids)
+	docIDMemo.Store(doc, ids)
 	return ids
 }
 
@@ -159,10 +174,10 @@ func normalizeDocMemo(doc string) []string {
 	if doc == "" {
 		return nil
 	}
-	if toks, ok := docMemo.load(doc); ok {
+	if toks, ok := docMemo.Load(doc); ok {
 		return toks
 	}
 	toks := clip(NormalizeTokens(Tokenize(doc), DocNormalize))
-	docMemo.store(doc, toks)
+	docMemo.Store(doc, toks)
 	return toks
 }
