@@ -309,9 +309,10 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 	return &Result{Src: sv, Dst: dv, Matrix: sm, Scored: sm.Pairs()}
 }
 
-// pairScratch is one worker's scoring state, handed to every Vote: the
-// pairing being scored, whose document vectors the voters read; the
-// hybrid name-similarity memo; and the recorded alignment total.
+// pairScratch is one worker's scoring state: the pairing being scored,
+// whose document vectors the voters read; the hybrid name-similarity
+// memo; and the row buffers of scoreRow, which a pooled scratch keeps,
+// so scoring allocates nothing per row or per chunk.
 //
 // The memo is keyed by name-shape pairs (see shapeOf), a flat
 // open-addressed table (nameMemo). Shapes intern exact name token
@@ -321,17 +322,15 @@ func (e *Engine) MatchScoped(sv, dv *SchemaView, elements []*schema.Element) *Re
 // pool. Size is bounded at put-back. (Path votes are not memoized:
 // paths are nearly unique per element, and their token signatures
 // already prove most pairs 0 without a scan.)
-//
-// aligned and alignTotal carry the children-alignment total that sparse
-// candidate generation recorded for the pair being scored to the
-// structure voter (see scoreSparse). putScratch clears all but the memo.
 type pairScratch struct {
 	src, dst *SchemaView // the pairing; bound by getScratch
 
 	hybrid nameMemo // name-shape pair -> hybrid name similarity
 
-	aligned    bool    // alignTotal holds the current container pair's total
-	alignTotal float64 // greedyAlignChildren's total for the current pair
+	weights []float64 // weights[k] is voter k's merge weight
+	votes   [][]Vote  // votes[k] is voter k's row of votes, in voteBuf
+	voteBuf []Vote    // rowCap votes per voter
+	rowCap  int
 }
 
 func pairKey(a, b int32) uint64 {
@@ -340,10 +339,15 @@ func pairKey(a, b int32) uint64 {
 
 var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
 
-// getScratch takes a scratch from the pool, bound to the pairing (sv, dv).
-func getScratch(sv, dv *SchemaView) *pairScratch {
+// getScratch takes a scratch from the pool, bound to the pairing (sv, dv)
+// and to the engine's voter weights.
+func (e *Engine) getScratch(sv, dv *SchemaView) *pairScratch {
 	sc := scratchPool.Get().(*pairScratch)
 	sc.src, sc.dst = sv, dv
+	sc.weights = sc.weights[:0]
+	for _, wv := range e.voters {
+		sc.weights = append(sc.weights, wv.Weight)
+	}
 	return sc
 }
 
@@ -358,17 +362,39 @@ func putScratch(sc *pairScratch) {
 // alive, and drops a memo at its entry bound.
 func (sc *pairScratch) reset() {
 	sc.src, sc.dst = nil, nil
-	sc.aligned = false
 	if sc.hybrid.n >= maxMemoEntries {
 		sc.hybrid = nameMemo{}
 	}
 }
 
-// voteAll runs every voter on one pair into votes.
-func (e *Engine) voteAll(srcView, dstView *ElementView, votes []Vote, sc *pairScratch) {
-	for k, wv := range e.voters {
-		votes[k] = wv.Voter.Vote(srcView, dstView, sc)
+// rowVotes returns one buffer of n votes for each of voters voters,
+// carved from one backing array that grows geometrically.
+func (sc *pairScratch) rowVotes(voters, n int) [][]Vote {
+	if n > sc.rowCap || voters*sc.rowCap > len(sc.voteBuf) {
+		sc.rowCap = max(n, 2*sc.rowCap)
+		sc.voteBuf = make([]Vote, voters*sc.rowCap)
 	}
+	sc.votes = sc.votes[:0]
+	for k := range voters {
+		sc.votes = append(sc.votes, sc.voteBuf[k*sc.rowCap:k*sc.rowCap+n])
+	}
+	return sc.votes
+}
+
+// scoreRow scores source element i of the scratch's pairing against a
+// row of targets: every voter votes the whole row (see Voter for cols
+// and totals), then the merger merges the votes into out, one score per
+// column. Every scoring path goes through here: dense rows, sparse and
+// cross rows, and Explain's one-column row. It returns the votes, which
+// stay valid until the scratch scores its next row.
+func (e *Engine) scoreRow(sc *pairScratch, i int, cols []int32, totals []float64, out []float64) [][]Vote {
+	src := sc.src.View(i)
+	votes := sc.rowVotes(len(e.voters), len(out))
+	for k, wv := range e.voters {
+		wv.Voter.voteRow(src, cols, totals, votes[k], sc)
+	}
+	e.merger.mergeRow(votes, sc.weights, out)
+	return votes
 }
 
 // score fills the matrix for the given source rows (all rows when rows is
@@ -380,32 +406,21 @@ func (e *Engine) score(sv, dv *SchemaView, m *Matrix, rows []int) {
 			rows[i] = i
 		}
 	}
-	e.forEachRowChunk(sv, dv, len(rows), func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
+	e.forEachRowChunk(sv, dv, len(rows), func(lo, hi int, sc *pairScratch) {
 		for _, i := range rows[lo:hi] {
-			srcView := sv.View(i)
-			row := m.Row(i)
-			for j := 0; j < dv.Len(); j++ {
-				e.voteAll(srcView, dv.View(j), votes, sc)
-				row[j] = e.merger.Merge(votes, weights)
-			}
+			e.scoreRow(sc, i, nil, nil, m.Row(i))
 		}
 	})
 }
 
-// forEachRowChunk is forEachChunk for the voting loops over the pairing
-// (sv, dv): each worker also gets its own votes/weights buffers and a
-// pooled pairScratch bound to the pairing. Both the dense and the
-// sparse scorers fan out through here.
-func (e *Engine) forEachRowChunk(sv, dv *SchemaView, n int, fn func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch)) {
+// forEachRowChunk is forEachChunk for the scoring loops over the pairing
+// (sv, dv): each worker also gets a pooled pairScratch bound to the
+// pairing. Both the dense and the sparse scorers fan out through here.
+func (e *Engine) forEachRowChunk(sv, dv *SchemaView, n int, fn func(lo, hi int, sc *pairScratch)) {
 	e.forEachChunk(n, func(chunks iter.Seq2[int, int]) {
-		votes := make([]Vote, len(e.voters))
-		weights := make([]float64, len(e.voters))
-		for i, wv := range e.voters {
-			weights[i] = wv.Weight
-		}
-		sc := getScratch(sv, dv)
+		sc := e.getScratch(sv, dv)
 		for lo, hi := range chunks {
-			fn(lo, hi, votes, weights, sc)
+			fn(lo, hi, sc)
 		}
 		putScratch(sc)
 	})
@@ -460,17 +475,20 @@ type VoteRecord struct {
 }
 
 // Explain recomputes the individual votes for one pair, for provenance
-// displays and debugging. The merged score equals Matrix.At(src, dst) up to
-// any structural propagation applied afterwards.
+// displays and debugging: it scores the pair as a one-column row. The
+// merged score equals Matrix.At(src, dst) up to any structural
+// propagation applied afterwards.
 func (e *Engine) Explain(sv, dv *SchemaView, src, dst int) []VoteRecord {
-	sc := getScratch(sv, dv)
+	sc := e.getScratch(sv, dv)
 	defer putScratch(sc)
+	var score [1]float64
+	votes := e.scoreRow(sc, src, []int32{int32(dst)}, nil, score[:])
 	out := make([]VoteRecord, 0, len(e.voters))
-	for _, wv := range e.voters {
+	for k, wv := range e.voters {
 		out = append(out, VoteRecord{
 			Voter:  wv.Voter.Name(),
 			Weight: wv.Weight,
-			Vote:   wv.Voter.Vote(sv.View(src), dv.View(dst), sc),
+			Vote:   votes[k][0],
 		})
 	}
 	return out

@@ -209,9 +209,10 @@ func TestPropagationTieGoesToLowestChildIndex(t *testing.T) {
 }
 
 // TestSparseAlignmentTotalsMatchStructureVote is the align-once check:
-// for every stored container × container cell of the case-study sparse
-// match, the structure vote from the total candidate generation recorded
-// equals the structure voter's own alignment bit for bit.
+// every container row of the case-study sparse match, voted by the
+// structure voter with the totals candidate generation recorded, equals
+// the same row voted without them (where the voter aligns each container
+// pair itself), bit for bit.
 func TestSparseAlignmentTotalsMatchStructureVote(t *testing.T) {
 	if testing.Short() {
 		t.Skip("case-study candidate generation in -short mode")
@@ -219,8 +220,8 @@ func TestSparseAlignmentTotalsMatchStructureVote(t *testing.T) {
 	sa, sb, _ := synth.CaseStudy(42)
 	sv, dv := pairViews(sa, sb)
 	cands, align := PresetHarmony().WithOptions(WithSparse(DefaultSparseBudget)).sparseCandidates(sv, dv, nil)
-	sc := &pairScratch{src: sv, dst: dv, aligned: true}
-	direct := &pairScratch{src: sv, dst: dv}
+	sc := &pairScratch{src: sv, dst: dv}
+	var recorded, direct []Vote
 	checked := 0
 	for i, row := range cands {
 		av := sv.View(i)
@@ -230,19 +231,21 @@ func TestSparseAlignmentTotalsMatchStructureVote(t *testing.T) {
 			}
 			continue
 		}
+		if len(row) == 0 {
+			continue
+		}
+		recorded, direct = make([]Vote, len(row)), make([]Vote, len(row))
+		StructureVoter{}.voteRow(av, row, align[i], recorded, sc)
+		StructureVoter{}.voteRow(av, row, nil, direct, sc)
 		for k, j := range row {
-			bv := dv.View(int(j))
-			if bv.El.IsLeaf() {
-				continue
-			}
-			sc.alignTotal = align[i][k]
-			got := StructureVoter{}.Vote(av, bv, sc)
-			want := StructureVoter{}.Vote(av, bv, direct)
+			got, want := recorded[k], direct[k]
 			if math.Float64bits(got.Ratio) != math.Float64bits(want.Ratio) ||
 				math.Float64bits(got.Evidence) != math.Float64bits(want.Evidence) {
 				t.Fatalf("cell (%d,%d): recorded-total vote %+v, direct vote %+v", i, j, got, want)
 			}
-			checked++
+			if !dv.View(int(j)).El.IsLeaf() {
+				checked++
+			}
 		}
 	}
 	if checked == 0 {
@@ -282,5 +285,144 @@ func TestPropagationPrunedParentReadsZero(t *testing.T) {
 	want := refPropagate(alpha, sv, dv, m)
 	if g, w := got.At(a2.ID, b1.ID), want.At(a2.ID, b1.ID); math.Float64bits(g) != math.Float64bits(w) {
 		t.Fatalf("leaf pair under a pruned parent pair = %v, reference %v", g, w)
+	}
+}
+
+// TestRowKernelMatchesReference pins row scoring to the frozen per-cell
+// scorer (refScoreCell), bit for bit, under every preset at one and at
+// four workers: dense MatchViews (propagated by the serial reference
+// propagation), sparse MatchViews, MatchScoped dense and sparse,
+// MatchCross, and the votes Explain reports. Explain is checked on every
+// cell of the synth.Pair input and on the sparse cells of the larger
+// ones.
+func TestRowKernelMatchesReference(t *testing.T) {
+	type pair struct {
+		name   string
+		a, b   *schema.Schema
+		budget int
+	}
+	small, smallB, _ := synth.Pair(11, 20, 18, 10, 6)
+	rel, _ := synth.Custom("M01_REL", schema.FormatRelational, synth.StyleRelational, 100, 30, 10, 0)
+	xml, _ := synth.Custom("M02_XML", schema.FormatXML, synth.StyleXML, 101, 36, 10, 0)
+	pairs := []pair{{"pair-11", small, smallB, 16}, {"custom-rel-xml", rel, xml, DefaultSparseBudget}}
+	if !testing.Short() {
+		sa, sb, _ := synth.CaseStudy(42)
+		pairs = append(pairs, pair{"case-study", sa, sb, DefaultSparseBudget})
+	}
+	presets := Presets()
+	for _, p := range pairs {
+		sv, dv := pairViews(p.a, p.b)
+		everyExplain := p.name == "pair-11"
+		scope := p.a.Roots()[1].Subtree()
+		inScope := make([]bool, sv.Len())
+		for _, el := range scope {
+			inScope[el.ID] = true
+		}
+		var srcEls, dstEls []*schema.Element
+		for i, el := range p.a.Elements() {
+			if i%3 == 0 {
+				srcEls = append(srcEls, el)
+			}
+		}
+		for j, el := range p.b.Elements() {
+			if j%2 == 1 {
+				dstEls = append(dstEls, el)
+			}
+		}
+		for _, name := range presetNames() {
+			base := presets[name]()
+			raw := NewMatrix(sv.Len(), dv.Len())
+			for i := 0; i < sv.Len(); i++ {
+				for j := 0; j < dv.Len(); j++ {
+					raw.Set(i, j, refScoreCell(base, sv, dv, i, j))
+				}
+			}
+			var dense ScoreMatrix = raw
+			for r := 0; r < base.propagationRounds; r++ {
+				dense = refPropagate(base.propagationAlpha, sv, dv, dense)
+			}
+			sparseBase := base.WithOptions(WithSparse(p.budget), WithSparseCutoff(1))
+			wantSparse := refMatchViews(sparseBase, sv, dv)
+			wantScoped := refMatchScoped(sparseBase, sv, dv, scope)
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("%s, %s at %d workers", p.name, name, workers)
+				eng := base.WithOptions(WithWorkers(workers))
+				se := sparseBase.WithOptions(WithWorkers(workers))
+
+				res := eng.MatchViews(sv, dv)
+				assertSameCells(t, label+", dense", res.Matrix, dense, nil)
+				res.Release()
+				assertSameSparse(t, label+", sparse", se.MatchViews(sv, dv).Matrix, wantSparse)
+
+				scoped := eng.MatchScoped(sv, dv, scope)
+				if _, ok := scoped.Matrix.(*Matrix); !ok {
+					t.Fatalf("%s: dense scoped match produced a %T", label, scoped.Matrix)
+				}
+				assertSameCells(t, label+", scoped dense", scoped.Matrix, raw, inScope)
+				assertSameSparse(t, label+", scoped sparse", se.MatchScoped(sv, dv, scope).Matrix, wantScoped)
+
+				cross := eng.MatchCross(sv, dv, srcEls, dstEls)
+				if n := cross.Matrix.Pairs(); n != len(srcEls)*len(dstEls) {
+					t.Fatalf("%s: cross match stored %d cells, want %d", label, n, len(srcEls)*len(dstEls))
+				}
+				for _, a := range srcEls {
+					for _, b := range dstEls {
+						if g, w := cross.Matrix.At(a.ID, b.ID), raw.At(a.ID, b.ID); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s, cross: cell (%d,%d) = %v, reference %v", label, a.ID, b.ID, g, w)
+						}
+					}
+				}
+			}
+			explain := func(i, j int) {
+				records := base.Explain(sv, dv, i, j)
+				want, _ := refVoteAll(base, sv, dv, i, j)
+				for k, r := range records {
+					if math.Float64bits(r.Vote.Ratio) != math.Float64bits(want[k].Ratio) ||
+						math.Float64bits(r.Vote.Evidence) != math.Float64bits(want[k].Evidence) {
+						t.Fatalf("%s, %s: Explain (%d,%d) voter %s = %+v, reference %+v", p.name, name, i, j, r.Voter, r.Vote, want[k])
+					}
+				}
+			}
+			for i := 0; i < sv.Len(); i++ {
+				if everyExplain {
+					for j := 0; j < dv.Len(); j++ {
+						explain(i, j)
+					}
+					continue
+				}
+				wantSparse.ForRow(i, func(j int, _ float64) bool {
+					explain(i, j)
+					return true
+				})
+			}
+		}
+	}
+}
+
+// presetNames returns the names of Presets in order.
+func presetNames() []string {
+	names := make([]string, 0, len(Presets()))
+	for name := range Presets() {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// assertSameCells fails unless every cell of got has want's bits; with
+// rows set, only the rows it marks are compared, and every other row
+// must read 0.
+func assertSameCells(t *testing.T, label string, got, want ScoreMatrix, rows []bool) {
+	t.Helper()
+	for i := 0; i < want.Rows(); i++ {
+		for j := 0; j < want.Cols(); j++ {
+			w := want.At(i, j)
+			if rows != nil && !rows[i] {
+				w = 0
+			}
+			if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: cell (%d,%d) = %v, reference %v", label, i, j, g, w)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -12,16 +13,17 @@ import (
 // generation, voting and propagation that the production kernel must
 // reproduce bit for bit. Retrieval reads one string-keyed postings map
 // whose keys are each token prefixed by its family and are summed in
-// sorted order, candidate sets are maps filled in row order, the
-// structure voter re-aligns every container pair itself (scoreSparse with
-// no recorded alignment totals), and propagation reads every neighbour
-// through ScoreMatrix.At and writes through Set.
+// sorted order, candidate sets are maps filled in row order, every cell
+// is scored on its own by the frozen per-cell scorer (refScoreCell),
+// whose structure voter re-aligns every container pair itself, and
+// propagation reads every neighbour through ScoreMatrix.At and writes
+// through Set.
 
 // refMatchViews is MatchViews on the reference kernel for an engine whose
 // sparse mode engages on the pair.
 func refMatchViews(e *Engine, sv, dv *SchemaView) *SparseMatrix {
 	sm := NewSparseMatrix(sv.Len(), dv.Len(), refSparseCandidates(sv, dv, e.sparseBudget, nil))
-	e.scoreSparse(sv, dv, sm, nil)
+	refScoreSparse(e, sv, dv, sm)
 	var m ScoreMatrix = sm
 	for r := 0; r < e.propagationRounds; r++ {
 		m = refPropagate(e.propagationAlpha, sv, dv, m)
@@ -37,8 +39,17 @@ func refMatchScoped(e *Engine, sv, dv *SchemaView, elements []*schema.Element) *
 		scope[el.ID] = true
 	}
 	sm := NewSparseMatrix(sv.Len(), dv.Len(), refSparseCandidates(sv, dv, e.sparseBudget, scope))
-	e.scoreSparse(sv, dv, sm, nil)
+	refScoreSparse(e, sv, dv, sm)
 	return sm
+}
+
+// refScoreSparse scores every stored cell of m with refScoreCell.
+func refScoreSparse(e *Engine, sv, dv *SchemaView, m *SparseMatrix) {
+	for i := 0; i < m.rows; i++ {
+		for x := m.rowStart[i]; x < m.rowStart[i+1]; x++ {
+			m.scores[x] = refScoreCell(e, sv, dv, i, int(m.colIdx[x]))
+		}
+	}
 }
 
 // refSparseCandidates is the serial candidate generator: retrieval, one
@@ -425,4 +436,218 @@ func refHybridNameSimFlat(a, b *ElementView) float64 {
 		best = c
 	}
 	return best
+}
+
+// The frozen per-cell scorer: the six voters' per-pair Vote bodies, the
+// loop that ran them on one pair (voteAll) and the five mergers' Merge
+// bodies as they were before scoring went a row at a time, with
+// clampScore in its math.Nextafter form. The name memo is left out: the
+// names are computed directly (refHybridNameSimFlat), which
+// TestHybridSimCachedMatchesDirectCompute holds the memo to, and so are
+// path votes and child alignments (refPathVote, refGreedyAlignChildren).
+// Every structure vote aligns its container pair itself, as dense
+// scoring, MatchCross and Explain did.
+
+// refScoreCell scores pair (i, j) of the pairing (sv, dv) under e's
+// voters and merger.
+func refScoreCell(e *Engine, sv, dv *SchemaView, i, j int) float64 {
+	votes, weights := refVoteAll(e, sv, dv, i, j)
+	return refMerge(e.merger, votes, weights)
+}
+
+// refVoteAll runs every voter of e on pair (i, j), in voter order, and
+// returns the votes with the voters' weights.
+func refVoteAll(e *Engine, sv, dv *SchemaView, i, j int) ([]Vote, []float64) {
+	votes := make([]Vote, len(e.voters))
+	weights := make([]float64, len(e.voters))
+	src, dst := sv.View(i), dv.View(j)
+	for k, wv := range e.voters {
+		votes[k] = refVote(wv.Voter, sv, dv, src, dst)
+		weights[k] = wv.Weight
+	}
+	return votes, weights
+}
+
+// refVote is one voter's per-pair Vote body.
+func refVote(v Voter, sv, dv *SchemaView, src, dst *ElementView) Vote {
+	switch v.(type) {
+	case NameVoter:
+		if len(src.NameTokens) == 0 || len(dst.NameTokens) == 0 {
+			return Abstain
+		}
+		sim := refHybridNameSimFlat(src, dst)
+		ev := float64(min(len(src.name.IDs), len(dst.name.IDs)))
+		ev += float64(min(len(src.JoinedName), len(dst.JoinedName))) / 12.0
+		if src.JoinedName == dst.JoinedName && src.JoinedName != "" {
+			ev += 2
+		}
+		return Vote{Ratio: sim, Evidence: ev}
+	case DocVoter:
+		if !src.HasDoc || !dst.HasDoc {
+			return Abstain
+		}
+		a, b := sv.docs[src.El.ID], dv.docs[dst.El.ID]
+		if a.IsZero() || b.IsZero() {
+			return Abstain
+		}
+		cos := text.Cosine(a, b)
+		ev := min(float64(min(src.DocTokenCount, dst.DocTokenCount))/2.0, 12)
+		return Vote{Ratio: cos, Evidence: ev}
+	case PathVoter:
+		if len(src.path.IDs) == 0 || len(dst.path.IDs) == 0 {
+			return Abstain
+		}
+		return refPathVote(src, dst)
+	case TypeVoter:
+		ta, tb := src.El.Type, dst.El.Type
+		if ta == schema.TypeNone || tb == schema.TypeNone {
+			return Abstain
+		}
+		switch {
+		case ta == tb:
+			return Vote{Ratio: 0.70, Evidence: 1}
+		case typeClass(ta) == typeClass(tb):
+			return Vote{Ratio: 0.60, Evidence: 0.8}
+		default:
+			return Vote{Ratio: 0.25, Evidence: 0.8}
+		}
+	case StructureVoter:
+		a, b := src.El, dst.El
+		switch {
+		case !a.IsLeaf() && !b.IsLeaf():
+			if len(src.children) == 0 || len(dst.children) == 0 {
+				return Abstain
+			}
+			var total float64
+			refGreedyAlignChildren(src, dst, func(_, _ int, sim float64) { total += sim })
+			n := min(len(src.children), len(dst.children), maxAlignChildren)
+			return Vote{Ratio: total / float64(n), Evidence: float64(n) * 0.9}
+		case a.IsLeaf() && b.IsLeaf():
+			if src.parent == nil || dst.parent == nil {
+				return Abstain
+			}
+			return Vote{Ratio: refHybridNameSimFlat(src.parent, dst.parent), Evidence: 1.2}
+		default:
+			return Vote{Ratio: 0.35, Evidence: 0.6}
+		}
+	case AcronymVoter:
+		if refAcronymOf(src, dst) || refAcronymOf(dst, src) {
+			return Vote{Ratio: 0.95, Evidence: 2}
+		}
+		return Abstain
+	}
+	panic(fmt.Sprintf("no frozen body for voter %T", v))
+}
+
+// refAcronymOf reports whether a's raw name is the acronym of b's tokens.
+func refAcronymOf(a, b *ElementView) bool {
+	if len(b.NameTokens) < 2 {
+		return false
+	}
+	raw := a.RawAcronym
+	if len(raw) < 2 || len(raw) > 8 {
+		return false
+	}
+	return raw == b.acronym
+}
+
+// refMerge is one merger's per-pair Merge body.
+func refMerge(m Merger, votes []Vote, weights []float64) float64 {
+	switch m.(type) {
+	case EvidenceWeighted:
+		var num, den float64
+		for i, v := range votes {
+			if v.IsAbstention() {
+				continue
+			}
+			dec := 2*v.Ratio - 1
+			if dec < 0 {
+				dec = -dec
+			}
+			w := weights[i] * Saturate(v.Evidence) * (decisivenessFloor + (1-decisivenessFloor)*dec)
+			num += w * refVoteScore(v)
+			den += w
+		}
+		if den == 0 {
+			return 0
+		}
+		consensus := refClampScore(num / den)
+		return refClampScore(2 * consensus / (1 + consensus*consensus))
+	case RatioOnly:
+		var num, den float64
+		for i, v := range votes {
+			if v.IsAbstention() {
+				continue
+			}
+			num += weights[i] * (2*v.Ratio - 1)
+			den += weights[i]
+		}
+		if den == 0 {
+			return 0
+		}
+		return refClampScore(num / den)
+	case Average:
+		var sum float64
+		n := 0
+		for _, v := range votes {
+			if v.IsAbstention() {
+				continue
+			}
+			sum += refVoteScore(v)
+			n++
+		}
+		if n == 0 {
+			return 0
+		}
+		return refClampScore(sum / float64(n))
+	case Max:
+		best := 0.0
+		seen := false
+		for _, v := range votes {
+			if v.IsAbstention() {
+				continue
+			}
+			s := refVoteScore(v)
+			if !seen || s > best {
+				best, seen = s, true
+			}
+		}
+		if !seen {
+			return 0
+		}
+		return refClampScore(best)
+	case WeightedLinear:
+		var num, den float64
+		for i, v := range votes {
+			if v.IsAbstention() {
+				continue
+			}
+			num += weights[i] * refVoteScore(v)
+			den += weights[i]
+		}
+		if den == 0 {
+			return 0
+		}
+		return refClampScore(num / den)
+	}
+	panic(fmt.Sprintf("no frozen body for merger %T", m))
+}
+
+// refVoteScore is Vote.Score over refClampScore.
+func refVoteScore(v Vote) float64 {
+	return refClampScore((2*v.Ratio - 1) * Saturate(v.Evidence))
+}
+
+// refClampScore is clampScore with its bounds from math.Nextafter.
+func refClampScore(s float64) float64 {
+	if math.IsNaN(s) {
+		return 0
+	}
+	if s >= 1 {
+		return math.Nextafter(1, 0)
+	}
+	if s <= -1 {
+		return math.Nextafter(-1, 0)
+	}
+	return s
 }

@@ -1,14 +1,16 @@
 package core
 
-// Merger combines the per-voter votes for one element pair into a single
-// match score in (-1,+1). The engine calls Merge once per pair with one
-// entry per configured voter, in voter order.
+// Merger combines the per-voter votes for element pairs into match
+// scores in (-1,+1), one row of pairs at a time.
 type Merger interface {
 	// Name identifies the merger in reports and ablations.
 	Name() string
-	// Merge combines votes into one score. votes[i] was produced by the
-	// engine's i-th voter with weight weights[i].
-	Merge(votes []Vote, weights []float64) float64
+	// mergeRow merges a row's votes column by column: out[x] becomes the
+	// score of column x, from votes[k][x] of every voter k in voter
+	// order, where voter k has weight weights[k]. Each votes[k] holds at
+	// least len(out) votes. The row's columns are those the voters voted
+	// (see Voter), so the merger needs no column IDs.
+	mergeRow(votes [][]Vote, weights []float64, out []float64)
 }
 
 // EvidenceWeighted is Harmony's merger and the paper's stated novelty: the
@@ -35,29 +37,36 @@ const sharpenGain = 2.0
 // Name implements Merger.
 func (EvidenceWeighted) Name() string { return "evidence-weighted" }
 
-// Merge implements Merger.
-func (EvidenceWeighted) Merge(votes []Vote, weights []float64) float64 {
-	var num, den float64
-	for i, v := range votes {
-		if v.IsAbstention() {
+// mergeRow implements Merger. Each vote's saturation feeds both its
+// weight and its score (Vote.Confidence and Vote.Score), so it is
+// computed once.
+func (EvidenceWeighted) mergeRow(votes [][]Vote, weights []float64, out []float64) {
+	for x := range out {
+		var num, den float64
+		for k, vs := range votes {
+			v := vs[x]
+			if v.IsAbstention() {
+				continue
+			}
+			sat := Saturate(v.Evidence)
+			dec := 2*v.Ratio - 1
+			if dec < 0 {
+				dec = -dec
+			}
+			w := weights[k] * sat * (decisivenessFloor + (1-decisivenessFloor)*dec)
+			num += w * clampScore((2*v.Ratio-1)*sat)
+			den += w
+		}
+		if den == 0 {
+			out[x] = 0
 			continue
 		}
-		dec := 2*v.Ratio - 1
-		if dec < 0 {
-			dec = -dec
-		}
-		w := weights[i] * v.Confidence() * (decisivenessFloor + (1-decisivenessFloor)*dec)
-		num += w * v.Score()
-		den += w
+		consensus := clampScore(num / den)
+		// tanh(2*atanh(c)) == 2c/(1+c^2) — the tanh double-angle identity.
+		// The closed form replaces two libm calls on the per-pair hot path
+		// (sharpenGain is fixed at 2) with two multiplies and a divide.
+		out[x] = clampScore(2 * consensus / (1 + consensus*consensus))
 	}
-	if den == 0 {
-		return 0
-	}
-	consensus := clampScore(num / den)
-	// tanh(2*atanh(c)) == 2c/(1+c^2) — the tanh double-angle identity.
-	// The closed form replaces two libm calls on the per-pair hot path
-	// (sharpenGain is fixed at 2) with two multiplies and a divide.
-	return clampScore(2 * consensus / (1 + consensus*consensus))
 }
 
 // RatioOnly is the ablation of EvidenceWeighted: it uses each voter's raw
@@ -69,20 +78,24 @@ type RatioOnly struct{}
 // Name implements Merger.
 func (RatioOnly) Name() string { return "ratio-only" }
 
-// Merge implements Merger.
-func (RatioOnly) Merge(votes []Vote, weights []float64) float64 {
-	var num, den float64
-	for i, v := range votes {
-		if v.IsAbstention() {
+// mergeRow implements Merger.
+func (RatioOnly) mergeRow(votes [][]Vote, weights []float64, out []float64) {
+	for x := range out {
+		var num, den float64
+		for k, vs := range votes {
+			v := vs[x]
+			if v.IsAbstention() {
+				continue
+			}
+			num += weights[k] * (2*v.Ratio - 1)
+			den += weights[k]
+		}
+		if den == 0 {
+			out[x] = 0
 			continue
 		}
-		num += weights[i] * (2*v.Ratio - 1)
-		den += weights[i]
+		out[x] = clampScore(num / den)
 	}
-	if den == 0 {
-		return 0
-	}
-	return clampScore(num / den)
 }
 
 // Average is the COMA-style aggregation baseline: the unweighted mean of
@@ -92,21 +105,25 @@ type Average struct{}
 // Name implements Merger.
 func (Average) Name() string { return "average" }
 
-// Merge implements Merger.
-func (Average) Merge(votes []Vote, weights []float64) float64 {
-	var sum float64
-	n := 0
-	for _, v := range votes {
-		if v.IsAbstention() {
+// mergeRow implements Merger.
+func (Average) mergeRow(votes [][]Vote, _ []float64, out []float64) {
+	for x := range out {
+		var sum float64
+		n := 0
+		for _, vs := range votes {
+			v := vs[x]
+			if v.IsAbstention() {
+				continue
+			}
+			sum += v.Score()
+			n++
+		}
+		if n == 0 {
+			out[x] = 0
 			continue
 		}
-		sum += v.Score()
-		n++
+		out[x] = clampScore(sum / float64(n))
 	}
-	if n == 0 {
-		return 0
-	}
-	return clampScore(sum / float64(n))
 }
 
 // Max is the optimistic COMA-style aggregation baseline: the strongest
@@ -117,23 +134,27 @@ type Max struct{}
 // Name implements Merger.
 func (Max) Name() string { return "max" }
 
-// Merge implements Merger.
-func (Max) Merge(votes []Vote, weights []float64) float64 {
-	best := 0.0
-	seen := false
-	for _, v := range votes {
-		if v.IsAbstention() {
+// mergeRow implements Merger.
+func (Max) mergeRow(votes [][]Vote, _ []float64, out []float64) {
+	for x := range out {
+		best := 0.0
+		seen := false
+		for _, vs := range votes {
+			v := vs[x]
+			if v.IsAbstention() {
+				continue
+			}
+			s := v.Score()
+			if !seen || s > best {
+				best, seen = s, true
+			}
+		}
+		if !seen {
+			out[x] = 0
 			continue
 		}
-		s := v.Score()
-		if !seen || s > best {
-			best, seen = s, true
-		}
+		out[x] = clampScore(best)
 	}
-	if !seen {
-		return 0
-	}
-	return clampScore(best)
 }
 
 // WeightedLinear weighs voters by configured weight only, using their
@@ -144,18 +165,22 @@ type WeightedLinear struct{}
 // Name implements Merger.
 func (WeightedLinear) Name() string { return "weighted-linear" }
 
-// Merge implements Merger.
-func (WeightedLinear) Merge(votes []Vote, weights []float64) float64 {
-	var num, den float64
-	for i, v := range votes {
-		if v.IsAbstention() {
+// mergeRow implements Merger.
+func (WeightedLinear) mergeRow(votes [][]Vote, weights []float64, out []float64) {
+	for x := range out {
+		var num, den float64
+		for k, vs := range votes {
+			v := vs[x]
+			if v.IsAbstention() {
+				continue
+			}
+			num += weights[k] * v.Score()
+			den += weights[k]
+		}
+		if den == 0 {
+			out[x] = 0
 			continue
 		}
-		num += weights[i] * v.Score()
-		den += weights[i]
+		out[x] = clampScore(num / den)
 	}
-	if den == 0 {
-		return 0
-	}
-	return clampScore(num / den)
 }

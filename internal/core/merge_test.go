@@ -6,18 +6,30 @@ import (
 	"testing/quick"
 )
 
+// mergeOne merges one pair's votes, one per voter, through m as a
+// one-column row.
+func mergeOne(m Merger, votes []Vote, weights []float64) float64 {
+	rows := make([][]Vote, len(votes))
+	for k, v := range votes {
+		rows[k] = []Vote{v}
+	}
+	var out [1]float64
+	m.mergeRow(rows, weights, out[:])
+	return out[0]
+}
+
 func TestEvidenceWeightedFavorsConfidentVoters(t *testing.T) {
 	m := EvidenceWeighted{}
 	// One voter saw lots of supporting evidence; another saw a single
 	// contradicting token. The confident voter must dominate.
 	votes := []Vote{{Ratio: 0.95, Evidence: 10}, {Ratio: 0.1, Evidence: 0.5}}
 	weights := []float64{1, 1}
-	if s := m.Merge(votes, weights); s <= 0.3 {
+	if s := mergeOne(m, votes, weights); s <= 0.3 {
 		t.Errorf("merged score = %f, want clearly positive", s)
 	}
 	// RatioOnly, in contrast, treats both votes alike and lands much lower.
-	r := RatioOnly{}.Merge(votes, weights)
-	h := m.Merge(votes, weights)
+	r := mergeOne(RatioOnly{}, votes, weights)
+	h := mergeOne(m, votes, weights)
 	if !(h > r) {
 		t.Errorf("evidence weighting should beat ratio-only here: %f vs %f", h, r)
 	}
@@ -27,8 +39,8 @@ func TestMergersIgnoreAbstentions(t *testing.T) {
 	votes := []Vote{Abstain, {Ratio: 0.9, Evidence: 5}, Abstain}
 	weights := []float64{1, 1, 1}
 	for _, mg := range []Merger{EvidenceWeighted{}, RatioOnly{}, Average{}, Max{}, WeightedLinear{}} {
-		all := mg.Merge(votes, weights)
-		only := mg.Merge(votes[1:2], weights[1:2])
+		all := mergeOne(mg, votes, weights)
+		only := mergeOne(mg, votes[1:2], weights[1:2])
 		if math.Abs(all-only) > 1e-12 {
 			t.Errorf("%s: abstentions changed the score: %f vs %f", mg.Name(), all, only)
 		}
@@ -39,7 +51,7 @@ func TestMergersAllAbstainYieldZero(t *testing.T) {
 	votes := []Vote{Abstain, Abstain}
 	weights := []float64{1, 1}
 	for _, mg := range []Merger{EvidenceWeighted{}, RatioOnly{}, Average{}, Max{}, WeightedLinear{}} {
-		if s := mg.Merge(votes, weights); s != 0 {
+		if s := mergeOne(mg, votes, weights); s != 0 {
 			t.Errorf("%s: all-abstain score = %f, want 0", mg.Name(), s)
 		}
 	}
@@ -48,14 +60,14 @@ func TestMergersAllAbstainYieldZero(t *testing.T) {
 func TestMaxMergerPicksStrongest(t *testing.T) {
 	votes := []Vote{{Ratio: 0.2, Evidence: 5}, {Ratio: 0.9, Evidence: 5}, {Ratio: 0.6, Evidence: 5}}
 	weights := []float64{1, 1, 1}
-	got := Max{}.Merge(votes, weights)
+	got := mergeOne(Max{}, votes, weights)
 	want := votes[1].Score()
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("Max = %f, want %f", got, want)
 	}
 	// Max with only negative votes returns the least negative.
 	neg := []Vote{{Ratio: 0.1, Evidence: 5}, {Ratio: 0.3, Evidence: 5}}
-	got = Max{}.Merge(neg, weights[:2])
+	got = mergeOne(Max{}, neg, weights[:2])
 	if math.Abs(got-neg[1].Score()) > 1e-12 {
 		t.Errorf("Max over negatives = %f, want %f", got, neg[1].Score())
 	}
@@ -71,7 +83,7 @@ func TestMergeScoresStayInOpenInterval(t *testing.T) {
 		}
 		weights := []float64{1, 0.5, 2}
 		for _, mg := range mergers {
-			s := mg.Merge(votes, weights)
+			s := mergeOne(mg, votes, weights)
 			if !(s > -1 && s < 1) || math.IsNaN(s) {
 				return false
 			}
@@ -85,8 +97,8 @@ func TestMergeScoresStayInOpenInterval(t *testing.T) {
 
 func TestWeightedLinearRespectsWeights(t *testing.T) {
 	votes := []Vote{{Ratio: 1, Evidence: 10}, {Ratio: 0, Evidence: 10}}
-	heavyPos := WeightedLinear{}.Merge(votes, []float64{10, 1})
-	heavyNeg := WeightedLinear{}.Merge(votes, []float64{1, 10})
+	heavyPos := mergeOne(WeightedLinear{}, votes, []float64{10, 1})
+	heavyNeg := mergeOne(WeightedLinear{}, votes, []float64{1, 10})
 	if !(heavyPos > 0 && heavyNeg < 0) {
 		t.Errorf("weights ignored: %f, %f", heavyPos, heavyNeg)
 	}
@@ -102,5 +114,36 @@ func TestMergerNames(t *testing.T) {
 			t.Errorf("duplicate merger name %q", mg.Name())
 		}
 		names[mg.Name()] = true
+	}
+}
+
+// TestMergeRowColumnsIndependent merges one row whose columns differ in
+// which voters abstain (none, some, all) and checks every column against
+// the same votes merged as a one-column row and against the frozen
+// per-pair merger, bit for bit: a column's abstentions must not leak
+// into its neighbours.
+func TestMergeRowColumnsIndependent(t *testing.T) {
+	weak, strong, against := Vote{Ratio: 0.6, Evidence: 0.5}, Vote{Ratio: 0.9, Evidence: 6}, Vote{Ratio: 0.1, Evidence: 3}
+	votes := [][]Vote{
+		{strong, Abstain, Abstain, against, weak},
+		{against, Abstain, strong, Abstain, weak},
+		{weak, Abstain, Abstain, Abstain, Abstain},
+	}
+	weights := []float64{1, 0.6, 0.3}
+	for _, mg := range []Merger{EvidenceWeighted{}, RatioOnly{}, Average{}, Max{}, WeightedLinear{}} {
+		out := make([]float64, len(votes[0]))
+		mg.mergeRow(votes, weights, out)
+		for x := range out {
+			col := []Vote{votes[0][x], votes[1][x], votes[2][x]}
+			if one := mergeOne(mg, col, weights); math.Float64bits(out[x]) != math.Float64bits(one) {
+				t.Errorf("%s: column %d = %v, one-column row %v", mg.Name(), x, out[x], one)
+			}
+			if ref := refMerge(mg, col, weights); math.Float64bits(out[x]) != math.Float64bits(ref) {
+				t.Errorf("%s: column %d = %v, frozen merge %v", mg.Name(), x, out[x], ref)
+			}
+		}
+		if out[1] != 0 {
+			t.Errorf("%s: an all-abstain column scored %v, want 0", mg.Name(), out[1])
+		}
 	}
 }

@@ -652,29 +652,24 @@ func selectTop(ids []int32, k int, acc []float64) {
 
 // --- sparse scoring -------------------------------------------------------
 
-// scoreSparse fills a sparse matrix: the voters run only on the stored
-// candidate cells, fanned out over the engine's workers by row. align
-// holds the children-alignment totals sparseCandidates recorded; the
-// worker's scratch hands each container pair's total to the structure
-// voter, which then does not align the pair again. MatchCross has no
+// scoreSparse fills a sparse matrix: each row's stored candidate cells
+// are scored as one sparse row, fanned out over the engine's workers by
+// row. align holds the children-alignment totals sparseCandidates
+// recorded; a container row hands its totals to the structure voter,
+// which then does not align those pairs again. MatchCross has no
 // recorded totals and passes nil, so its structure votes align directly.
 func (e *Engine) scoreSparse(sv, dv *SchemaView, m *SparseMatrix, align [][]float64) {
-	e.forEachRowChunk(sv, dv, m.rows, func(lo, hi int, votes []Vote, weights []float64, sc *pairScratch) {
+	e.forEachRowChunk(sv, dv, m.rows, func(lo, hi int, sc *pairScratch) {
 		for i := lo; i < hi; i++ {
-			srcView := sv.View(i)
+			a, b := m.rowStart[i], m.rowStart[i+1]
+			if a == b {
+				continue
+			}
 			var totals []float64
 			if align != nil {
 				totals = align[i]
 			}
-			sc.aligned = totals != nil
-			base := m.rowStart[i]
-			for x := base; x < m.rowStart[i+1]; x++ {
-				if totals != nil {
-					sc.alignTotal = totals[x-base]
-				}
-				e.voteAll(srcView, dv.View(int(m.colIdx[x])), votes, sc)
-				m.scores[x] = e.merger.Merge(votes, weights)
-			}
+			e.scoreRow(sc, i, m.colIdx[a:b], totals, m.scores[a:b])
 		}
 	})
 }

@@ -62,13 +62,13 @@ func (f *fuzzBytes) fuzzName() string {
 	return name
 }
 
-// fuzzSchema builds a schema of up to 24 elements; each element hangs
-// under any earlier one or starts a new root, and about half carry a
-// documentation string of up to 15 vocabulary words, enough for ties at
-// the top-term cut.
-func (f *fuzzBytes) fuzzSchema(name string) *schema.Schema {
+// fuzzSchema builds a schema of up to maxElems elements; each element
+// hangs under any earlier one or starts a new root, and about half carry
+// a documentation string of up to 15 vocabulary words, enough for ties
+// at the top-term cut.
+func (f *fuzzBytes) fuzzSchema(name string, maxElems int) *schema.Schema {
 	s := schema.New(name, schema.FormatXML)
-	n := 1 + f.next()%24
+	n := 1 + f.next()%maxElems
 	for i := 0; i < n; i++ {
 		var parent *schema.Element
 		if p := f.next() % (s.Len() + 1); p < s.Len() {
@@ -123,7 +123,7 @@ func FuzzSparseCandidates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzBytes{data: data}
 		budget := 1 + in.next()%8
-		a, b := in.fuzzSchema("A"), in.fuzzSchema("B")
+		a, b := in.fuzzSchema("A", 24), in.fuzzSchema("B", 24)
 		scope := make([]bool, a.Len())
 		for i := range scope {
 			scope[i] = in.next()%3 != 0

@@ -13,8 +13,6 @@
 // captured by the Vote type below and the EvidenceWeighted merger.
 package core
 
-import "math"
-
 // Vote is one voter's opinion about one [source, target] element pair.
 //
 // Ratio is the fraction of observed evidence that supports the
@@ -68,16 +66,22 @@ func (v Vote) Confidence() float64 { return Saturate(v.Evidence) }
 func (v Vote) IsAbstention() bool { return v.Evidence <= 0 }
 
 // clampScore keeps merged scores inside the open interval (-1,1), guarding
-// against floating-point drift in mergers.
+// against floating-point drift in mergers. It runs several times per
+// scored pair, so it is kept small enough to inline: the bounds are
+// constants and NaN is the one value unequal to itself.
 func clampScore(s float64) float64 {
-	if math.IsNaN(s) {
+	if s != s {
 		return 0
 	}
 	if s >= 1 {
-		return math.Nextafter(1, 0)
+		return maxScore
 	}
 	if s <= -1 {
-		return math.Nextafter(-1, 0)
+		return -maxScore
 	}
 	return s
 }
+
+// maxScore is the largest float64 below 1, math.Nextafter(1, 0); its
+// negation is math.Nextafter(-1, 0).
+const maxScore = 1 - 0x1p-53

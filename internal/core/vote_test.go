@@ -91,3 +91,26 @@ func TestClampScore(t *testing.T) {
 		t.Errorf("clampScore(0.5) = %f", s)
 	}
 }
+
+// TestClampScoreBounds pins clampScore's constant bounds to the
+// neighbours of ±1 toward 0, and its NaN, ±Inf and ±1 cases.
+func TestClampScoreBounds(t *testing.T) {
+	hi, lo := math.Nextafter(1, 0), math.Nextafter(-1, 0)
+	if maxScore != hi || -maxScore != lo {
+		t.Fatalf("maxScore = %v, want %v and %v", maxScore, hi, lo)
+	}
+	for _, c := range []struct{ in, want float64 }{
+		{math.NaN(), 0},
+		{math.Inf(1), hi},
+		{math.Inf(-1), lo},
+		{1, hi},
+		{-1, lo},
+		{hi, hi},
+		{lo, lo},
+		{math.Copysign(0, -1), math.Copysign(0, -1)},
+	} {
+		if got := clampScore(c.in); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("clampScore(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}

@@ -7,18 +7,40 @@ import (
 	"harmony/internal/text"
 )
 
-// Voter scores one [source, target] element pair using a single strategy.
-// Implementations must be safe for concurrent use: Vote is called from
-// multiple goroutines during a match, each with its own scratch.
+// Voter scores [source, target] element pairs using a single strategy,
+// one row at a time: one source element against a row of targets.
+// Implementations must be safe for concurrent use: voteRow is called
+// from multiple goroutines during a match, each with its own scratch.
 type Voter interface {
 	// Name identifies the voter in explanations and reports.
 	Name() string
-	// Vote returns the voter's opinion about the pair: src is a view of
-	// sc.src, dst one of sc.dst. sc is the calling worker's scratch,
-	// bound to that pairing (it holds the pairing's document vectors and
-	// the name-similarity memo). A voter that has no applicable evidence
-	// returns Abstain.
-	Vote(src, dst *ElementView, sc *pairScratch) Vote
+	// voteRow writes into out[x] the voter's opinion about the pair of
+	// src, a view of sc.src, and the row's column x, a target of sc.dst:
+	// target x when cols is nil (a dense row, len(out) targets from
+	// the first), target cols[x] otherwise (a sparse row). totals, when
+	// not nil, is parallel to the row and holds each column's
+	// children-alignment total that sparse candidate generation
+	// recorded; nil means none was recorded. sc is the calling worker's
+	// scratch, bound to the pairing (it holds the pairing's document
+	// vectors and the name-similarity memo). A pair without applicable
+	// evidence gets Abstain.
+	voteRow(src *ElementView, cols []int32, totals []float64, out []Vote, sc *pairScratch)
+}
+
+// rowCol returns the target ID of column x of a row (see Voter).
+func rowCol(cols []int32, x int) int {
+	if cols == nil {
+		return x
+	}
+	return int(cols[x])
+}
+
+// abstainRow fills out with abstentions: a row whose source side has no
+// evidence of the voter's kind.
+func abstainRow(out []Vote) {
+	for x := range out {
+		out[x] = Abstain
+	}
 }
 
 // WeightedVoter pairs a voter with its merge weight.
@@ -38,24 +60,33 @@ type NameVoter struct{}
 // Name implements Voter.
 func (NameVoter) Name() string { return "name" }
 
-// Vote implements Voter. Evidence grows with the number of distinct tokens
-// compared, so a 4-token name agreeing with a 4-token name yields a score
-// much closer to +1 than two single-token names agreeing.
-func (NameVoter) Vote(src, dst *ElementView, sc *pairScratch) Vote {
-	if len(src.NameTokens) == 0 || len(dst.NameTokens) == 0 {
-		return Abstain
+// voteRow implements Voter. Evidence grows with the number of distinct
+// tokens compared, so a 4-token name agreeing with a 4-token name yields
+// a score much closer to +1 than two single-token names agreeing.
+func (NameVoter) voteRow(src *ElementView, cols []int32, _ []float64, out []Vote, sc *pairScratch) {
+	if len(src.NameTokens) == 0 {
+		abstainRow(out)
+		return
 	}
-	sim := hybridSimCached(src, dst, sc)
-	ev := float64(min(len(src.name.IDs), len(dst.name.IDs)))
-	// Character-level length adds a little evidence: longer names that
-	// agree are less likely to agree by chance.
-	ev += float64(min(len(src.JoinedName), len(dst.JoinedName))) / 12.0
-	// Exact (normalized) name equality is qualitatively stronger evidence
-	// than fuzzy similarity — identical names rarely collide by accident.
-	if src.JoinedName == dst.JoinedName && src.JoinedName != "" {
-		ev += 2
+	for x := range out {
+		dst := sc.dst.View(rowCol(cols, x))
+		if len(dst.NameTokens) == 0 {
+			out[x] = Abstain
+			continue
+		}
+		sim := hybridSimCached(src, dst, sc)
+		ev := float64(min(len(src.name.IDs), len(dst.name.IDs)))
+		// Character-level length adds a little evidence: longer names
+		// that agree are less likely to agree by chance.
+		ev += float64(min(len(src.JoinedName), len(dst.JoinedName))) / 12.0
+		// Exact (normalized) name equality is qualitatively stronger
+		// evidence than fuzzy similarity — identical names rarely
+		// collide by accident.
+		if src.JoinedName == dst.JoinedName && src.JoinedName != "" {
+			ev += 2
+		}
+		out[x] = Vote{Ratio: sim, Evidence: ev}
 	}
-	return Vote{Ratio: sim, Evidence: ev}
 }
 
 // hybridNameSimFlat is the composite name metric of the name voter: the
@@ -117,20 +148,29 @@ type DocVoter struct{}
 // Name implements Voter.
 func (DocVoter) Name() string { return "documentation" }
 
-// Vote implements Voter. The evidence is the size of the smaller document:
-// two rich documentation strings that disagree push the score firmly
-// negative, while two near-empty ones barely move it.
-func (DocVoter) Vote(src, dst *ElementView, sc *pairScratch) Vote {
-	if !src.HasDoc || !dst.HasDoc {
-		return Abstain
+// voteRow implements Voter. The evidence is the size of the smaller
+// document: two rich documentation strings that disagree push the score
+// firmly negative, while two near-empty ones barely move it.
+func (DocVoter) voteRow(src *ElementView, cols []int32, _ []float64, out []Vote, sc *pairScratch) {
+	var a text.Vector
+	if src.HasDoc {
+		a = sc.src.docs[src.El.ID]
 	}
-	a, b := sc.src.docs[src.El.ID], sc.dst.docs[dst.El.ID]
-	if a.IsZero() || b.IsZero() {
-		return Abstain
+	if a.IsZero() {
+		abstainRow(out)
+		return
 	}
-	cos := text.Cosine(a, b)
-	ev := min(float64(min(src.DocTokenCount, dst.DocTokenCount))/2.0, 12)
-	return Vote{Ratio: cos, Evidence: ev}
+	for x := range out {
+		j := rowCol(cols, x)
+		dst := sc.dst.View(j)
+		if !dst.HasDoc || sc.dst.docs[j].IsZero() {
+			out[x] = Abstain
+			continue
+		}
+		cos := text.Cosine(a, sc.dst.docs[j])
+		ev := min(float64(min(src.DocTokenCount, dst.DocTokenCount))/2.0, 12)
+		out[x] = Vote{Ratio: cos, Evidence: ev}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -144,12 +184,20 @@ type PathVoter struct{}
 // Name implements Voter.
 func (PathVoter) Name() string { return "path" }
 
-// Vote implements Voter.
-func (PathVoter) Vote(src, dst *ElementView, _ *pairScratch) Vote {
-	if len(src.path.IDs) == 0 || len(dst.path.IDs) == 0 {
-		return Abstain
+// voteRow implements Voter.
+func (PathVoter) voteRow(src *ElementView, cols []int32, _ []float64, out []Vote, sc *pairScratch) {
+	if len(src.path.IDs) == 0 {
+		abstainRow(out)
+		return
 	}
-	return pathVote(src, dst)
+	for x := range out {
+		dst := sc.dst.View(rowCol(cols, x))
+		if len(dst.path.IDs) == 0 {
+			out[x] = Abstain
+			continue
+		}
+		out[x] = pathVote(src, dst)
+	}
 }
 
 // pathVote blends synonym-aware overlap and Jaccard of the two paths.
@@ -174,19 +222,26 @@ type TypeVoter struct{}
 // Name implements Voter.
 func (TypeVoter) Name() string { return "type" }
 
-// Vote implements Voter.
-func (TypeVoter) Vote(src, dst *ElementView, _ *pairScratch) Vote {
-	ta, tb := src.El.Type, dst.El.Type
-	if ta == schema.TypeNone || tb == schema.TypeNone {
-		return Abstain
+// voteRow implements Voter.
+func (TypeVoter) voteRow(src *ElementView, cols []int32, _ []float64, out []Vote, sc *pairScratch) {
+	ta := src.El.Type
+	if ta == schema.TypeNone {
+		abstainRow(out)
+		return
 	}
-	switch {
-	case ta == tb:
-		return Vote{Ratio: 0.70, Evidence: 1}
-	case typeClass(ta) == typeClass(tb):
-		return Vote{Ratio: 0.60, Evidence: 0.8}
-	default:
-		return Vote{Ratio: 0.25, Evidence: 0.8}
+	class := typeClass(ta)
+	for x := range out {
+		tb := sc.dst.View(rowCol(cols, x)).El.Type
+		switch {
+		case tb == schema.TypeNone:
+			out[x] = Abstain
+		case ta == tb:
+			out[x] = Vote{Ratio: 0.70, Evidence: 1}
+		case class == typeClass(tb):
+			out[x] = Vote{Ratio: 0.60, Evidence: 0.8}
+		default:
+			out[x] = Vote{Ratio: 0.25, Evidence: 0.8}
+		}
 	}
 }
 
@@ -217,33 +272,52 @@ type StructureVoter struct{}
 // Name implements Voter.
 func (StructureVoter) Name() string { return "structure" }
 
-// Vote implements Voter. A container pair scores the children-alignment
-// total sparse candidate generation recorded in sc when there is one,
-// and aligns the children itself otherwise.
-func (StructureVoter) Vote(src, dst *ElementView, sc *pairScratch) Vote {
-	a, b := src.El, dst.El
-	switch {
-	case !a.IsLeaf() && !b.IsLeaf():
-		if sc.aligned {
-			return alignmentVote(src, dst, sc.alignTotal)
+// mixedVote is the structure vote of a container against a leaf: weak
+// structural counter-evidence.
+var mixedVote = Vote{Ratio: 0.35, Evidence: 0.6}
+
+// voteRow implements Voter. A container pair scores the row's recorded
+// children-alignment total when there is one, and aligns the children
+// itself otherwise.
+func (StructureVoter) voteRow(src *ElementView, cols []int32, totals []float64, out []Vote, sc *pairScratch) {
+	if !src.El.IsLeaf() {
+		for x := range out {
+			dst := sc.dst.View(rowCol(cols, x))
+			switch {
+			case dst.El.IsLeaf():
+				out[x] = mixedVote
+			case totals != nil:
+				out[x] = alignmentVote(src, dst, totals[x])
+			default:
+				out[x] = containerVote(src, dst)
+			}
 		}
-		return containerVote(src, dst)
-	case a.IsLeaf() && b.IsLeaf():
-		if src.parent == nil || dst.parent == nil {
-			return Abstain
+		return
+	}
+	// A leaf pair scores its parents' names. Sibling targets sit next to
+	// each other in a row, so the last parent's similarity is kept.
+	var last *ElementView
+	var sim float64
+	for x := range out {
+		dst := sc.dst.View(rowCol(cols, x))
+		switch {
+		case !dst.El.IsLeaf():
+			out[x] = mixedVote
+		case src.parent == nil || dst.parent == nil:
+			out[x] = Abstain
+		default:
+			if dst.parent != last {
+				last, sim = dst.parent, hybridSimCached(src.parent, dst.parent, sc)
+			}
+			out[x] = Vote{Ratio: sim, Evidence: 1.2}
 		}
-		sim := hybridSimCached(src.parent, dst.parent, sc)
-		return Vote{Ratio: sim, Evidence: 1.2}
-	default:
-		// container vs leaf: weak structural counter-evidence
-		return Vote{Ratio: 0.35, Evidence: 0.6}
 	}
 }
 
 // containerVote greedily aligns the children of a container pair by
 // synonym-aware token overlap and scores the alignment over the smaller
-// child set. The structure voter calls it when its scratch carries no
-// recorded total: in dense scoring, MatchCross and Explain. Sparse
+// child set. The structure voter calls it when its row carries no
+// recorded totals: in dense scoring, MatchCross and Explain. Sparse
 // scoring reuses the totals candidate generation recorded instead
 // (alignmentVote).
 func containerVote(src, dst *ElementView) Vote {
@@ -320,22 +394,29 @@ type AcronymVoter struct{}
 // Name implements Voter.
 func (AcronymVoter) Name() string { return "acronym" }
 
-// Vote implements Voter.
-func (AcronymVoter) Vote(src, dst *ElementView, _ *pairScratch) Vote {
-	if acronymOf(src, dst) || acronymOf(dst, src) {
-		return Vote{Ratio: 0.95, Evidence: 2}
+// voteRow implements Voter. A pair is an acronym relation when either
+// side's raw name, of 2 to 8 bytes, is the acronym of the other side's
+// tokens, of which there are at least two. A source side that can be
+// neither abstains for the whole row.
+func (AcronymVoter) voteRow(src *ElementView, cols []int32, _ []float64, out []Vote, sc *pairScratch) {
+	srcRaw, srcTokens := rawAcronymForm(src), len(src.NameTokens) >= 2
+	if !srcRaw && !srcTokens {
+		abstainRow(out)
+		return
 	}
-	return Abstain
+	for x := range out {
+		dst := sc.dst.View(rowCol(cols, x))
+		if srcRaw && len(dst.NameTokens) >= 2 && src.RawAcronym == dst.acronym ||
+			srcTokens && rawAcronymForm(dst) && dst.RawAcronym == src.acronym {
+			out[x] = Vote{Ratio: 0.95, Evidence: 2}
+		} else {
+			out[x] = Abstain
+		}
+	}
 }
 
-// acronymOf reports whether a's raw name is the acronym of b's tokens.
-func acronymOf(a, b *ElementView) bool {
-	if len(b.NameTokens) < 2 {
-		return false
-	}
-	raw := a.RawAcronym
-	if len(raw) < 2 || len(raw) > 8 {
-		return false
-	}
-	return raw == b.acronym
+// rawAcronymForm reports whether v's raw name can be an acronym: 2 to 8
+// bytes long.
+func rawAcronymForm(v *ElementView) bool {
+	return len(v.RawAcronym) >= 2 && len(v.RawAcronym) <= 8
 }

@@ -21,6 +21,14 @@ func viewsFor(t *testing.T) (*SchemaView, *SchemaView, *pairScratch) {
 	return sv, dv, &pairScratch{src: sv, dst: dv}
 }
 
+// voteOne votes the pair (src, dst) through v as a one-column row; dst
+// is a view of sc.dst.
+func voteOne(v Voter, src, dst *ElementView, sc *pairScratch) Vote {
+	var out [1]Vote
+	v.voteRow(src, []int32{int32(dst.El.ID)}, nil, out[:], sc)
+	return out[0]
+}
+
 func viewOf(sv *SchemaView, path string) *ElementView {
 	e := sv.Schema.ByPath(path)
 	if e == nil {
@@ -32,8 +40,8 @@ func viewOf(sv *SchemaView, path string) *ElementView {
 func TestNameVoter(t *testing.T) {
 	sv, dv, sc := viewsFor(t)
 	v := NameVoter{}
-	good := v.Vote(viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "IndividualType/familyName"), sc)
-	bad := v.Vote(viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "WeatherReport/temperature"), sc)
+	good := voteOne(v, viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "IndividualType/familyName"), sc)
+	bad := voteOne(v, viewOf(sv, "Person/LAST_NAME"), viewOf(dv, "WeatherReport/temperature"), sc)
 	if good.Score() <= bad.Score() {
 		t.Errorf("name voter: good %f <= bad %f", good.Score(), bad.Score())
 	}
@@ -48,7 +56,7 @@ func TestNameVoter(t *testing.T) {
 func TestDocVoter(t *testing.T) {
 	sv, dv, sc := viewsFor(t)
 	v := DocVoter{}
-	good := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"), sc)
+	good := voteOne(v, viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"), sc)
 	if good.Score() <= 0 {
 		t.Errorf("doc voter on 'date of birth' docs = %f, want positive", good.Score())
 	}
@@ -56,7 +64,7 @@ func TestDocVoter(t *testing.T) {
 	// include name tokens, so the voter still has something. Check abstention
 	// on truly empty views instead.
 	empty := ElementView{}
-	if got := v.Vote(&empty, viewOf(dv, "IndividualType/dateOfBirth"), sc); !got.IsAbstention() {
+	if got := voteOne(v, &empty, viewOf(dv, "IndividualType/dateOfBirth"), sc); !got.IsAbstention() {
 		t.Errorf("doc voter should abstain without a vector, got %+v", got)
 	}
 }
@@ -64,8 +72,8 @@ func TestDocVoter(t *testing.T) {
 func TestPathVoter(t *testing.T) {
 	sv, dv, sc := viewsFor(t)
 	v := PathVoter{}
-	same := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/individualId"), sc)
-	cross := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "WeatherReport/windSpeed"), sc)
+	same := voteOne(v, viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/individualId"), sc)
+	cross := voteOne(v, viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "WeatherReport/windSpeed"), sc)
 	if same.Score() <= cross.Score() {
 		t.Errorf("path voter: same-concept %f <= cross-concept %f", same.Score(), cross.Score())
 	}
@@ -74,16 +82,16 @@ func TestPathVoter(t *testing.T) {
 func TestTypeVoter(t *testing.T) {
 	sv, dv, sc := viewsFor(t)
 	v := TypeVoter{}
-	sameType := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"), sc)   // date vs date
-	classMatch := v.Vote(viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/familyName"), sc) // identifier vs string: textual class
-	conflict := v.Vote(viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "WeatherReport/temperature"), sc)    // date vs decimal
+	sameType := voteOne(v, viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "IndividualType/dateOfBirth"), sc)   // date vs date
+	classMatch := voteOne(v, viewOf(sv, "Person/PERSON_ID"), viewOf(dv, "IndividualType/familyName"), sc) // identifier vs string: textual class
+	conflict := voteOne(v, viewOf(sv, "Person/BIRTH_DT"), viewOf(dv, "WeatherReport/temperature"), sc)    // date vs decimal
 	if !(sameType.Score() > classMatch.Score()) {
 		t.Errorf("exact type %f should beat class match %f", sameType.Score(), classMatch.Score())
 	}
 	if conflict.Score() >= 0 {
 		t.Errorf("type conflict should be negative, got %f", conflict.Score())
 	}
-	containers := v.Vote(viewOf(sv, "Person"), viewOf(dv, "IndividualType"), sc)
+	containers := voteOne(v, viewOf(sv, "Person"), viewOf(dv, "IndividualType"), sc)
 	if !containers.IsAbstention() {
 		t.Errorf("type voter should abstain on containers, got %+v", containers)
 	}
@@ -92,12 +100,12 @@ func TestTypeVoter(t *testing.T) {
 func TestStructureVoter(t *testing.T) {
 	sv, dv, sc := viewsFor(t)
 	v := StructureVoter{}
-	tables := v.Vote(viewOf(sv, "Person"), viewOf(dv, "IndividualType"), sc)
-	unrelated := v.Vote(viewOf(sv, "Vehicle"), viewOf(dv, "WeatherReport"), sc)
+	tables := voteOne(v, viewOf(sv, "Person"), viewOf(dv, "IndividualType"), sc)
+	unrelated := voteOne(v, viewOf(sv, "Vehicle"), viewOf(dv, "WeatherReport"), sc)
 	if tables.Score() <= unrelated.Score() {
 		t.Errorf("structure voter: aligned tables %f <= unrelated %f", tables.Score(), unrelated.Score())
 	}
-	mixed := v.Vote(viewOf(sv, "Person"), viewOf(dv, "WeatherReport/temperature"), sc)
+	mixed := voteOne(v, viewOf(sv, "Person"), viewOf(dv, "WeatherReport/temperature"), sc)
 	if mixed.Score() >= 0 {
 		t.Errorf("container-vs-leaf should lean negative, got %f", mixed.Score())
 	}
@@ -114,11 +122,11 @@ func TestAcronymVoter(t *testing.T) {
 	sv, dv := pairViews(s1, s2)
 	sc := &pairScratch{src: sv, dst: dv}
 	v := AcronymVoter{}
-	hit := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Date_Time_Group"), sc)
+	hit := voteOne(v, viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Date_Time_Group"), sc)
 	if hit.IsAbstention() || hit.Score() <= 0.3 {
 		t.Errorf("DTG should match Date_Time_Group strongly, got %+v", hit)
 	}
-	miss := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Priority"), sc)
+	miss := voteOne(v, viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Priority"), sc)
 	if !miss.IsAbstention() {
 		t.Errorf("acronym voter should abstain on non-acronym pair, got %+v", miss)
 	}
@@ -141,11 +149,10 @@ func TestVoterNamesUniqueAndConcurrentSafe(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			sc := &pairScratch{src: sv, dst: dv}
+			out := make([]Vote, dv.Len())
 			for i := 0; i < sv.Len(); i++ {
-				for j := 0; j < dv.Len(); j++ {
-					for _, v := range voters {
-						v.Vote(sv.View(i), dv.View(j), sc)
-					}
+				for _, v := range voters {
+					v.voteRow(sv.View(i), nil, nil, out, sc)
 				}
 			}
 		}()
