@@ -11,7 +11,7 @@ import (
 	"harmony/internal/synth"
 )
 
-// gatedJournal is an AsyncJournal whose durability waits all release
+// gatedJournal is a Journal whose durability waits all release
 // once n records have been enqueued. A caller that waits for each record
 // before issuing the next never gets there.
 type gatedJournal struct {
@@ -23,8 +23,6 @@ type gatedJournal struct {
 func newGatedJournal(n int) *gatedJournal {
 	return &gatedJournal{n: n, release: make(chan struct{})}
 }
-
-func (j *gatedJournal) Commit(ops []registry.Op) error { return j.CommitAsync(ops)() }
 
 func (j *gatedJournal) CommitAsync([]registry.Op) func() error {
 	j.mu.Lock()

@@ -67,30 +67,27 @@ type Op struct {
 	Artifact *MatchArtifact `json:"artifact,omitempty"`
 }
 
-// Journal receives registry mutations as they are applied. Commit is
-// called with the registry write lock held — every mutation emits its ops
-// from one critical section, so log order always equals apply order — and
-// must persist the ops as one atomic record: after a crash, either the
-// whole record replays or none of it does. A Commit error does not roll
-// back the in-memory mutation; the journal implementation is expected to
-// retain the error for health reporting (see store.Stats.LastError).
+// Journal receives registry mutations as they are applied. CommitAsync
+// is called with the registry write lock held — every mutation emits its
+// ops from one critical section, so log order always equals apply order
+// — and must establish the record's position in the log before it
+// returns. The ops persist as one atomic record: after a crash, either
+// the whole record replays or none of it does. The returned wait blocks
+// until the record is durable (per the journal's fsync policy), and
+// mutators call it AFTER releasing the write lock: the fsync leaves the
+// registry's critical section, and concurrent commits waiting together is
+// what lets a group-committing WAL coalesce them into one fsync. A failed
+// commit does not roll back the in-memory mutation; the journal
+// implementation is expected to retain the error for health reporting
+// (see store.Stats.LastError).
 type Journal interface {
-	Commit(ops []Op) error
-}
-
-// AsyncJournal is optionally implemented by journals that separate
-// accepting a commit from making it durable. CommitAsync must establish
-// the record's position in the log immediately — it is called with the
-// registry write lock held, so log order equals apply order — and return
-// a wait function that blocks until the record is durable (per the
-// journal's fsync policy). Mutators call wait AFTER releasing the write
-// lock: the fsync leaves the registry's critical section, and concurrent
-// commits waiting together is what lets a group-committing WAL coalesce
-// them into one fsync.
-type AsyncJournal interface {
-	Journal
 	CommitAsync(ops []Op) func() error
 }
+
+// AsyncJournal is Journal under its former name; removed with the next
+// benchmark refresh. It remains only because the benchmark (perfbench)
+// asserts that its journal implements it.
+type AsyncJournal = Journal
 
 // BatchLocker has no reader; removed with the next benchmark refresh. The
 // registry commits every mutation from one critical section, so no open
@@ -112,23 +109,15 @@ func (r *Registry) SetJournal(j Journal) {
 
 // emitLocked hands one mutation's ops to the journal as one record;
 // callers hold the write lock and call the returned wait (when non-nil)
-// AFTER releasing it. An async journal establishes log position under the
-// lock and defers the durability wait to outside it; a plain journal
-// commits synchronously here. The wait's error is surfaced by the mutator:
-// the in-memory mutation has already happened, but the caller must not be
+// AFTER releasing it. The wait's error is surfaced by the mutator: the
+// in-memory mutation has already happened, but the caller must not be
 // told a durable write succeeded when it did not — under
 // fsync-per-commit, "returned without error" is the durability contract.
 func (r *Registry) emitLocked(ops ...Op) (wait func() error) {
 	if r.journal == nil || len(ops) == 0 {
 		return nil
 	}
-	if aj, ok := r.journal.(AsyncJournal); ok {
-		return aj.CommitAsync(ops)
-	}
-	if err := r.journal.Commit(ops); err != nil {
-		return func() error { return err }
-	}
-	return nil
+	return r.journal.CommitAsync(ops)
 }
 
 // Apply replays journaled ops into the registry without re-journaling or

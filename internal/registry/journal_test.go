@@ -18,10 +18,11 @@ type memJournal struct {
 	err     error
 }
 
-func (j *memJournal) Commit(ops []Op) error {
+func (j *memJournal) CommitAsync(ops []Op) func() error {
 	cp := append([]Op(nil), ops...)
 	j.records = append(j.records, cp)
-	return j.err
+	err := j.err
+	return func() error { return err }
 }
 
 func testSchema(name string, cols ...string) *schema.Schema {
@@ -274,7 +275,7 @@ func TestJournalNilIsInMemory(t *testing.T) {
 	}
 }
 
-// gateJournal is an AsyncJournal that keeps every CommitAsync as one
+// gateJournal is a Journal that keeps every CommitAsync as one
 // record and indexes the record of each schema-add (by schema name) and
 // match-add (by artifact ID). upgradeWait, when set, runs inside the
 // durability wait of every record that starts with OpSchemaVersion, so a
@@ -286,8 +287,6 @@ type gateJournal struct {
 	records [][]Op
 	index   map[string]int
 }
-
-func (j *gateJournal) Commit(ops []Op) error { return j.CommitAsync(ops)() }
 
 func (j *gateJournal) CommitAsync(ops []Op) func() error {
 	j.mu.Lock()

@@ -163,35 +163,41 @@ func WriteFileAtomic(path string, data []byte) error {
 // no journal attached.
 func DecodeSnapshot(data []byte) (*Registry, error) {
 	r := New()
-	if err := r.load(data); err != nil {
+	if err := r.ResetTo(data); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // ResetTo replaces the registry's entire contents with a snapshot's —
-// the follower-side write half of replication re-bootstrap. The snapshot
-// is decoded and prepared as DecodeSnapshot does, and its index segments
-// built, outside the registry lock; a snapshot that fails to decode
-// leaves the registry untouched. The new segments then replace the live
-// index's (the index object stays the same: searches hold it without the
-// registry lock). The attached journal (if any) is kept but NOT
-// notified: like Apply, a reset mirrors state that is already durable
-// elsewhere. Concurrent readers see either the old state or the new,
-// never a mix.
+// the memory-only follower's write half of replication bootstrap. It is
+// PrepareReset followed by its install: a snapshot that fails to decode
+// leaves the registry untouched.
 func (r *Registry) ResetTo(data []byte) error {
-	return r.load(data)
-}
-
-// load decodes a snapshot and builds its index segments outside the
-// lock, then replaces the registry's contents with it: the current
-// versions go through batch admission and the index swaps in the new
-// segments. decodeSnapshot has rejected duplicate names, so every schema
-// is admitted.
-func (r *Registry) load(data []byte) error {
-	c, err := r.decodeSnapshot(data)
+	install, err := r.PrepareReset(data)
 	if err != nil {
 		return err
+	}
+	install()
+	return nil
+}
+
+// PrepareReset decodes and prepares a snapshot as DecodeSnapshot does,
+// and builds its index segments, all outside the registry lock; it
+// changes nothing. The returned install replaces the registry's contents
+// with the snapshot's under the write lock: the current versions go
+// through batch admission and the new segments replace the live index's
+// (the index object stays the same: searches hold it without the
+// registry lock). Splitting the two lets a store reject an undecodable
+// snapshot before it touches its own files. Decoding has rejected
+// duplicate names, so every schema is admitted. The attached journal (if
+// any) is kept but NOT notified: like Apply, a reset mirrors state that
+// is already durable elsewhere. Concurrent readers see either the old
+// state or the new, never a mix.
+func (r *Registry) PrepareReset(data []byte) (install func(), err error) {
+	c, err := r.decodeSnapshot(data)
+	if err != nil {
+		return nil, err
 	}
 	batch := make([]*PreparedSchema, len(c.current))
 	docs := make([]*search.PreparedDoc, len(c.current))
@@ -199,34 +205,35 @@ func (r *Registry) load(data []byte) error {
 		batch[i], docs[i] = d.ps, d.ps.pd
 	}
 	swapIndex := r.index.Reset(docs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.entries = make(map[string]*Entry, len(c.current))
-	r.history = make(map[string][]*Entry)
-	r.matches = make(map[string]*MatchArtifact, len(c.matches))
-	r.involving = make(map[string]map[string]*MatchArtifact)
-	r.admitLocked(batch, make([]error, len(batch)))
-	swapIndex()
-	for _, d := range c.current {
-		e := r.entries[d.ps.Schema.Name]
-		e.Registered = d.pe.Registered
-		e.Version = max(d.pe.Version, 1)
-	}
-	for _, d := range c.history {
-		r.history[d.e.Schema.Name] = append(r.history[d.e.Schema.Name], d.e)
-	}
-	for _, chain := range r.history {
-		sort.Slice(chain, func(i, j int) bool { return chain[i].Version < chain[j].Version })
-	}
-	for i := range c.matches {
-		pa := c.matches[i]
-		r.putMatchLocked(&MatchArtifact{
-			ID: pa.ID, SchemaA: pa.SchemaA, SchemaB: pa.SchemaB,
-			Context: pa.Context, Provenance: pa.Provenance, Pairs: pa.Pairs,
-		})
-	}
-	r.nextID = c.nextID
-	return nil
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.entries = make(map[string]*Entry, len(c.current))
+		r.history = make(map[string][]*Entry)
+		r.matches = make(map[string]*MatchArtifact, len(c.matches))
+		r.involving = make(map[string]map[string]*MatchArtifact)
+		r.admitLocked(batch, make([]error, len(batch)))
+		swapIndex()
+		for _, d := range c.current {
+			e := r.entries[d.ps.Schema.Name]
+			e.Registered = d.pe.Registered
+			e.Version = max(d.pe.Version, 1)
+		}
+		for _, d := range c.history {
+			r.history[d.e.Schema.Name] = append(r.history[d.e.Schema.Name], d.e)
+		}
+		for _, chain := range r.history {
+			sort.Slice(chain, func(i, j int) bool { return chain[i].Version < chain[j].Version })
+		}
+		for i := range c.matches {
+			pa := c.matches[i]
+			r.putMatchLocked(&MatchArtifact{
+				ID: pa.ID, SchemaA: pa.SchemaA, SchemaB: pa.SchemaB,
+				Context: pa.Context, Provenance: pa.Provenance, Pairs: pa.Pairs,
+			})
+		}
+		r.nextID = c.nextID
+	}, nil
 }
 
 // snapshotContent is a decoded, prepared snapshot, ready to install.

@@ -34,12 +34,9 @@ type Options struct {
 	// follower that applies ops straight to Registry.
 	Store *store.Store
 	// Registry receives the applied ops. Defaults to Store.Registry()
-	// when a store is given; required otherwise.
+	// when a store is given; required otherwise, and then empty: a
+	// memory-only follower starts at LSN 0, in the bootstrap state.
 	Registry *registry.Registry
-	// StartLSN is the LSN the registry's initial state covers
-	// (memory-only followers bootstrapped from a fetched snapshot);
-	// store-backed followers resume from the store's recovered LSN.
-	StartLSN uint64
 	// PollWait is the long-poll budget per WAL request (default 10s).
 	PollWait time.Duration
 	// RetryMin/RetryMax bound the reconnect backoff (default 100ms/5s).
@@ -100,7 +97,13 @@ type Follower struct {
 }
 
 // StartFollower validates opts, starts the replication loop, and
-// returns the running follower.
+// returns the running follower. A follower whose applied LSN is 0 (an
+// empty store, or a memory-only follower) is in the bootstrap state: it
+// fetches the leader's snapshot and resets onto it before StartFollower
+// returns, so the caller sees the leader's state at once. That first
+// attempt is best effort, bounded by bootstrapTimeout; if it fails, the
+// loop retries it with backoff. A store that recovered records resumes
+// tailing from its recovered LSN instead.
 func StartFollower(opts Options) (*Follower, error) {
 	if opts.Peer == "" {
 		return nil, fmt.Errorf("repl: follower needs a peer URL")
@@ -143,12 +146,21 @@ func StartFollower(opts Options) (*Follower, error) {
 	}
 	if opts.Store != nil {
 		f.applied = opts.Store.LastLSN()
-	} else {
-		f.applied = opts.StartLSN
+	}
+	if f.applied == 0 {
+		f.bootstrap = true
+		bctx, cancel := context.WithTimeout(ctx, bootstrapTimeout)
+		if err := f.rebootstrap(bctx); err != nil {
+			f.fail("bootstrap: %v", err)
+		}
+		cancel()
 	}
 	go f.run()
 	return f, nil
 }
+
+// bootstrapTimeout bounds StartFollower's first bootstrap attempt.
+const bootstrapTimeout = 30 * time.Second
 
 // Stop terminates the replication loop and waits for it to exit. The
 // follower's store (if any) stays open — it belongs to the caller.
@@ -209,7 +221,7 @@ func (f *Follower) run() {
 	backoff := f.opts.RetryMin
 	for f.ctx.Err() == nil {
 		if f.needBootstrap() {
-			if err := f.rebootstrap(); err != nil {
+			if err := f.rebootstrap(f.ctx); err != nil {
 				f.fail("bootstrap: %v", err)
 				backoff = f.sleep(backoff)
 				continue
@@ -379,9 +391,10 @@ func (f *Follower) applyRecord(rec store.Record, ops []registry.Op) error {
 }
 
 // rebootstrap fetches a snapshot from the leader and resets local state
-// onto it.
-func (f *Follower) rebootstrap() error {
-	lsn, data, err := FetchSnapshot(f.ctx, f.client, f.opts.Peer, f.opts.ReplicaID)
+// onto it: the follower's one bootstrap path, for a fresh follower and
+// after a 410 or a diverged record alike.
+func (f *Follower) rebootstrap(ctx context.Context) error {
+	lsn, data, err := f.fetchSnapshot(ctx)
 	if err != nil {
 		return err
 	}
@@ -423,22 +436,19 @@ func (f *Follower) leaderStatus(ctx context.Context) (*StatusResponse, error) {
 	return &st, nil
 }
 
-// FetchSnapshot retrieves a bootstrap snapshot from a leader, returning
-// the LSN it covers and its body. replica (optional) pins the cursor on
-// the leader so the follow-up WAL poll cannot race compaction.
-func FetchSnapshot(ctx context.Context, client *http.Client, peer, replica string) (uint64, []byte, error) {
-	if client == nil {
-		client = &http.Client{}
-	}
-	u := peer + PathSnapshot
-	if replica != "" {
-		u += "?replica=" + url.QueryEscape(replica)
+// fetchSnapshot retrieves a bootstrap snapshot from the leader,
+// returning the LSN it covers and its body. The replica id pins the
+// cursor on the leader so the follow-up WAL poll cannot race compaction.
+func (f *Follower) fetchSnapshot(ctx context.Context) (uint64, []byte, error) {
+	u := f.opts.Peer + PathSnapshot
+	if f.opts.ReplicaID != "" {
+		u += "?replica=" + url.QueryEscape(f.opts.ReplicaID)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	resp, err := client.Do(req)
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -14,20 +14,26 @@
 // and LSN-identical and promoting a follower is just "start accepting
 // writes"; no log surgery, no translation layer.
 //
-// Catch-up after a follower restart is the normal tail loop: the
-// follower resumes polling from its recovered LSN. When the leader has
-// compacted past that cursor it answers 410 Gone and the follower
-// re-bootstraps from a shipped snapshot (store.ResetToSnapshot). While
-// a follower is connected, its cursor pins the leader's segments
+// A follower reaches the leader's state one way: it fetches a snapshot
+// from PathSnapshot and resets onto it (store.ResetToSnapshot, or
+// registry.ResetTo for a memory-only follower), then tails the log from
+// the snapshot's LSN. A fresh follower, whose applied LSN is 0, does this
+// inside StartFollower. A restarted follower resumes polling from its
+// recovered LSN; when the leader has compacted past that cursor it
+// answers 410 Gone, and the follower takes the same bootstrap path again.
+// While a follower is connected, its cursor pins the leader's segments
 // (store.Pin) so compaction cannot outrun it; pins expire after a
 // contact TTL so a vanished replica cannot hold segments hostage
 // forever.
 //
-// Durability caveat: records are shipped as soon as they are appended,
-// which under FsyncOff/FsyncInterval policies may precede their fsync.
-// A leader crash can then lose records a follower already applied —
-// acceptable under an explicitly lossy policy, and the default
-// per-commit policy never exposes it (DurableLSN == LastLSN).
+// Durability: the leader ships only records its WAL has finished
+// flushing (store.ReadRecords), and a shipped snapshot covers no record
+// past them (store.ShipSnapshot). Under the default per-commit policy a
+// flush ends with its fsync, so a follower never holds a record the
+// leader has not made durable. Under the interval and off policies a
+// flush ends with the write: a record can ship before its fsync, and a
+// leader crash can then lose records a follower already applied —
+// acceptable under an explicitly lossy policy.
 package repl
 
 import (

@@ -133,6 +133,49 @@ func TestClusterReplicationEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClusterFreshFollowerBootstrapsBeforeServing: a fresh store-backed
+// follower of a leader whose WAL still holds its whole history is
+// populated by one snapshot bootstrap before New returns, and warms its
+// match and profile caches from the leader's state.
+func TestClusterFreshFollowerBootstrapsBeforeServing(t *testing.T) {
+	leader, lts := newTestServer(t, Config{StoreDir: t.TempDir(), Fsync: "commit"})
+	postSchema(t, lts.URL, testSchema("orders", "order_id", "customer_name", "total_amount"))
+	postSchema(t, lts.URL, testSchema("invoices", "invoice_id", "customer_name", "total_amount"))
+	var mr matchResponse
+	do(t, "POST", lts.URL+"/v1/match", matchRequest{A: "orders", B: "invoices"}, http.StatusOK, &mr)
+	if leader.Registry().MatchCount() == 0 {
+		t.Fatal("the leader stored no match result")
+	}
+	if _, err := leader.Store().ReadRecords(0, 0, 0); err != nil {
+		t.Fatalf("precondition: the leader's WAL should hold its whole history: %v", err)
+	}
+
+	follower, _ := newTestServer(t, Config{
+		StoreDir:  t.TempDir(),
+		Fsync:     "commit",
+		Role:      RoleFollower,
+		PeerURL:   lts.URL,
+		ReplicaID: "fresh",
+	})
+	// No waiting: New returned, so the bootstrap already happened.
+	fs := follower.replStats().Follower
+	if fs == nil || fs.Bootstraps != 1 {
+		t.Fatalf("follower stats %+v, want exactly one bootstrap", fs)
+	}
+	if got, want := follower.Store().LastLSN(), leader.Store().LastLSN(); got != want {
+		t.Fatalf("follower at lsn %d, leader at %d", got, want)
+	}
+	if follower.Registry().Len() != 2 || follower.Registry().MatchCount() != leader.Registry().MatchCount() {
+		t.Fatalf("follower holds %d schemata and %d artifacts", follower.Registry().Len(), follower.Registry().MatchCount())
+	}
+	if got := follower.Cache().Stats().Warmed; got == 0 {
+		t.Fatal("the follower's match cache warmed nothing from the leader's artifacts")
+	}
+	if got := follower.profiles.Stats().Size; got != 2 {
+		t.Fatalf("the follower's profile cache holds %d profiles, want 2", got)
+	}
+}
+
 // TestClusterLeaderKill9PromoteNoLoss is the failover acceptance test:
 // accepted mappings committed on the leader, a caught-up follower, the
 // leader dies without any shutdown, and promotion yields a writable

@@ -5,41 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"harmony/internal/repl"
-	"harmony/internal/store"
 )
 
-// This file wires internal/repl into the server: follower bootstrap and
-// tailing, the leader's serving source, the scatter-gather router, the
-// read-only guard on mutating endpoints, and promotion.
+// This file wires internal/repl into the server: the follower (its
+// bootstrap and tailing), the leader's serving source, the
+// scatter-gather router, the read-only guard on mutating endpoints, and
+// promotion.
 
-// bootstrapFollowerDir seeds an empty follower store directory with a
-// leader snapshot, so the subsequent store.Open recovers straight into
-// the leader's state. Best-effort by design: every failure path leaves
-// the directory usable and the replication loop converges later (410 →
-// snapshot reset).
-func bootstrapFollowerDir(cfg Config, logf func(string, ...any)) {
-	has, err := store.HasState(cfg.StoreDir)
-	if err != nil || has {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	lsn, data, err := repl.FetchSnapshot(ctx, nil, cfg.PeerURL, cfg.ReplicaID)
-	if err != nil {
-		logf("service: follower bootstrap from %s failed (will catch up over WAL): %v", cfg.PeerURL, err)
-		return
-	}
-	if err := store.WriteBootstrapSnapshot(cfg.StoreDir, lsn, data); err != nil {
-		logf("service: follower bootstrap write failed: %v", err)
-		return
-	}
-	logf("service: bootstrapped follower store from %s at lsn %d (%d bytes)", cfg.PeerURL, lsn, len(data))
-}
-
-// initRepl starts the node's replication components per cfg.Role.
+// initRepl starts the node's replication components per cfg.Role. A
+// follower with nothing applied yet is populated from the leader's
+// snapshot before repl.StartFollower returns (best effort), so New calls
+// this before it warms the match and profile caches.
 func (s *Server) initRepl() error {
 	// Any store-backed node serves the replication API: leaders feed
 	// followers, and a follower serving its own (identical) log allows

@@ -116,15 +116,6 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	reg := registry.New()
 	var st *store.Store
 	if cfg.StoreDir != "" {
-		if cfg.Role == RoleFollower {
-			// A fresh follower seeds its empty store directory with a
-			// leader snapshot before opening, so recovery starts at the
-			// leader's LSN instead of replaying the whole history one
-			// record at a time. Best-effort: with the leader down (or the
-			// directory already populated) the normal open proceeds and
-			// the tail loop catches up — via a 410 re-bootstrap if needed.
-			bootstrapFollowerDir(cfg, logf)
-		}
 		st, err = store.Open(store.Options{
 			Dir:           cfg.StoreDir,
 			Fsync:         store.FsyncPolicy(cfg.Fsync),
@@ -162,20 +153,22 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	// loop can record replication batches from its first poll.
 	s.recorder = obs.NewRecorder(traceRing)
 	s.corpusPipe = corpus.NewPipeline(reg, serverCorpusCache{s})
-	if n := WarmStart(s.cache, reg); n > 0 {
-		logf("service: warm-started match cache with %d stored results", n)
-	}
-	if n := warmProfiles(profiles, reg); n > 0 {
-		logf("service: warmed the profile cache with the %d newest schemata", n)
-	}
 	if s.st != nil {
 		s.snapStop = make(chan struct{})
 		s.snapDone = make(chan struct{})
 		go s.snapshotLoop()
 	}
+	// A fresh follower bootstraps from the leader inside initRepl, so the
+	// caches below warm from the leader's state.
 	if err := s.initRepl(); err != nil {
 		s.Close()
 		return nil, err
+	}
+	if n := WarmStart(s.cache, reg); n > 0 {
+		logf("service: warm-started match cache with %d stored results", n)
+	}
+	if n := warmProfiles(profiles, reg); n > 0 {
+		logf("service: warmed the profile cache with the %d newest schemata", n)
 	}
 	s.initObs()
 	return s, nil

@@ -24,6 +24,6 @@ var (
 		obs.CountBuckets)
 	snapshotSeconds = obs.Default().Histogram(
 		"harmony_store_snapshot_seconds",
-		"Wall time of successful snapshot runs (encode, write, prune, truncate).",
+		"Wall time of successful snapshot runs (capture, write, prune, truncate).",
 		obs.DefBuckets)
 )

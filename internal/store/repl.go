@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-
-	"harmony/internal/registry"
 )
 
 // This file is the store's replication surface: everything a WAL-shipping
@@ -44,9 +42,14 @@ const (
 // ReadRecords returns up to maxRecords records with LSN > fromLSN, in log
 // order, stopping early once maxBytes of payload have been collected
 // (zero limits pick defaults). A fromLSN older than the oldest retained
-// segment returns ErrCompacted. Reading races appends safely: a partial
-// record at the active segment's tail simply ends the batch — the
-// remainder ships on the next call.
+// segment returns ErrCompacted.
+//
+// Only records the WAL has finished flushing are read: the batch ends at
+// the written LSN, even when the segment files already hold later bytes
+// (a group flush writes its records and then fsyncs them). Under
+// FsyncPerCommit the written LSN advances only after the fsync, so a
+// reader is never handed a record that is not durable. Under the interval
+// and off policies a record may ship before it is synced, by policy.
 func (s *Store) ReadRecords(fromLSN uint64, maxRecords, maxBytes int) ([]Record, error) {
 	if maxRecords <= 0 {
 		maxRecords = defaultReadRecords
@@ -54,17 +57,17 @@ func (s *Store) ReadRecords(fromLSN uint64, maxRecords, maxBytes int) ([]Record,
 	if maxBytes <= 0 {
 		maxBytes = defaultReadBytes
 	}
+	// Read the bound before the files: every record at or below it is
+	// already in them.
+	written := s.wal.WrittenLSN()
+	if fromLSN >= written {
+		return nil, nil
+	}
 	segs, err := listSegments(s.opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) == 0 {
-		if fromLSN >= s.wal.LastLSN() {
-			return nil, nil
-		}
-		return nil, ErrCompacted
-	}
-	if segs[0] > fromLSN+1 {
+	if len(segs) == 0 || segs[0] > fromLSN+1 {
 		// The segment that held record fromLSN+1 was compacted away.
 		return nil, ErrCompacted
 	}
@@ -81,11 +84,11 @@ func (s *Store) ReadRecords(fromLSN uint64, maxRecords, maxBytes int) ([]Record,
 		}
 		lsn := first - 1
 		off := 0
-		for off < len(data) {
+		for off < len(data) && lsn < written {
 			payload, next, ok := readRecord(data, off)
 			if !ok {
-				// Torn tail (an append in flight) or the truncation point
-				// replay will repair: stop shipping here.
+				// The truncation point replay will repair: stop shipping
+				// here.
 				return out, nil
 			}
 			lsn++
@@ -118,15 +121,16 @@ func (s *Store) LastLSN() uint64 { return s.wal.LastLSN() }
 func (s *Store) DurableLSN() uint64 { return s.wal.DurableLSN() }
 
 // ShipSnapshot encodes the current registry state for follower bootstrap
-// and returns the exact LSN it covers. Like Snapshot it excludes a
-// LockBatch bracket, so the shipped state never pairs a record with the
-// wrong LSN, but it writes nothing to disk — shipping is read-only on the
-// leader.
+// and returns the exact LSN it covers. It captures the state the way
+// Snapshot does (see capture): the shipped state never pairs a record
+// with the wrong LSN, and its LSN is never past the records the WAL has
+// written — under FsyncPerCommit, never past the durable ones, so a
+// leader that crashes cannot reuse an LSN a follower already holds. It
+// writes nothing to disk: shipping is read-only on the leader.
 func (s *Store) ShipSnapshot() (lsn uint64, data []byte, err error) {
 	s.snapMu.Lock()
-	view := s.reg.SnapshotView(func() { lsn = s.wal.LastLSN() })
-	s.snapMu.Unlock()
-	data, err = view.Encode()
+	defer s.snapMu.Unlock()
+	lsn, data, err = s.capture()
 	if err != nil {
 		return 0, nil, fmt.Errorf("store: ship snapshot: %w", err)
 	}
@@ -157,10 +161,18 @@ func (s *Store) AppendReplicated(lsn uint64, payload []byte, ops int) error {
 }
 
 // ResetToSnapshot replaces the store's (and its registry's) entire state
-// with a shipped snapshot covering lsn — the follower's catch-up path
-// when the leader compacted past its cursor. The local log restarts
-// empty at lsn; local segments and older local snapshots are discarded.
+// with a shipped snapshot covering lsn: a follower's one bootstrap path,
+// both for an empty follower and after the leader compacted past its
+// cursor. The snapshot is decoded and prepared first; one that does not
+// decode returns an error and leaves the log, the snapshot files and the
+// registry as they were. Then the local log restarts empty at lsn (local
+// segments and older local snapshots are discarded), the snapshot is
+// written and the registry installs the new state.
 func (s *Store) ResetToSnapshot(lsn uint64, data []byte) error {
+	install, err := s.reg.PrepareReset(data)
+	if err != nil {
+		return fmt.Errorf("store: reset: %w", err)
+	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	// Delete segments before writing the snapshot: a crash in between
@@ -175,10 +187,7 @@ func (s *Store) ResetToSnapshot(lsn uint64, data []byte) error {
 		s.setErr(err)
 		return fmt.Errorf("store: reset: %w", err)
 	}
-	if err := s.reg.ResetTo(data); err != nil {
-		s.setErr(err)
-		return fmt.Errorf("store: reset: %w", err)
-	}
+	install()
 	s.mu.Lock()
 	s.snapshotLSN = lsn
 	s.snapshots++
@@ -224,38 +233,4 @@ func (s *Store) pinnedFloor() (uint64, bool) {
 		}
 	}
 	return floor, ok
-}
-
-// HasState reports whether a store directory already holds snapshots or
-// WAL segments — the "do I need to bootstrap?" check a fresh follower
-// runs before opening its store.
-func HasState(dir string) (bool, error) {
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return false, err
-	}
-	return len(snaps) > 0 || len(segs) > 0, nil
-}
-
-// WriteBootstrapSnapshot seeds an empty store directory with a shipped
-// snapshot, so the subsequent Open recovers straight into the leader's
-// state at lsn. The data must decode as a registry snapshot.
-func WriteBootstrapSnapshot(dir string, lsn uint64, data []byte) error {
-	if _, err := registry.DecodeSnapshot(data); err != nil {
-		return fmt.Errorf("store: bootstrap snapshot: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: bootstrap snapshot: %w", err)
-	}
-	if err := writeSnapshot(dir, lsn, data); err != nil {
-		return fmt.Errorf("store: bootstrap snapshot: %w", err)
-	}
-	return nil
 }

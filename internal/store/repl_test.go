@@ -1,11 +1,17 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"harmony/internal/registry"
 	"harmony/internal/schema"
@@ -70,6 +76,154 @@ func TestReadRecordsShipsCommittedOps(t *testing.T) {
 	tail, err := s.ReadRecords(head[1].LSN, 0, 0)
 	if err != nil || len(tail) != 3 || tail[0].LSN != 3 {
 		t.Fatalf("resumed read %d records from %v, err %v", len(tail), tail, err)
+	}
+}
+
+// TestReadRecordsStopsAtWrittenLSN: a record the segment file holds past
+// the WAL's written LSN — a group flush between its write and its fsync
+// — is not shipped.
+func TestReadRecordsStopsAtWrittenLSN(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{Fsync: FsyncPerCommit})
+	if err := s.Registry().AddSchema(replTestSchema("a"), ""); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments %v, err %v", segs, err)
+	}
+	payload, err := registry.MarshalOps([]registry.Op{{Kind: registry.OpSchemaDelete, Name: "a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segmentName(segs[0])), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DurableLSN(); got != 1 {
+		t.Fatalf("durable LSN %d, want 1", got)
+	}
+	recs, err := s.ReadRecords(0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].LSN != 1 {
+		t.Fatalf("shipped %d records, want only record 1", len(recs))
+	}
+	if recs, err := s.ReadRecords(1, 0, 0); err != nil || len(recs) != 0 {
+		t.Fatalf("read past the written LSN returned %d records, err %v", len(recs), err)
+	}
+}
+
+// TestShipSnapshotNeverPassesWrittenLSN: with a group flush held, a
+// shipped snapshot covers no record the WAL has not written (under
+// FsyncPerCommit: fsynced). A leader that crashed after shipping such a
+// snapshot would reuse the LSN for a new record the follower never gets.
+func TestShipSnapshotNeverPassesWrittenLSN(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), Options{Fsync: FsyncPerCommit})
+	if err := s.Registry().AddSchema(replTestSchema("a"), ""); err != nil {
+		t.Fatal(err)
+	}
+	s.wal.fmu.Lock()
+	held := true
+	defer func() {
+		if held {
+			s.wal.fmu.Unlock()
+		}
+	}()
+	added := make(chan error, 1)
+	go func() { added <- s.Registry().AddSchema(replTestSchema("b"), "") }()
+	for s.wal.LastLSN() < 2 {
+		runtime.Gosched()
+	}
+	type shipped struct {
+		lsn, written uint64
+		err          error
+	}
+	ch := make(chan shipped, 1)
+	go func() {
+		lsn, _, err := s.ShipSnapshot()
+		s.wal.mu.Lock()
+		written := s.wal.writtenLSN
+		s.wal.mu.Unlock()
+		ch <- shipped{lsn, written, err}
+	}()
+	var r shipped
+	select {
+	case r = <-ch:
+	case <-time.After(100 * time.Millisecond):
+		// Still waiting for the held flush: release it.
+		s.wal.fmu.Unlock()
+		held = false
+		r = <-ch
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.lsn > r.written {
+		t.Fatalf("shipped a snapshot at lsn %d with the WAL written through %d", r.lsn, r.written)
+	}
+	if held {
+		s.wal.fmu.Unlock()
+		held = false
+	}
+	if err := <-added; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetToSnapshotUndecodableLeavesStore: a shipped body that does not
+// decode is rejected before the reset touches anything — the segments,
+// the snapshot files, the log head and the registry stay as they were, so
+// a later local snapshot still pairs the registry with its own LSN.
+func TestResetToSnapshotUndecodableLeavesStore(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{})
+	for _, name := range []string{"a", "b"} {
+		if err := s.Registry().AddSchema(replTestSchema(name), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := listSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encode(t, s.Registry())
+	for _, body := range []string{
+		`not json`,
+		`{"schemas":[{"schema":"not a schema"}],"matches":[],"nextId":0}`,
+		`{"schemas":[{"schema":{"name":"x","format":"relational"}},{"schema":{"name":"x","format":"relational"}}]}`,
+	} {
+		if err := s.ResetToSnapshot(50, []byte(body)); err == nil {
+			t.Fatalf("reset onto %q succeeded", body)
+		}
+		gotSegs, _ := listSegments(dir)
+		gotSnaps, _ := listSnapshots(dir)
+		if !slices.Equal(gotSegs, segs) || !slices.Equal(gotSnaps, snaps) {
+			t.Fatalf("after reset onto %q: segments %v snapshots %v, want %v and %v", body, gotSegs, gotSnaps, segs, snaps)
+		}
+		if got := s.LastLSN(); got != 2 {
+			t.Fatalf("after reset onto %q: log head %d, want 2", body, got)
+		}
+		if !bytes.Equal(encode(t, s.Registry()), want) {
+			t.Fatalf("after reset onto %q: registry changed", body)
+		}
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := listSnapshots(dir); !slices.Equal(got, []uint64{2}) {
+		t.Fatalf("snapshots after a local snapshot %v, want [2]", got)
 	}
 }
 

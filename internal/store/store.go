@@ -132,7 +132,7 @@ type Stats struct {
 }
 
 // Store is the durable engine bound to one registry. It implements
-// registry.AsyncJournal. Construct with Open; safe for concurrent use.
+// registry.Journal. Construct with Open; safe for concurrent use.
 type Store struct {
 	opts Options
 	reg  *registry.Registry
@@ -261,12 +261,7 @@ func Open(opts Options) (*Store, error) {
 // Registry returns the recovered registry this store journals for.
 func (s *Store) Registry() *registry.Registry { return s.reg }
 
-// Commit implements registry.Journal: one atomic WAL record per batch.
-func (s *Store) Commit(ops []registry.Op) error {
-	return s.CommitAsync(ops)()
-}
-
-// CommitAsync implements registry.AsyncJournal: the ops are framed and
+// CommitAsync implements registry.Journal: the ops are framed and
 // enqueued to the WAL immediately — in call order, so log order still
 // equals apply order — and the returned wait blocks until the record's
 // group flush reaches stable storage (per the fsync policy). Callers
@@ -315,25 +310,18 @@ func (s *Store) UnlockBatch() { s.snapMu.Unlock() }
 func (s *Store) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	var lsn uint64
-	view := s.reg.SnapshotView(func() { lsn = s.wal.LastLSN() })
+	// Nothing committed since the last snapshot: skip the encode. A
+	// commit racing this check only defers its record to the next
+	// snapshot; the WAL holds it meanwhile.
+	head := s.wal.LastLSN()
 	s.mu.Lock()
-	already := lsn == s.snapshotLSN && (s.snapshots > 0 || lsn > 0)
+	already := head == s.snapshotLSN && (s.snapshots > 0 || head > 0)
 	s.mu.Unlock()
 	if already {
 		return nil
 	}
-	// The snapshot is named by the log head at view time, which may
-	// include records still queued behind an in-flight group flush. They
-	// must reach the segment files before the snapshot publishes: record
-	// LSNs are positional, so a snapshot claiming records the files never
-	// received would desynchronize replay numbering after a crash.
-	if err := s.wal.WaitWritten(lsn); err != nil {
-		s.setErr(err)
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
 	t0 := time.Now()
-	data, err := view.Encode()
+	lsn, data, err := s.capture()
 	if err != nil {
 		s.setErr(err)
 		return fmt.Errorf("store: snapshot: %w", err)
@@ -370,6 +358,28 @@ func (s *Store) Snapshot() error {
 	snapshotSeconds.Observe(time.Since(t0).Seconds())
 	s.opts.Logf("store: snapshot at lsn %d (%d bytes)", lsn, len(data))
 	return nil
+}
+
+// capture is the store's one snapshot capture, shared by Snapshot and
+// ShipSnapshot; callers hold snapMu, which excludes a follower's
+// append+apply bracket (LockBatch). It takes the registry view at the log
+// head, waits until the WAL has written every record up to that LSN, and
+// encodes the view. The registry lock is held only for the view's pointer
+// copy; the wait and the encode run outside it, so matching traffic
+// proceeds meanwhile. The wait matters twice. Record LSNs are positional,
+// so a snapshot claiming records the segment files never received would
+// desynchronize replay numbering after a crash. And a follower
+// bootstrapped at an LSN the leader has not flushed would skip the record
+// a restarted leader writes at that LSN.
+func (s *Store) capture() (lsn uint64, data []byte, err error) {
+	view := s.reg.SnapshotView(func() { lsn = s.wal.LastLSN() })
+	if err := s.wal.WaitWritten(lsn); err != nil {
+		return 0, nil, err
+	}
+	if data, err = view.Encode(); err != nil {
+		return 0, nil, err
+	}
+	return lsn, data, nil
 }
 
 // RecordsSinceSnapshot is the replay debt a crash would pay right now.

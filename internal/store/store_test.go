@@ -274,7 +274,7 @@ func TestStoreCommitAfterCloseReportsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close() // detaches the journal and closes the WAL
-	if err := st.Commit([]registry.Op{{Kind: registry.OpSchemaDelete, Name: "a"}}); err == nil {
+	if err := st.CommitAsync([]registry.Op{{Kind: registry.OpSchemaDelete, Name: "a"}})(); err == nil {
 		t.Fatal("Commit on a closed store succeeded")
 	}
 	if st.LastError() == nil || st.Stats().LastError == "" {

@@ -144,10 +144,12 @@ type wal struct {
 	// lastLSN is the log head: the highest LSN assigned, including
 	// records still queued behind an in-flight flush.
 	lastLSN uint64
-	// writtenLSN is the highest LSN written to a segment file; snapshots
-	// wait on it (WaitWritten) because record LSNs are positional — a
-	// snapshot claiming an LSN the files do not reach would desynchronize
-	// replay numbering after a crash.
+	// writtenLSN is the highest LSN whose group flush finished: written
+	// to a segment file and, under FsyncPerCommit, fsynced. Snapshot
+	// captures wait on it (WaitWritten) because record LSNs are
+	// positional — a snapshot claiming an LSN the files do not reach
+	// would desynchronize replay numbering after a crash — and
+	// replication ships no record past it.
 	writtenLSN uint64
 	// syncedLSN is the durable log position: the highest LSN known to
 	// have reached stable storage (followers and operators read it as
@@ -435,6 +437,14 @@ func (w *wal) DurableLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.syncedLSN
+}
+
+// WrittenLSN returns the highest LSN whose group flush has finished:
+// written to the segment files and, under FsyncPerCommit, fsynced.
+func (w *wal) WrittenLSN() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.writtenLSN
 }
 
 // WaitWritten blocks until every record up to lsn has been written to the
